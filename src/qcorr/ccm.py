@@ -10,10 +10,12 @@ product of a state's own marginals reduces to the mutual information
 S(rho_A) + S(rho_B) - S(rho); the engine always evaluates it in that form.
 
 `ccm` runs a dynamic program over all subsets of the register: each subset's
-reduced entropy is computed once, and subset values are combined in ascending
-size order, so every bipartition term costs three table lookups.  `ccm_naive`
-is an intentionally independent re-implementation by literal recursion (fresh
-reduced matrices at every level, no caching) kept as a cross-check oracle.
+reduced entropy is computed once (from the state's factor when it has one,
+see `subset_entropy`), and subset values are combined in ascending size
+order, so every bipartition term costs three table lookups.  `ccm_naive` is
+an intentionally independent re-implementation by literal recursion (fresh
+dense reduced matrices at every level, no caching) kept as a cross-check
+oracle.
 """
 
 from __future__ import annotations
@@ -24,12 +26,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .entropy import DistanceUnit, mutual_information, von_neumann_entropy
+from .entropy import DistanceUnit, mutual_information, subset_entropy, von_neumann_entropy
 from .errors import BadArity, InvalidBipartition, OutOfRange, TooLarge
-from .states import DensityOperator, check_subset, full_mask, partial_trace
+from .states import DensityOperator, PureState, check_subset, full_mask, partial_trace
 
 MAX_QUBITS_DP = 14
 MAX_QUBITS_NAIVE = 6
+
+# Costs of a subset of size m closer than TIE_BITS * 2^(m-2) bits count as
+# tied.  Entropies from a factor and from partial traces differ by round-off
+# of about 1e-14 bits, far below this, so exact ties (every cut of a product
+# state, say) go to the same cut whichever spectra the entropies came from.
+TIE_BITS = 1e-12
 
 
 @dataclass
@@ -106,11 +114,13 @@ def _ascending_submasks(rest: int):
         sub = (sub - rest) & rest
 
 
-def ccm(rho: DensityOperator, unit: DistanceUnit = DistanceUnit.NORMALIZED) -> CcmReport:
+def ccm(rho: PureState | DensityOperator,
+        unit: DistanceUnit = DistanceUnit.NORMALIZED) -> CcmReport:
     """Cumulative correlation measure of `rho`, with the minimizing tree.
 
     Bipartitions are canonicalized by keeping the subset's lowest qubit index
-    in block A; ties in cost go to the numerically smallest A mask.
+    in block A; ties in cost (within TIE_BITS times the subset's weight) go
+    to the numerically smallest A mask.
     """
     n = rho.num_qubits
     if n > MAX_QUBITS_DP:
@@ -128,12 +138,12 @@ def ccm(rho: DensityOperator, unit: DistanceUnit = DistanceUnit.NORMALIZED) -> C
 
     for size in range(1, n + 1):
         weight = float(1 << (size - 2)) if size >= 2 else 0.0
+        tie = TIE_BITS * weight
         for qubits in itertools.combinations(range(n), size):
             mask = 0
             for q in qubits:
                 mask |= 1 << q
-            reduced = rho if mask == full else partial_trace(rho, mask)
-            entropy_bits[mask] = von_neumann_entropy(reduced)
+            entropy_bits[mask] = subset_entropy(rho, mask)
             stats.entropies_computed += 1
             stats.subsets_evaluated += 1
             if size == 1:
@@ -153,7 +163,7 @@ def ccm(rho: DensityOperator, unit: DistanceUnit = DistanceUnit.NORMALIZED) -> C
                 if dist < 0.0:
                     dist = 0.0  # mutual information is non-negative; round-off only
                 cost = weight * dist + value_bits[a] + value_bits[b]
-                if best_cost is None or cost < best_cost:
+                if best_cost is None or cost < best_cost - tie:
                     best_cost = cost
                     best_a[mask] = a
                     best_dist_bits[mask] = weight * dist
@@ -179,7 +189,8 @@ def ccm(rho: DensityOperator, unit: DistanceUnit = DistanceUnit.NORMALIZED) -> C
     return CcmReport(value_bits[full] * scale, unit, build(full), stats)
 
 
-def ccm_naive(rho: DensityOperator, unit: DistanceUnit = DistanceUnit.NORMALIZED) -> float:
+def ccm_naive(rho: PureState | DensityOperator,
+              unit: DistanceUnit = DistanceUnit.NORMALIZED) -> float:
     """Reference evaluation of the measure by direct recursion.
 
     No memoization, no shared entropy table: reduced states are rebuilt at
@@ -188,6 +199,8 @@ def ccm_naive(rho: DensityOperator, unit: DistanceUnit = DistanceUnit.NORMALIZED
     """
     if rho.num_qubits > MAX_QUBITS_NAIVE:
         raise TooLarge(f"ccm_naive supports at most {MAX_QUBITS_NAIVE} qubits")
+    if isinstance(rho, PureState):
+        rho = rho.to_density()
 
     def rec(r: DensityOperator) -> float:
         n = r.num_qubits
@@ -213,7 +226,7 @@ def ccm_naive(rho: DensityOperator, unit: DistanceUnit = DistanceUnit.NORMALIZED
     return rec(rho) * unit.factor
 
 
-def ccm_distance_term(rho: DensityOperator, part_a: int,
+def ccm_distance_term(rho: PureState | DensityOperator, part_a: int,
                       unit: DistanceUnit = DistanceUnit.NORMALIZED) -> float:
     """The weighted distance 2^(n-2) * D(rho, rho_A x rho_B) of one bipartition."""
     n = rho.num_qubits

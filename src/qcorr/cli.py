@@ -14,7 +14,7 @@ from .checks import run_default_checks
 from .entropy import DistanceUnit, multi_information
 from .errors import ConvergenceFailure, OutOfRange, ParseError, QcorrError, TooLarge
 from .spin_models import GroundStateMode, GroundStatePolicy
-from .states import DensityOperator, make_ghz, read_qs1
+from .states import make_ghz, read_qs1
 from .sweeps import ParamRange, SweepConfig, noise_sweep_rows, sweep_rows, write_csv
 
 DEGENERACY_MODES = {
@@ -51,11 +51,6 @@ def _unit(args: argparse.Namespace) -> DistanceUnit:
     return DistanceUnit(args.unit)
 
 
-def _load_density(path: str) -> DensityOperator:
-    state = read_qs1(path)
-    return state.to_density() if hasattr(state, "to_density") else state
-
-
 def cmd_ghz(args: argparse.Namespace) -> int:
     n = args.n
     unit = _unit(args)
@@ -67,21 +62,21 @@ def cmd_ghz(args: argparse.Namespace) -> int:
     if args.mode == "closed":
         print(f"{n} {ghz_closed_form(n) * closed_scale:.9f}")
     elif args.mode == "direct":
-        print(f"{n} {ccm(make_ghz(n).to_density(), unit).value:.9f}")
+        print(f"{n} {ccm(make_ghz(n), unit).value:.9f}")
     else:
         closed = ghz_closed_form(n) * closed_scale
-        direct = ccm(make_ghz(n).to_density(), unit).value
+        direct = ccm(make_ghz(n), unit).value
         print(f"{n} {closed:.9f} {direct:.9f} {abs(closed - direct):.3e}")
     return 0
 
 
 def cmd_ccm(args: argparse.Namespace) -> int:
-    rho = _load_density(args.state_file)
+    state = read_qs1(args.state_file)
     unit = _unit(args)
     if args.naive:
-        print(f"{ccm_naive(rho, unit):.9f}")
+        print(f"{ccm_naive(state, unit):.9f}")
         return 0
-    report = ccm(rho, unit)
+    report = ccm(state, unit)
     if args.report:
         print(report.to_json())
     else:
@@ -90,8 +85,7 @@ def cmd_ccm(args: argparse.Namespace) -> int:
 
 
 def cmd_tv(args: argparse.Namespace) -> int:
-    rho = _load_density(args.state_file)
-    print(f"{multi_information(rho, _unit(args)):.9f}")
+    print(f"{multi_information(read_qs1(args.state_file), _unit(args)):.9f}")
     return 0
 
 

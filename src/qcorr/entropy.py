@@ -1,5 +1,11 @@
 """Entropy kernels: von Neumann entropy, relative entropy, mutual information.
 
+Subset entropies S(rho_A) come from one of two spectra.  A state that carries
+a factor V (rho = V V^dagger: a `PureState`, or a `DensityOperator` built by
+`from_factor`) gives rho_A's nonzero spectrum as that of the smaller Gram
+matrix of V reshaped to 2^|A| x (2^(n-|A|) r), with no partial trace.  Any
+other state is partial-traced and its reduced matrix diagonalized.
+
 All entropies use log base 2 internally.  Results can be reported either in
 bits or in "normalized" units (bits / 2), the scale on which one Bell pair
 sits at distance 1 from its closest product state.  Normalized is the default
@@ -15,7 +21,14 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidBipartition, OutOfRange
 from .linalg import hermitian_eigensystem, hermitian_eigenvalues
-from .states import DensityOperator, check_subset, full_mask, partial_trace
+from .states import (
+    DensityOperator,
+    PureState,
+    check_subset,
+    full_mask,
+    partial_trace,
+    subset_qubits,
+)
 
 # Eigenvalues at or below this are treated as outside the support.
 SUPPORT_CUTOFF = 1e-12
@@ -36,11 +49,33 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 
     Eigenvalues <= 1e-12 (including round-off negatives) contribute zero.
     """
-    vals = hermitian_eigenvalues(rho.matrix)
+    return _entropy_bits(hermitian_eigenvalues(rho.matrix))
+
+
+def _entropy_bits(vals: np.ndarray) -> float:
     vals = vals[vals > SUPPORT_CUTOFF]
     if vals.size == 0:
         return 0.0
     return max(float(-(vals * np.log2(vals)).sum()), 0.0)
+
+
+def subset_entropy(state: PureState | DensityOperator, mask: int) -> float:
+    """S(rho_A) in bits for the qubits A in `mask` (non-empty).
+
+    Uses the state's factor when it has one, otherwise the partial trace.
+    """
+    n = state.num_qubits
+    v = state.factor
+    if v is None:
+        return von_neumann_entropy(state if mask == full_mask(n) else partial_trace(state, mask))
+    check_subset(mask, n)
+    kept = subset_qubits(mask)
+    traced = [q for q in range(n) if not (mask >> q) & 1]
+    # Rows index A's basis states; columns index the rest and V's columns.
+    m = v.reshape((2,) * n + (v.shape[1],)).transpose(kept + traced + [n])
+    m = m.reshape(1 << len(kept), -1)
+    gram = m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m
+    return _entropy_bits(hermitian_eigenvalues(gram))
 
 
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator,
@@ -68,7 +103,7 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator,
     return max(bits, 0.0) * unit.factor
 
 
-def mutual_information(rho: DensityOperator, part_a: int,
+def mutual_information(rho: PureState | DensityOperator, part_a: int,
                        unit: DistanceUnit = DistanceUnit.NORMALIZED) -> float:
     """I(A:B) = S(rho_A) + S(rho_B) - S(rho) across the bipartition (A, rest).
 
@@ -81,19 +116,18 @@ def mutual_information(rho: DensityOperator, part_a: int,
     part_b = full_mask(n) ^ part_a
     if part_a == 0 or part_b == 0:
         raise InvalidBipartition("both blocks of a bipartition must be non-empty")
-    bits = (von_neumann_entropy(partial_trace(rho, part_a))
-            + von_neumann_entropy(partial_trace(rho, part_b))
-            - von_neumann_entropy(rho))
+    bits = (subset_entropy(rho, part_a) + subset_entropy(rho, part_b)
+            - subset_entropy(rho, full_mask(n)))
     return max(bits, 0.0) * unit.factor
 
 
-def multi_information(rho: DensityOperator,
+def multi_information(rho: PureState | DensityOperator,
                       unit: DistanceUnit = DistanceUnit.NORMALIZED) -> float:
     """Total correlations T_V = sum_i S(rho_i) - S(rho) over single qubits."""
     n = rho.num_qubits
     if n < 2:
         raise OutOfRange("total correlations need at least two qubits")
-    bits = -von_neumann_entropy(rho)
+    bits = -subset_entropy(rho, full_mask(n))
     for q in range(n):
-        bits += von_neumann_entropy(partial_trace(rho, 1 << q))
+        bits += subset_entropy(rho, 1 << q)
     return max(bits, 0.0) * unit.factor

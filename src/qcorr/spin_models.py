@@ -126,7 +126,10 @@ def build_double_xxz(spins_per_chain: int, delta: float, lam: float) -> np.ndarr
 
 def ground_state(hamiltonian: np.ndarray,
                  policy: GroundStatePolicy | None = None) -> DensityOperator:
-    """Ground state of a Hermitian matrix under the given degeneracy policy."""
+    """Ground state of a Hermitian matrix under the given degeneracy policy.
+
+    The state carries its lowest-level eigenvectors as its factor.
+    """
     if policy is None:
         policy = GroundStatePolicy()
     vals, vecs = hermitian_eigensystem(hamiltonian)
@@ -135,12 +138,11 @@ def ground_state(hamiltonian: np.ndarray,
         k = int(np.argmax(np.abs(v)))
         phase = v[k] / abs(v[k])
         v = v * phase.conjugate()
-        return DensityOperator(np.outer(v, v.conj()))
+        return DensityOperator.from_factor(v.reshape(-1, 1))
     span = float(vals[-1] - vals[0])
     tol = policy.degeneracy_rtol * span
     block = vecs[:, vals <= vals[0] + tol]
-    rank = block.shape[1]
-    return DensityOperator(block @ block.conj().T / rank)
+    return DensityOperator.from_factor(block / math.sqrt(block.shape[1]))
 
 
 def ground_gap(hamiltonian: np.ndarray, rtol: float = 1e-9) -> float:

@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import io
 import math
 import os
 from typing import Sequence
@@ -70,7 +71,11 @@ def _register_size(dim: int, what: str) -> int:
 
 
 class PureState:
-    """A normalized state vector on an n-qubit register."""
+    """A normalized state vector on an n-qubit register.
+
+    Its `factor` is the amplitude column, so subset entropies come from
+    Schmidt spectra without ever forming the 2^n x 2^n density matrix.
+    """
 
     __slots__ = ("amplitudes", "num_qubits")
 
@@ -84,8 +89,13 @@ class PureState:
             raise InvariantViolation(f"squared norm {norm_sq!r} differs from 1 by more than {NORM_SQ_ATOL}")
         self.amplitudes = a
 
+    @property
+    def factor(self) -> np.ndarray:
+        """The 2^n x 1 column V with rho = V V^dagger."""
+        return self.amplitudes.reshape(-1, 1)
+
     def to_density(self) -> "DensityOperator":
-        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityOperator.from_factor(self.factor)
 
     def __repr__(self) -> str:
         return f"PureState(num_qubits={self.num_qubits})"
@@ -99,9 +109,12 @@ class DensityOperator:
     untrusted input such as state files) because it needs an eigensolve.
     Small negative eigenvalues from round-off are tolerated down to -1e-9 and
     are clamped where entropies are evaluated, never in storage.
+
+    `factor` is None, or a 2^n x r matrix V with matrix = V V^dagger when the
+    state came from `from_factor`; only that trusted constructor sets it.
     """
 
-    __slots__ = ("matrix", "num_qubits")
+    __slots__ = ("matrix", "num_qubits", "factor")
 
     def __init__(self, matrix: np.ndarray, *, check_psd: bool = False):
         m = np.asarray(matrix, dtype=complex)
@@ -120,6 +133,30 @@ class DensityOperator:
             if lo < PSD_EIG_FLOOR:
                 raise InvariantViolation(f"minimum eigenvalue {lo!r} below {PSD_EIG_FLOOR}")
         self.matrix = m
+        self.factor = None
+
+    @classmethod
+    def from_factor(cls, factor: np.ndarray) -> "DensityOperator":
+        """rho = V V^dagger for a 2^n x r matrix V with squared Frobenius norm 1.
+
+        Hermiticity and positivity hold by construction, so only finiteness
+        and the trace (1e-10) are checked.  The factor is kept, and subset
+        entropies are then computed from it.
+        """
+        v = np.ascontiguousarray(factor, dtype=complex)
+        if v.ndim != 2 or v.shape[1] < 1:
+            raise DimensionMismatch(f"factor must be a 2^n x r matrix, got shape {v.shape}")
+        num_qubits = _register_size(v.shape[0], "factor")
+        if not np.all(np.isfinite(v.view(float))):
+            raise InvariantViolation("factor has non-finite entries")
+        tr = float(np.vdot(v, v).real)
+        if abs(tr - 1.0) > TRACE_ATOL:
+            raise InvariantViolation(f"trace {tr!r} differs from 1 by more than {TRACE_ATOL}")
+        self = cls.__new__(cls)
+        self.matrix = v @ v.conj().T
+        self.num_qubits = num_qubits
+        self.factor = v
+        return self
 
     @property
     def dim(self) -> int:
@@ -228,18 +265,26 @@ def write_qs1(path: str | os.PathLike, state: PureState | DensityOperator) -> No
         fh.write("\n".join(lines) + "\n")
 
 
+# Bytes the vectorized body parse accepts.  A body with any other byte (a tab,
+# 'inf', '_', ...) goes through the line loop, whose `float` accepts more.
+_ENTRY_BYTES = b"0123456789.eE+- \n"
+
+
 def read_qs1(path: str | os.PathLike) -> PureState | DensityOperator:
     """Parse a qs1 state file; returns a PureState or a validated DensityOperator."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not raw.isascii() or b"\r" in raw:
+        # Text mode rejects non-ASCII bytes and turns '\r' line ends into '\n'.
+        with open(path, "r", encoding="ascii") as fh:
+            raw = fh.read().encode("ascii")
+    if not raw:
         raise ParseError("empty state file")
-    header = lines[0].split()
+    newline = raw.find(b"\n")
+    first = (raw if newline < 0 else raw[:newline]).decode("ascii")
+    header = first.split()
     if len(header) != 3 or header[0] != "qs1" or header[1] not in ("pure", "mixed"):
-        raise ParseError(f"bad header line {lines[0]!r}")
+        raise ParseError(f"bad header line {first!r}")
     try:
         n = int(header[2])
     except ValueError:
@@ -254,9 +299,40 @@ def read_qs1(path: str | os.PathLike) -> PureState | DensityOperator:
         if n > MAX_MIXED_FILE_QUBITS:
             raise TooLarge(f"mixed state files support at most {MAX_MIXED_FILE_QUBITS} qubits")
         expected = 1 << (2 * n)
-    body = lines[1:]
-    if len(body) != expected:
-        raise ParseError(f"expected {expected} entry lines, found {len(body)}")
+    found = raw.count(b"\n") - raw.endswith(b"\n")  # a final '\n' ends the last line
+    if found != expected:
+        raise ParseError(f"expected {expected} entry lines, found {found}")
+    values = _parse_entries(raw, newline + 1, expected)
+    del raw  # the text is no longer needed while the state is validated
+    try:
+        if header[1] == "pure":
+            return PureState(values)
+        return DensityOperator(values.reshape(1 << n, 1 << n), check_psd=True)
+    except InvariantViolation as exc:
+        raise ParseError(f"state file violates state invariants: {exc}") from exc
+
+
+def _parse_entries(raw: bytes, start: int, expected: int) -> np.ndarray:
+    """The `expected` complex entries of the qs1 body that begins at byte `start`.
+
+    `np.loadtxt` parses a body of plain numbers; its values are bit-identical
+    to the line loop's `float`.  Every body it cannot vouch for, including
+    every malformed one, goes to the line loop, which names the first bad line.
+    """
+    # The body has no byte outside _ENTRY_BYTES exactly when the whole file
+    # has no such byte beyond those of its header line.
+    if raw.translate(None, _ENTRY_BYTES) == raw[:start].translate(None, _ENTRY_BYTES):
+        try:
+            pairs = np.loadtxt(io.BytesIO(raw), dtype=float, comments=None, skiprows=1,
+                               ndmin=2, encoding="ascii")
+        except ValueError:
+            pairs = None
+        # loadtxt skips blank lines, so a blank line shows as a missing row.
+        if pairs is not None and pairs.shape == (expected, 2) and np.isfinite(pairs).all():
+            return pairs.view(complex).reshape(-1)
+    body = raw[start:].decode("ascii").split("\n")
+    if body[-1] == "":
+        body.pop()
     values = np.empty(expected, dtype=complex)
     for i, line in enumerate(body):
         parts = line.split()
@@ -269,9 +345,4 @@ def read_qs1(path: str | os.PathLike) -> PureState | DensityOperator:
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ParseError(f"line {i + 2}: non-finite entry {line!r}")
         values[i] = complex(re, im)
-    try:
-        if header[1] == "pure":
-            return PureState(values)
-        return DensityOperator(values.reshape(1 << n, 1 << n), check_psd=True)
-    except InvariantViolation as exc:
-        raise ParseError(f"state file violates state invariants: {exc}") from exc
+    return values

@@ -1,11 +1,12 @@
 import json
+import math
 import shutil
 import subprocess
 
 import numpy as np
 import pytest
 
-from qcorr import make_ghz, write_qs1
+from qcorr import ghz_closed_form, make_ghz, write_qs1
 from qcorr.checks import CheckResult
 from qcorr.cli import main
 from qcorr.sampling import random_density
@@ -84,6 +85,21 @@ def test_ccm_report_json(capsys, ghz3_file):
     assert payload["unit"] == "normalized"
     assert payload["tree"]["subset"] == 0b111
     assert payload["stats"]["subsets_evaluated"] == 7
+
+
+def test_ccm_report_on_an_11_qubit_pure_file(capsys, tmp_path):
+    path = tmp_path / "ghz11.qs1"
+    write_qs1(path, make_ghz(11))
+    code, out = run(capsys, "ccm", str(path), "--report")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == pytest.approx(ghz_closed_form(11), abs=1e-9)
+    root = payload["tree"]
+    assert root["subset"] == 0b11111111111
+    assert bin(root["mask_a"]).count("1") in (5, 6)  # the most even split
+    pairs = sum(math.comb(11, m) * ((1 << (m - 1)) - 1) for m in range(2, 12))
+    assert payload["stats"] == {"subsets_evaluated": 2047, "entropies_computed": 2047,
+                                "cache_hits": 3 * pairs}
 
 
 def test_ccm_mixed_file(capsys, tmp_path):

@@ -248,6 +248,9 @@ def test_qs1_roundtrip_arbitrary_amplitudes(tmp_path_factory, raw):
     ("qs1 pure 1\n1 0\n", ParseError),                      # missing a line
     ("qs1 pure 1\n1 0\n0 0\n0 0\n", ParseError),            # extra line
     ("qs1 pure 1\n1\n0 0\n", ParseError),                   # one token
+    ("qs1 pure 1\n1 0\n\n", ParseError),                    # blank body line
+    ("qs1 pure 1\n# 0\n1 0\n", ParseError),                 # comment-like line
+    ("qs1 pure 1\n1 0 0\n0 0\n", ParseError),               # three fields
     ("qs1 pure 1\nnan 0\n0 0\n", ParseError),
     ("qs1 pure 1\ninf 0\n0 0\n", ParseError),
     ("qs1 pure 1\none 0\n0 0\n", ParseError),
@@ -261,6 +264,58 @@ def test_qs1_rejects_malformed_files(tmp_path, text, error):
     path.write_text(text)
     with pytest.raises(error):
         read_qs1(path)
+
+
+@pytest.mark.parametrize("body,message", [
+    ("1 0\n\n", "line 3: expected '<re> <im>', got ''"),
+    ("# 0\n1 0\n", "line 2: could not parse '# 0'"),
+    ("1 0\n0 0 0\n", "line 3: expected '<re> <im>', got '0 0 0'"),
+    ("1e999 0\n0 0\n", "line 2: non-finite entry '1e999 0'"),
+    ("1 0\n0 -1e400\n", "line 3: non-finite entry '0 -1e400'"),
+])
+def test_qs1_errors_name_the_line(tmp_path, body, message):
+    path = tmp_path / "bad.qs1"
+    path.write_text("qs1 pure 1\n" + body)
+    with pytest.raises(ParseError) as exc:
+        read_qs1(path)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("body", [
+    " 0.6  0\n0.8 -0.0\n",          # extra spaces
+    "0.6\t0\n0.8 0\n",              # a tab
+    "6_0e-2 0\r\n0.8 0\r\n",        # an underscore, CRLF line ends
+    "+.6 0E0\n8e-1 -0\n",           # signs and exponents
+    "0.6 0\n0.8 0",                  # no final newline
+])
+def test_qs1_body_values_match_float(tmp_path, body):
+    path = tmp_path / "odd.qs1"
+    path.write_bytes(("qs1 pure 1\n" + body).encode("ascii"))
+    want = [complex(*map(float, line.split())) for line in body.splitlines()]
+    got = read_qs1(path).amplitudes
+    assert got.tobytes() == np.array(want, dtype=complex).tobytes()
+
+
+def test_from_factor_keeps_the_factor(rng):
+    v = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+    v /= np.linalg.norm(v)
+    rho = DensityOperator.from_factor(v)
+    assert rho.num_qubits == 3
+    assert np.array_equal(rho.factor, v)
+    assert np.allclose(rho.matrix, v @ v.conj().T)
+    assert DensityOperator(rho.matrix).factor is None
+    assert make_ghz(2).to_density().factor.shape == (4, 1)
+
+
+def test_from_factor_rejects_bad_factors():
+    with pytest.raises(DimensionMismatch):
+        DensityOperator.from_factor(np.ones(4) / 2)
+    with pytest.raises(DimensionMismatch):
+        DensityOperator.from_factor(np.ones((3, 1)) / math.sqrt(3))
+    with pytest.raises(InvariantViolation):
+        DensityOperator.from_factor(np.ones((4, 1)))
+    with pytest.raises(InvariantViolation):
+        DensityOperator.from_factor(np.array([[1.0], [np.nan]]))
 
 
 def test_subset_helpers():
