@@ -1,4 +1,4 @@
-"""Dense complex linear algebra helpers used by the state and model code."""
+"""Dense linear algebra helpers used by the state and model code."""
 
 from __future__ import annotations
 
@@ -20,13 +20,21 @@ def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
     return bool(np.abs(m - m.conj().T).max() <= atol)
 
 
-def hermitian_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
-    a = np.asarray(m, dtype=complex)
+def checked_hermitian(m: np.ndarray) -> np.ndarray:
+    """`m` as a float64 or complex128 array (real input stays real), after
+    checking that it is square and Hermitian."""
+    a = np.asarray(m)
+    a = a.astype(complex if np.iscomplexobj(a) else float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not is_hermitian(a):
         raise NotHermitian("matrix is not Hermitian within 1e-10")
+    return a
+
+
+def hermitian_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
+    a = checked_hermitian(m)
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare in practice

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcorr import (
     GroundStateMode,
@@ -48,6 +50,18 @@ def test_spec_validation():
 def test_two_spin_ring_doubles_its_bond():
     ham = build_hamiltonian(SpinChainSpec(2, jx=1.0))
     assert np.allclose(ham, -2.0 * np.kron(PAULI_X, PAULI_X))
+
+
+COUPLING = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+
+@given(n=st.integers(2, 7), jx=COUPLING, jy=COUPLING, jz=COUPLING, h=COUPLING)
+@settings(deadline=None, max_examples=80)
+def test_bit_op_build_matches_kron_reference(n, jx, jy, jz, h):
+    # n = 2 is the ring whose periodic sum visits its one bond twice
+    ham = build_hamiltonian(SpinChainSpec(n, jx=jx, jy=jy, jz=jz, h=h))
+    assert ham.dtype == np.float64
+    assert np.abs(ham - manual_chain(n, jx, jy, jz, h)).max() <= 1e-12
 
 
 def test_ising_ring_matches_manual_build():

@@ -59,6 +59,12 @@ def test_eigensystem_reconstructs_random_hermitian(rng):
     assert np.all(np.diff(vals) >= 0)
 
 
+def test_eigensystem_keeps_real_input_real():
+    vals, vecs = hermitian_eigensystem(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    assert vecs.dtype == np.float64
+    assert np.allclose(vals, [1.0, 3.0])
+
+
 def test_eigensystem_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
