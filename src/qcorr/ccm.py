@@ -10,8 +10,9 @@ product of a state's own marginals reduces to the mutual information
 S(rho_A) + S(rho_B) - S(rho); the engine always evaluates it in that form.
 
 `ccm` runs a dynamic program over all subsets of the register: each subset's
-reduced entropy is computed once (from the state's factor when it has one,
-see `subset_entropy`), and subset values are combined in ascending size
+reduced entropy is computed once, in one table (from the state's factor when
+it has one, otherwise by tracing one qubit at a time out of a larger subset;
+see `subset_entropies`), and subset values are combined in ascending size
 order, so every bipartition term costs three table lookups.  `ccm_naive` is
 an intentionally independent re-implementation by literal recursion (fresh
 dense reduced matrices at every level, no caching) kept as a cross-check
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .entropy import DistanceUnit, mutual_information, subset_entropy, von_neumann_entropy
+from .entropy import DistanceUnit, mutual_information, subset_entropies, von_neumann_entropy
 from .errors import BadArity, InvalidBipartition, OutOfRange, TooLarge
 from .states import DensityOperator, PureState, check_subset, full_mask, partial_trace
 
@@ -131,7 +132,7 @@ def ccm(rho: PureState | DensityOperator,
         return CcmReport(0.0, unit, None, stats)
 
     full = full_mask(n)
-    entropy_bits: dict[int, float] = {}
+    entropy_bits = subset_entropies(rho)
     value_bits: dict[int, float] = {}
     best_a: dict[int, int] = {}
     best_dist_bits: dict[int, float] = {}  # weighted by 2^(m-2)
@@ -143,7 +144,6 @@ def ccm(rho: PureState | DensityOperator,
             mask = 0
             for q in qubits:
                 mask |= 1 << q
-            entropy_bits[mask] = subset_entropy(rho, mask)
             stats.entropies_computed += 1
             stats.subsets_evaluated += 1
             if size == 1:

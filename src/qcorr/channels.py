@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, OutOfRange
-from .linalg import conjugate_on_qubit
+from .linalg import apply_superoperators, superoperator
 from .states import DensityOperator, check_subset, subset_qubits
 
 TP_ATOL = 1e-10
@@ -63,12 +63,17 @@ def amplitude_damping_channel(p: float) -> KrausChannel:
 
 
 def apply_channel_local(rho: DensityOperator, channel: KrausChannel, qubits: int) -> DensityOperator:
-    """Apply `channel` independently to every qubit in the mask `qubits`."""
+    """Apply `channel` independently to every qubit in the mask `qubits`.
+
+    The channel acts through its superoperator (see `linalg.superoperator`),
+    which stays real for real Kraus operators, so a real state stays real.
+    An exact identity channel (damping strength 0) returns `rho` itself,
+    factor included.
+    """
     n = rho.num_qubits
     check_subset(qubits, n, allow_empty=True)
-    if qubits == 0:
+    s = superoperator(channel.operators)
+    if qubits == 0 or np.array_equal(s, np.eye(4)):
         return rho
-    out = rho.matrix
-    for q in subset_qubits(qubits):
-        out = sum(conjugate_on_qubit(out, n, q, e) for e in channel.operators)
-    return DensityOperator(out)
+    supers = [(q, s) for q in subset_qubits(qubits)]
+    return DensityOperator(apply_superoperators(rho.matrix, n, supers))

@@ -32,7 +32,6 @@ def _add_sweep_common(parser: argparse.ArgumentParser) -> None:
     _add_unit(parser)
     parser.add_argument("--degeneracy", choices=sorted(DEGENERACY_MODES), default="mixture",
                         help="ground-state policy when the lowest level is degenerate")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for grid points")
     parser.add_argument("--seed", type=int, default=0,
                         help="accepted for interface uniformity; sweeps are deterministic")
     parser.add_argument("--out", required=True, help="output CSV path")
@@ -110,7 +109,6 @@ def _sweep_config(args: argparse.Namespace, *, model: str, with_noise: bool) -> 
         policy=_policy(args),
         include_tv=getattr(args, "tv", False),
         derivative=getattr(args, "derivative", False),
-        threads=args.threads,
     )
 
 

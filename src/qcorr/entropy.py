@@ -4,7 +4,9 @@ Subset entropies S(rho_A) come from one of two spectra.  A state that carries
 a factor V (rho = V V^dagger: a `PureState`, or a `DensityOperator` built by
 `from_factor`) gives rho_A's nonzero spectrum as that of the smaller Gram
 matrix of V reshaped to 2^|A| x (2^(n-|A|) r), with no partial trace.  Any
-other state is partial-traced and its reduced matrix diagonalized.
+other state is reduced and its reduced matrix diagonalized: one subset at a
+time by `partial_trace`, or, for the whole table that `ccm` needs, by
+`subset_entropies`, which traces one qubit at a time out of a parent subset.
 
 All entropies use log base 2 internally.  Results can be reported either in
 bits or in "normalized" units (bits / 2), the scale on which one Bell pair
@@ -76,6 +78,49 @@ def subset_entropy(state: PureState | DensityOperator, mask: int) -> float:
     m = m.reshape(1 << len(kept), -1)
     gram = m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m
     return _entropy_bits(hermitian_eigenvalues(gram))
+
+
+def subset_entropies(state: PureState | DensityOperator) -> list[float]:
+    """S(rho_A) in bits for every mask A of the register, indexed by mask
+    (entry 0, the empty set, is 0).
+
+    A state with a factor takes `subset_entropy`'s Gram path for each mask;
+    when the factor is one column (a pure state), S(A) = S(rest of A), so
+    only one mask of each complementary pair is diagonalized and the whole
+    register gets 0.  A dense state is reduced along a tree: the parent of a
+    subset is the subset plus its lowest missing qubit, and a child's matrix
+    is its parent's with one qubit traced out.  The tree is walked depth
+    first, so only the matrices on the current path are alive, and no
+    reduced matrix is re-validated.
+    """
+    n = state.num_qubits
+    full = full_mask(n)
+    table = [0.0] * (1 << n)
+    if state.factor is not None:
+        pure = state.factor.shape[1] == 1
+        for mask in range(1, 1 << n):
+            rest = full ^ mask
+            table[mask] = table[rest] if pure and rest < mask else subset_entropy(state, mask)
+    else:
+        _reduce_along_tree(state.matrix, full, n, table)
+    return table
+
+
+def _reduce_along_tree(matrix: np.ndarray, mask: int, low: int, table: list[float]) -> None:
+    """Fill `table` for `mask`, whose reduced matrix is `matrix`, and for every
+    subset below it.  `low` is the lowest qubit missing from `mask` (n for the
+    whole register); its children drop one qubit q < low, which is leg q of
+    `matrix` because qubits 0..low-1 are all in `mask`."""
+    table[mask] = _entropy_bits(hermitian_eigenvalues(matrix))
+    d = matrix.shape[0]
+    if d == 2:
+        return
+    for q in range(low):
+        outer, inner = 1 << q, d >> (q + 1)
+        t = matrix.reshape(outer, 2, inner, outer, 2, inner)
+        # The child is passed unbound, so it is freed as soon as its subtree is done.
+        _reduce_along_tree((t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]).reshape(d // 2, d // 2),
+                           mask & ~(1 << q), q, table)
 
 
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator,

@@ -29,7 +29,13 @@ from .errors import (
     TooLarge,
     ZeroVector,
 )
-from .linalg import conjugate_on_qubit, hermitian_eigenvalues, is_hermitian
+from .linalg import (
+    apply_superoperators,
+    hermitian_eigenvalues,
+    is_hermitian,
+    real_or_complex,
+    superoperator,
+)
 
 TRACE_ATOL = 1e-10
 PSD_EIG_FLOOR = -1e-9
@@ -104,6 +110,10 @@ class PureState:
 class DensityOperator:
     """A density matrix on an n-qubit register.
 
+    A real matrix is stored as float64 and any other as complex128, so real
+    states (chain ground states and what the built-in channels make of them)
+    are reduced and diagonalized in real arithmetic.
+
     Construction checks Hermiticity (1e-10) and unit trace (1e-10); these are
     cheap.  Positivity is checked only when `check_psd=True` (used for
     untrusted input such as state files) because it needs an eigensolve.
@@ -117,7 +127,7 @@ class DensityOperator:
     __slots__ = ("matrix", "num_qubits", "factor")
 
     def __init__(self, matrix: np.ndarray, *, check_psd: bool = False):
-        m = np.asarray(matrix, dtype=complex)
+        m = real_or_complex(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"density matrix must be square, got shape {m.shape}")
         self.num_qubits = _register_size(m.shape[0], "density matrix")
@@ -141,9 +151,9 @@ class DensityOperator:
 
         Hermiticity and positivity hold by construction, so only finiteness
         and the trace (1e-10) are checked.  The factor is kept, and subset
-        entropies are then computed from it.
+        entropies are then computed from it.  A real factor stays real.
         """
-        v = np.ascontiguousarray(factor, dtype=complex)
+        v = np.ascontiguousarray(real_or_complex(factor))
         if v.ndim != 2 or v.shape[1] < 1:
             raise DimensionMismatch(f"factor must be a 2^n x r matrix, got shape {v.shape}")
         num_qubits = _register_size(v.shape[0], "factor")
@@ -195,8 +205,8 @@ def partial_trace(rho: DensityOperator, keep: int) -> DensityOperator:
 def apply_local_unitary(rho: DensityOperator, factors: Sequence[np.ndarray]) -> DensityOperator:
     """Conjugate by U_0 x U_1 x ... x U_{n-1}, one 2x2 factor per qubit.
 
-    The factors are applied leg by leg, so the full product operator is never
-    built.
+    Each factor acts as the superoperator U (x) U^* on its qubit's row and
+    column legs, so the full product operator is never built.
     """
     n = rho.num_qubits
     if len(factors) != n:
@@ -209,10 +219,8 @@ def apply_local_unitary(rho: DensityOperator, factors: Sequence[np.ndarray]) -> 
         if np.abs(m.conj().T @ m - np.eye(2)).max() > UNITARY_ATOL:
             raise NotUnitary(f"factor {q} is not unitary within {UNITARY_ATOL}")
         mats.append(m)
-    out = rho.matrix
-    for q, m in enumerate(mats):
-        out = conjugate_on_qubit(out, n, q, m)
-    return DensityOperator(out)
+    supers = [(q, superoperator([m])) for q, m in enumerate(mats)]
+    return DensityOperator(apply_superoperators(rho.matrix, n, supers))
 
 
 def make_ghz(num_qubits: int) -> PureState:

@@ -14,7 +14,6 @@ the discontinuity is detected from the adjacent pair straddling it.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,7 +94,6 @@ class SweepConfig:
     policy: GroundStatePolicy = field(default_factory=GroundStatePolicy)
     include_tv: bool = False
     derivative: bool = False
-    threads: int = 1
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -119,8 +117,6 @@ class SweepConfig:
                 raise OutOfRange("damping strengths must lie in [0, 1]")
         if self.channel not in CHANNEL_PROFILES:
             raise OutOfRange(f"unknown channel profile {self.channel!r}")
-        if self.threads < 1:
-            raise OutOfRange("threads must be >= 1")
 
     @property
     def total_qubits(self) -> int:
@@ -143,17 +139,14 @@ def _state_at(config: SweepConfig, point: tuple[float, ...]) -> DensityOperator:
     return ground_state(ham, config.policy)
 
 
-def _map_points(config: SweepConfig, fn, points: list):
-    if config.threads == 1:
-        return [fn(p) for p in points]
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        return list(pool.map(fn, points))
-
-
 def sweep_rows(config: SweepConfig) -> tuple[list[str], list[tuple[float, ...]]]:
-    """Evaluate the sweep; returns (header, rows) ready for `write_csv`."""
+    """Evaluate the sweep; returns (header, rows) ready for `write_csv`.
+
+    A config with a damping grid is refused: its rows come from
+    `noise_sweep_rows`, together with their prominence summaries.
+    """
     if config.noise is not None:
-        return noise_sweep_rows(config)[:2]
+        raise OutOfRange("a config with a damping grid is evaluated by noise_sweep_rows")
     grid = _grid_for(config, config.param)
     if config.model == "dxxz":
         points = [(float(x), float(y)) for x in grid for y in _grid_for(config, config.param2)]
@@ -171,7 +164,7 @@ def sweep_rows(config: SweepConfig) -> tuple[list[str], list[tuple[float, ...]]]
             out += (multi_information(state, config.unit),)
         return out
 
-    rows = _map_points(config, evaluate, points)
+    rows = [evaluate(point) for point in points]
     if config.derivative:
         header.append("dccm")
         xs = [r[0] for r in rows]
@@ -199,7 +192,7 @@ def noise_sweep_rows(config: SweepConfig) -> tuple[list[str], list[tuple[float, 
             row.append(ccm(noisy, config.unit).value)
         return row
 
-    per_delta = _map_points(config, evaluate, [float(x) for x in grid])
+    per_delta = [evaluate(float(x)) for x in grid]
     rows = []
     for x, values in zip(grid, per_delta):
         for p, v in zip(p_values, values):

@@ -1,5 +1,9 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
+
 
 from qcorr import (
     DensityOperator,
@@ -11,6 +15,12 @@ from qcorr import (
     tensor_product,
 )
 from qcorr.sampling import random_density, random_product_density, random_pure_state
+
+# CI draws the same hypothesis examples on every run, so a failure there
+# replays locally with `CI=1`; no example is timed out on a slow runner.
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

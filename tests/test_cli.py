@@ -205,15 +205,6 @@ def test_sweep_size_guard_exit(capsys, tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_sweep_threads_flag(capsys, tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    common = ["sweep", "--model", "xxz", "--spins", "2",
-              "--param-start", "-0.5", "--param-stop", "0.5", "--param-steps", "3"]
-    assert run(capsys, *common, "--out", str(a))[0] == 0
-    assert run(capsys, *common, "--threads", "2", "--out", str(b))[0] == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_noise_command(capsys, tmp_path):
     out_path = tmp_path / "noise.csv"
     code, out = run(capsys, "noise", "--spins", "2",

@@ -77,8 +77,6 @@ def test_config_validation():
         SweepConfig(model="xxz", spins=3, param=grid, noise=ParamRange(0.0, 1.5, 2))
     with pytest.raises(OutOfRange):
         SweepConfig(model="xxz", spins=3, param=grid, channel="depolarizing")
-    with pytest.raises(OutOfRange):
-        SweepConfig(model="xxz", spins=3, param=grid, threads=0)
     with pytest.raises(TooLarge):
         SweepConfig(model="xxz", spins=11, param=grid)
     with pytest.raises(TooLarge):
@@ -94,13 +92,6 @@ def test_xxz_sweep_shape_and_order():
     assert xs == [0.0, 0.5, 1.25, 1.5, 2.0]  # delta = 1 displaced
     assert all(len(r) == 3 for r in rows)
     assert all(r[1] >= 0 and r[2] >= 0 for r in rows)
-
-
-def test_threads_do_not_change_results():
-    base = dict(model="xxz", spins=3, param=ParamRange(-1.5, 0.5, 5))
-    serial = sweep_rows(SweepConfig(**base))
-    threaded = sweep_rows(SweepConfig(**base, threads=3))
-    assert serial == threaded
 
 
 def test_ising_derivative_column():
@@ -131,6 +122,13 @@ def test_noise_sweep_layout():
         (0.0, 0.0), (0.0, 0.4), (0.5, 0.0), (0.5, 0.4)]
     assert len(summaries) == 2
     assert all(s.startswith("# prominence p=") for s in summaries)
+
+
+def test_sweep_rows_refuses_a_noise_config():
+    config = SweepConfig(model="xxz", spins=2, param=ParamRange(0.0, 0.5, 2),
+                         noise=ParamRange(0.0, 0.4, 2))
+    with pytest.raises(OutOfRange, match="noise_sweep_rows"):
+        sweep_rows(config)
 
 
 def test_noise_is_contractive_pointwise():
