@@ -1,7 +1,8 @@
 """qcorr command-line tool.
 
 Exit codes: 0 success, 2 malformed input or out-of-range request,
-3 resource guard tripped, 4 numerical failure (including failed checks).
+3 resource guard tripped or out of memory, 4 numerical failure (including
+failed checks), 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ def _add_sweep_common(parser: argparse.ArgumentParser) -> None:
     _add_unit(parser)
     parser.add_argument("--degeneracy", choices=sorted(DEGENERACY_MODES), default="mixture",
                         help="ground-state policy when the lowest level is degenerate")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="accepted for interface uniformity; sweeps are deterministic")
     parser.add_argument("--out", required=True, help="output CSV path")
     parser.add_argument("--spins", type=int, required=True,
                         help="sites per ring (a dxxz register holds twice this)")
@@ -210,6 +209,13 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
+        return 3
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,12 +1,15 @@
 """Entropy kernels: von Neumann entropy, relative entropy, mutual information.
 
 Subset entropies S(rho_A) come from one of two spectra.  A state that carries
-a factor V (rho = V V^dagger: a `PureState`, or a `DensityOperator` built by
-`from_factor`) gives rho_A's nonzero spectrum as that of the smaller Gram
+a factor V (rho = V V^dagger: a `PureState`, a `DensityOperator` built by
+`from_factor`, or a numerically low-rank one that got V when its positivity
+was checked) gives rho_A's nonzero spectrum as that of the smaller Gram
 matrix of V reshaped to 2^|A| x (2^(n-|A|) r), with no partial trace.  Any
 other state is reduced and its reduced matrix diagonalized: one subset at a
 time by `partial_trace`, or, for the whole table that `ccm` needs, by
 `subset_entropies`, which traces one qubit at a time out of a parent subset.
+The whole register's entropy comes from the spectrum that the positivity
+check kept, when there is one.
 
 All entropies use log base 2 internally.  Results can be reported either in
 bits or in "normalized" units (bits / 2), the scale on which one Bell pair
@@ -24,6 +27,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidBipartition, OutOfRange
 from .linalg import hermitian_eigensystem, hermitian_eigenvalues
 from .states import (
+    SUPPORT_CUTOFF,
     DensityOperator,
     PureState,
     check_subset,
@@ -31,9 +35,6 @@ from .states import (
     partial_trace,
     subset_qubits,
 )
-
-# Eigenvalues at or below this are treated as outside the support.
-SUPPORT_CUTOFF = 1e-12
 
 
 class DistanceUnit(enum.Enum):
@@ -50,8 +51,10 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     """S(rho) = -sum_i lam_i log2 lam_i, in bits.
 
     Eigenvalues <= 1e-12 (including round-off negatives) contribute zero.
+    The spectrum kept by the positivity check is used when there is one.
     """
-    return _entropy_bits(hermitian_eigenvalues(rho.matrix))
+    vals = rho.spectrum
+    return _entropy_bits(hermitian_eigenvalues(rho.matrix) if vals is None else vals)
 
 
 def _entropy_bits(vals: np.ndarray) -> float:
@@ -64,7 +67,8 @@ def _entropy_bits(vals: np.ndarray) -> float:
 def subset_entropy(state: PureState | DensityOperator, mask: int) -> float:
     """S(rho_A) in bits for the qubits A in `mask` (non-empty).
 
-    Uses the state's factor when it has one, otherwise the partial trace.
+    Uses the state's factor when it has one, otherwise the partial trace;
+    the whole register of a dense state uses its kept spectrum, if any.
     """
     n = state.num_qubits
     v = state.factor
@@ -89,9 +93,10 @@ def subset_entropies(state: PureState | DensityOperator) -> list[float]:
     only one mask of each complementary pair is diagonalized and the whole
     register gets 0.  A dense state is reduced along a tree: the parent of a
     subset is the subset plus its lowest missing qubit, and a child's matrix
-    is its parent's with one qubit traced out.  The tree is walked depth
-    first, so only the matrices on the current path are alive, and no
-    reduced matrix is re-validated.
+    is its parent's with one qubit traced out; the root takes the spectrum
+    the positivity check kept, if any.  The tree is walked depth first, so
+    only the matrices on the current path are alive, and no reduced matrix
+    is re-validated.
     """
     n = state.num_qubits
     full = full_mask(n)
@@ -102,16 +107,20 @@ def subset_entropies(state: PureState | DensityOperator) -> list[float]:
             rest = full ^ mask
             table[mask] = table[rest] if pure and rest < mask else subset_entropy(state, mask)
     else:
-        _reduce_along_tree(state.matrix, full, n, table)
+        _reduce_along_tree(state.matrix, full, n, table, state.spectrum)
     return table
 
 
-def _reduce_along_tree(matrix: np.ndarray, mask: int, low: int, table: list[float]) -> None:
-    """Fill `table` for `mask`, whose reduced matrix is `matrix`, and for every
-    subset below it.  `low` is the lowest qubit missing from `mask` (n for the
-    whole register); its children drop one qubit q < low, which is leg q of
-    `matrix` because qubits 0..low-1 are all in `mask`."""
-    table[mask] = _entropy_bits(hermitian_eigenvalues(matrix))
+def _reduce_along_tree(matrix: np.ndarray, mask: int, low: int, table: list[float],
+                       spectrum: np.ndarray | None = None) -> None:
+    """Fill `table` for `mask`, whose reduced matrix is `matrix` (with
+    eigenvalues `spectrum`, if known), and for every subset below it.  `low`
+    is the lowest qubit missing from `mask` (n for the whole register); its
+    children drop one qubit q < low, which is leg q of `matrix` because
+    qubits 0..low-1 are all in `mask`."""
+    if spectrum is None:
+        spectrum = hermitian_eigenvalues(matrix)
+    table[mask] = _entropy_bits(spectrum)
     d = matrix.shape[0]
     if d == 2:
         return

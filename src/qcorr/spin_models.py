@@ -40,7 +40,6 @@ class SpinChainSpec:
     jy: float = 0.0
     jz: float = 0.0
     h: float = 0.0
-    periodic: bool = True
 
     def __post_init__(self):
         if self.num_spins < 2:
@@ -48,8 +47,6 @@ class SpinChainSpec:
         for name in ("jx", "jy", "jz", "h"):
             if not math.isfinite(getattr(self, name)):
                 raise OutOfRange(f"coupling {name} must be finite")
-        if not self.periodic:
-            raise OutOfRange("only periodic chains are supported")
 
 
 class GroundStateMode(enum.Enum):

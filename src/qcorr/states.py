@@ -41,6 +41,10 @@ TRACE_ATOL = 1e-10
 PSD_EIG_FLOOR = -1e-9
 NORM_SQ_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
+# Eigenvalues at or below this are treated as outside the support.
+SUPPORT_CUTOFF = 1e-12
+# A factor found at intake is kept only if it rebuilds the matrix this closely.
+FACTOR_ATOL = 1e-13
 
 # Resource guards for the text state format: a mixed file holds 4^n rows.
 MAX_PURE_FILE_QUBITS = 14
@@ -120,11 +124,17 @@ class DensityOperator:
     Small negative eigenvalues from round-off are tolerated down to -1e-9 and
     are clamped where entropies are evaluated, never in storage.
 
-    `factor` is None, or a 2^n x r matrix V with matrix = V V^dagger when the
-    state came from `from_factor`; only that trusted constructor sets it.
+    `spectrum` holds the ascending eigenvalues of `matrix` when the
+    positivity check computed them, and is None otherwise.
+
+    `factor` is None, or a 2^n x r matrix V with matrix = V V^dagger.
+    `from_factor` keeps the V it is given.  The positivity check attaches
+    one when the matrix is numerically of low rank (see `_low_rank_factor`);
+    `matrix` then stays the matrix passed in, which V V^dagger matches to
+    1e-13 in every entry.
     """
 
-    __slots__ = ("matrix", "num_qubits", "factor")
+    __slots__ = ("matrix", "num_qubits", "factor", "spectrum")
 
     def __init__(self, matrix: np.ndarray, *, check_psd: bool = False):
         m = real_or_complex(matrix)
@@ -138,12 +148,16 @@ class DensityOperator:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise InvariantViolation(f"trace {tr!r} differs from 1 by more than {TRACE_ATOL}")
-        if check_psd:
-            lo = float(hermitian_eigenvalues(m)[0])
-            if lo < PSD_EIG_FLOOR:
-                raise InvariantViolation(f"minimum eigenvalue {lo!r} below {PSD_EIG_FLOOR}")
         self.matrix = m
         self.factor = None
+        self.spectrum = None
+        if check_psd:
+            vals = hermitian_eigenvalues(m)
+            lo = float(vals[0])
+            if lo < PSD_EIG_FLOOR:
+                raise InvariantViolation(f"minimum eigenvalue {lo!r} below {PSD_EIG_FLOOR}")
+            self.spectrum = vals
+            self.factor = _low_rank_factor(m, vals)
 
     @classmethod
     def from_factor(cls, factor: np.ndarray) -> "DensityOperator":
@@ -166,6 +180,7 @@ class DensityOperator:
         self.matrix = v @ v.conj().T
         self.num_qubits = num_qubits
         self.factor = v
+        self.spectrum = None
         return self
 
     @property
@@ -174,6 +189,34 @@ class DensityOperator:
 
     def __repr__(self) -> str:
         return f"DensityOperator(num_qubits={self.num_qubits})"
+
+
+def _low_rank_factor(m: np.ndarray, vals: np.ndarray) -> np.ndarray | None:
+    """V (d x r) with m = V V^dagger to FACTOR_ATOL in every entry, or None.
+
+    `vals` are m's ascending eigenvalues, and r counts those above
+    SUPPORT_CUTOFF.  A factor is sought only when r^2 <= d, where subset
+    entropies from V cost less than the dense table, and when the other
+    eigenvalues sum in absolute value to at most SUPPORT_CUTOFF, so that by
+    the Fannes-Audenaert bound no subset entropy moves by more than about
+    3e-11 bits.  V is the first r columns of m's diagonally pivoted Cholesky
+    factor, O(d r^2) work.
+    """
+    d = m.shape[0]
+    r = int(np.count_nonzero(vals > SUPPORT_CUTOFF))
+    if r * r > d or float(np.abs(vals[:d - r]).sum()) > SUPPORT_CUTOFF:
+        return None
+    residual = m.diagonal().real.copy()  # diagonal of m - V V^dagger so far
+    v = np.zeros((d, r), dtype=m.dtype)
+    for k in range(r):
+        p = int(np.argmax(residual))
+        if not residual[p] > 0.0:
+            return None
+        v[:, k] = (m[:, p] - v[:, :k] @ v[p, :k].conj()) / math.sqrt(residual[p])
+        residual -= np.abs(v[:, k]) ** 2
+    gap = v @ v.conj().T
+    gap -= m
+    return v if np.abs(gap).max() <= FACTOR_ATOL else None
 
 
 def tensor_product(a: DensityOperator, b: DensityOperator) -> DensityOperator:

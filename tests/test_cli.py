@@ -236,6 +236,18 @@ def test_sweep_first_vector_policy(capsys, tmp_path):
     assert len(out_path.read_text().splitlines()) == 3
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "--model", "xxz"],
+    ["noise", "--p-start", "0", "--p-stop", "0.1", "--p-steps", "2"],
+])
+def test_sweeps_take_no_seed(capsys, tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--spins", "3", "--param-start", "0", "--param-stop", "1",
+              "--param-steps", "2", "--out", str(tmp_path / "x.csv"), "--seed", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --seed 1\n")
+
+
 # --- check ----------------------------------------------------------------------
 
 
@@ -257,6 +269,28 @@ def test_check_command_reports_failures(capsys, monkeypatch):
     code, out = run(capsys, "check")
     assert code == 4
     assert "FAIL  stub" in out
+
+
+# --- out of memory, interrupted ------------------------------------------------------
+
+
+@pytest.mark.parametrize("raised, code, message", [
+    (MemoryError("Unable to allocate 16.0 GiB"), 3,
+     "error: out of memory: Unable to allocate 16.0 GiB\n"),
+    (MemoryError(), 3, "error: out of memory\n"),
+    (KeyboardInterrupt(), 130, "error: interrupted\n"),
+])
+def test_memory_error_and_interrupt_exit_cleanly(capsys, monkeypatch, ghz3_file,
+                                                 raised, code, message):
+    import qcorr.cli as cli_module
+
+    def fail(args):
+        raise raised
+
+    monkeypatch.setattr(cli_module, "cmd_tv", fail)
+    assert main(["tv", ghz3_file]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
 
 
 # --- installed entry point --------------------------------------------------------

@@ -43,8 +43,6 @@ def test_spec_validation():
         SpinChainSpec(1, jx=1.0)
     with pytest.raises(OutOfRange):
         SpinChainSpec(3, jx=math.inf)
-    with pytest.raises(OutOfRange):
-        SpinChainSpec(3, jx=1.0, periodic=False)
 
 
 def test_two_spin_ring_doubles_its_bond():
