@@ -12,7 +12,6 @@ from .ccm import (
     CcmStats,
     CcmTreeNode,
     ccm,
-    ccm_distance_term,
     ccm_naive,
     ghz_closed_form,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "build_ising",
     "build_xxz",
     "ccm",
-    "ccm_distance_term",
     "ccm_naive",
     "central_difference",
     "full_mask",

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .entropy import DistanceUnit, mutual_information, subset_entropies, von_neumann_entropy
-from .errors import BadArity, InvalidBipartition, OutOfRange, TooLarge
-from .states import DensityOperator, PureState, check_subset, full_mask, partial_trace
+from .entropy import DistanceUnit, subset_entropies, von_neumann_entropy
+from .errors import BadArity, OutOfRange, TooLarge
+from .states import DensityOperator, PureState, full_mask, partial_trace
 
 MAX_QUBITS_DP = 14
 MAX_QUBITS_NAIVE = 6
@@ -224,16 +224,6 @@ def ccm_naive(rho: PureState | DensityOperator,
         return best
 
     return rec(rho) * unit.factor
-
-
-def ccm_distance_term(rho: PureState | DensityOperator, part_a: int,
-                      unit: DistanceUnit = DistanceUnit.NORMALIZED) -> float:
-    """The weighted distance 2^(n-2) * D(rho, rho_A x rho_B) of one bipartition."""
-    n = rho.num_qubits
-    check_subset(part_a, n, allow_empty=True)
-    if part_a == 0 or part_a == full_mask(n):
-        raise InvalidBipartition("both blocks of a bipartition must be non-empty")
-    return float(1 << (n - 2)) * mutual_information(rho, part_a, unit)
 
 
 @lru_cache(maxsize=None)

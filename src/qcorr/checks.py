@@ -136,7 +136,7 @@ def check_closed_form_vs_dp(max_qubits: int = 6) -> CheckResult:
     """DP on actual GHZ states reproduces the closed form."""
     worst = 0.0
     for n in range(2, max_qubits + 1):
-        direct = ccm(make_ghz(n).to_density()).value
+        direct = ccm(make_ghz(n)).value
         worst = max(worst, abs(direct - ghz_closed_form(n)))
     return _result("ghz closed form vs dp", worst, CLOSED_FORM_TOL, max_qubits - 1)
 

@@ -10,11 +10,6 @@ from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
 
 HERMITIAN_ATOL = 1e-10
 
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 
 def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
     return bool(np.abs(m - m.conj().T).max() <= atol)
@@ -53,14 +48,6 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailure(str(exc)) from exc
-
-
-def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
-    """Kronecker product of `factors`, first factor most significant."""
-    out = np.array([[1.0 + 0.0j]])
-    for f in factors:
-        out = np.kron(out, f)
-    return out
 
 
 def superoperator(kraus: Iterable[np.ndarray]) -> np.ndarray:

@@ -29,6 +29,9 @@ from .states import DensityOperator
 
 MAX_CHAIN_SPINS = 14
 MAX_DOUBLE_CHAIN_SPINS = 6  # per ring; the joint register holds twice this
+# Eigenvalues within this fraction of the spectral span of the minimum form
+# the lowest level.
+DEGENERACY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -59,18 +62,13 @@ class GroundStatePolicy:
     """How to turn a (possibly degenerate) lowest eigenspace into a state.
 
     `subspace-mixture` returns the normalized projector onto every eigenvalue
-    within `degeneracy_rtol * (spectral span)` of the minimum; `first-vector`
+    within `DEGENERACY_RTOL * (spectral span)` of the minimum; `first-vector`
     keeps one eigenvector of that level, chosen by block order (see
     `ground_state`), with its global phase fixed by making the
     largest-magnitude amplitude real and positive.
     """
 
     mode: GroundStateMode = GroundStateMode.SUBSPACE_MIXTURE
-    degeneracy_rtol: float = 1e-9
-
-    def __post_init__(self):
-        if not self.degeneracy_rtol > 0.0:
-            raise OutOfRange("degeneracy_rtol must be positive")
 
 
 def build_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
@@ -164,7 +162,7 @@ def ground_state(hamiltonian: np.ndarray,
     """Ground state of a Hermitian matrix under the given degeneracy policy.
 
     The matrix is diagonalized block by block (see `_blocks`).  The lowest
-    level is every eigenvalue within `degeneracy_rtol` times the whole
+    level is every eigenvalue within `DEGENERACY_RTOL` times the whole
     spectral span of the global minimum, whichever blocks it lies in.
     `first-vector` takes the lowest eigenvector of the first block, by
     smallest basis index, whose lowest eigenvalue is on that level.  The state
@@ -177,7 +175,7 @@ def ground_state(hamiltonian: np.ndarray,
     dim = len(hamiltonian)
     lowest = min(vals[0] for _, vals, _ in spectra)
     span = max(vals[-1] for _, vals, _ in spectra) - lowest
-    top = lowest + policy.degeneracy_rtol * span
+    top = lowest + DEGENERACY_RTOL * span
     if policy.mode is GroundStateMode.FIRST_VECTOR:
         idx, _, vecs = next(b for b in spectra if b[1][0] <= top)
         v = np.zeros(dim, dtype=vecs.dtype)
@@ -196,12 +194,12 @@ def ground_state(hamiltonian: np.ndarray,
     return DensityOperator.from_factor(block / math.sqrt(block.shape[1]))
 
 
-def ground_gap(hamiltonian: np.ndarray, rtol: float = 1e-9) -> float:
+def ground_gap(hamiltonian: np.ndarray) -> float:
     """Gap between the lowest eigenvalue and the first one above its
     degeneracy window; +inf if no level lies above the window."""
     vals = np.sort(np.concatenate([v for _, v, _ in _block_spectra(hamiltonian, vectors=False)]))
     span = float(vals[-1] - vals[0])
-    above = vals[vals > vals[0] + rtol * span]
+    above = vals[vals > vals[0] + DEGENERACY_RTOL * span]
     if above.size == 0:
         return math.inf
     return float(above[0] - vals[0])

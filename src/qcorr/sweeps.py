@@ -62,14 +62,14 @@ class ParamRange:
 
 def build_grid(start: float, stop: float, steps: int,
                exclude: tuple[float, ...] = ()) -> np.ndarray:
-    """Uniform grid; points hitting an excluded value move half a step inward."""
+    """Uniform grid; points hitting an excluded value move half a step up,
+    except the last point, which moves down, so the grid stays in [start, stop]."""
     rng = ParamRange(start, stop, steps)  # bounds validation
     values = np.linspace(start, stop, steps)
+    shift = np.full(steps, 0.5 * rng.step)
+    shift[-1] = -shift[-1]
     for e in exclude:
-        hit = np.abs(values - e) < GRID_EXCLUDE_ATOL
-        if hit.any():
-            shift = 0.5 * rng.step if e < stop else -0.5 * rng.step
-            values = np.where(hit, values + shift, values)
+        values = np.where(np.abs(values - e) < GRID_EXCLUDE_ATOL, values + shift, values)
     return values
 
 

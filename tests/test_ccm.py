@@ -12,7 +12,6 @@ from qcorr import (
     DensityOperator,
     DistanceUnit,
     ccm,
-    ccm_distance_term,
     ccm_naive,
     full_mask,
     ghz_closed_form,
@@ -20,7 +19,7 @@ from qcorr import (
     make_state_from_kets,
     tensor_product,
 )
-from qcorr.errors import BadArity, InvalidBipartition, OutOfRange, TooLarge
+from qcorr.errors import BadArity, OutOfRange, TooLarge
 from qcorr.sampling import random_density
 
 BITS = DistanceUnit.BITS
@@ -202,17 +201,6 @@ def test_value_units_scale(rng):
     rho = random_density(3, rng)
     assert ccm(rho, BITS).value == pytest.approx(2.0 * ccm(rho, NORM).value, abs=1e-12)
     assert ccm_naive(rho, BITS) == pytest.approx(2.0 * ccm_naive(rho, NORM), abs=1e-12)
-
-
-def test_distance_term_ghz3():
-    ghz = make_ghz(3).to_density()
-    # split weight 2, each one-vs-rest cut carries 2 bits of mutual information
-    assert ccm_distance_term(ghz, 0b001, BITS) == pytest.approx(4.0, abs=1e-12)
-    assert ccm_distance_term(ghz, 0b001) == pytest.approx(2.0, abs=1e-12)
-    with pytest.raises(InvalidBipartition):
-        ccm_distance_term(ghz, 0)
-    with pytest.raises(InvalidBipartition):
-        ccm_distance_term(ghz, 0b111)
 
 
 def test_size_guards():

@@ -36,9 +36,10 @@ from qcorr import (
     von_neumann_entropy,
 )
 from qcorr.entropy import subset_entropies, subset_entropy
-from qcorr.linalg import kron_all
 from qcorr.sampling import random_density, random_local_unitaries, random_qubit_channel
 from qcorr.states import subset_qubits
+
+from pauli_reference import kron_all
 
 CCM_MODULE = sys.modules["qcorr.ccm"]  # `qcorr.ccm` is the re-exported function
 

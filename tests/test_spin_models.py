@@ -17,7 +17,8 @@ from qcorr import (
     ground_state,
 )
 from qcorr.errors import OutOfRange, TooLarge
-from qcorr.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron_all
+
+from pauli_reference import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron_all
 
 FIRST = GroundStatePolicy(mode=GroundStateMode.FIRST_VECTOR)
 
@@ -143,8 +144,3 @@ def test_unique_ground_state_modes_agree():
 def test_ground_gap_flat_spectrum():
     assert ground_gap(np.zeros((4, 4))) == math.inf
     assert ground_gap(np.diag([0.0, 0.0, 1.0, 3.0])) == pytest.approx(1.0)
-
-
-def test_policy_validation():
-    with pytest.raises(OutOfRange):
-        GroundStatePolicy(degeneracy_rtol=0.0)

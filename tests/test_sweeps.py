@@ -37,8 +37,11 @@ def test_build_grid_nudges_interior_point():
 
 
 def test_build_grid_nudges_endpoint_inward():
-    grid = build_grid(0.0, 1.0, 3, exclude=(1.0,))
-    assert np.allclose(grid, [0.0, 0.5, 0.75])
+    # the last point moves down even when it lies just above the excluded value
+    for stop in (1.0, 1.0000000001):
+        grid = build_grid(0.0, stop, 3, exclude=(1.0,))
+        assert np.allclose(grid, [0.0, 0.5, 0.75])
+        assert grid[-1] <= stop
 
 
 def test_build_grid_miss_leaves_grid_alone():
