@@ -9,19 +9,22 @@ with C = 0 on single qubits.  D is the relative entropy, which for the
 product of a state's own marginals reduces to the mutual information
 S(rho_A) + S(rho_B) - S(rho); the engine always evaluates it in that form.
 
-`ccm` runs a dynamic program over all subsets of the register: each subset's
-reduced entropy is computed once, in one table (from the state's factor when
-it has one, otherwise by tracing one qubit at a time out of a larger subset;
-see `subset_entropies`), and subset values are combined in ascending size
-order, so every bipartition term costs three table lookups.  `ccm_naive` is
-an intentionally independent re-implementation by literal recursion (fresh
-dense reduced matrices at every level, no caching) kept as a cross-check
-oracle.
+`ccm` runs a dynamic program over all subsets of the register: the reduced
+entropies come in one table (from the state's factor when it has one,
+otherwise by tracing one qubit at a time out of a larger subset; see
+`subset_entropies`), and subset values are combined in ascending mask order,
+so every bipartition term costs three table lookups.  Subsets that a qubit
+permutation leaving the state unchanged maps onto each other share one
+entropy and one value: the table diagonalizes, and the DP minimizes over, the
+smallest mask of each orbit only; each other mask on the reported tree has
+its cut searched for again.  With no such permutation every mask is its own
+orbit.  `ccm_naive` is an intentionally independent re-implementation by
+literal recursion (fresh dense reduced matrices at every level, no caching)
+kept as a cross-check oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,7 +46,12 @@ TIE_BITS = 1e-12
 
 @dataclass
 class CcmStats:
-    """Work counters for one `ccm` evaluation."""
+    """Work counters for one `ccm` evaluation.
+
+    They count the register's subsets and the bipartitions of its subsets
+    (three table lookups each), whatever the entropy table shared between
+    them, so they are not counts of eigensolves.
+    """
 
     subsets_evaluated: int = 0
     entropies_computed: int = 0
@@ -121,72 +129,71 @@ def ccm(rho: PureState | DensityOperator,
 
     Bipartitions are canonicalized by keeping the subset's lowest qubit index
     in block A; ties in cost (within TIE_BITS times the subset's weight) go
-    to the numerically smallest A mask.
+    to the numerically smallest A mask.  Masks of one orbit of the state's
+    qubit symmetry share their entropies (see `subset_entropies`) and so
+    their values: the minimum is searched for each orbit's smallest mask
+    only, and again for every other mask on the reported tree.
     """
     n = rho.num_qubits
     if n > MAX_QUBITS_DP:
         raise TooLarge(f"ccm supports at most {MAX_QUBITS_DP} qubits, got {n}")
-    stats = CcmStats()
     if n == 1:
-        stats.subsets_evaluated = 1
-        return CcmReport(0.0, unit, None, stats)
+        return CcmReport(0.0, unit, None, CcmStats(subsets_evaluated=1))
 
     full = full_mask(n)
     entropy_bits = subset_entropies(rho)
-    value_bits: dict[int, float] = {}
-    best_a: dict[int, int] = {}
-    best_dist_bits: dict[int, float] = {}  # weighted by 2^(m-2)
-
-    for size in range(1, n + 1):
-        weight = float(1 << (size - 2)) if size >= 2 else 0.0
-        tie = TIE_BITS * weight
-        for qubits in itertools.combinations(range(n), size):
-            mask = 0
-            for q in qubits:
-                mask |= 1 << q
-            stats.entropies_computed += 1
-            stats.subsets_evaluated += 1
-            if size == 1:
-                value_bits[mask] = 0.0
-                continue
-            low = mask & -mask
-            rest = mask ^ low
-            h_s = entropy_bits[mask]
-            best_cost = None
-            for sub in _ascending_submasks(rest):
-                if sub == rest:
-                    continue  # block B may not be empty
-                a = low | sub
-                b = mask ^ a
-                dist = entropy_bits[a] + entropy_bits[b] - h_s
-                stats.cache_hits += 3
-                if dist < 0.0:
-                    dist = 0.0  # mutual information is non-negative; round-off only
-                cost = weight * dist + value_bits[a] + value_bits[b]
-                if best_cost is None or cost < best_cost - tie:
-                    best_cost = cost
-                    best_a[mask] = a
-                    best_dist_bits[mask] = weight * dist
-            value_bits[mask] = best_cost
+    # A plain list (a per-subset oracle) shares nothing between masks.
+    rep = getattr(entropy_bits, "representatives", range(full + 1))
+    value_bits = [0.0] * (full + 1)
+    for mask in range(1, full + 1):  # ascending, so every proper submask comes first
+        if rep[mask] != mask:
+            value_bits[mask] = value_bits[rep[mask]]
+        elif mask & (mask - 1):
+            value_bits[mask] = _best_cut(mask, entropy_bits, value_bits)[0]
 
     scale = unit.factor
 
     def build(mask: int) -> CcmTreeNode | None:
         if mask & (mask - 1) == 0:  # single qubit
             return None
-        a = best_a[mask]
-        b = mask ^ a
+        cost, a, dist = _best_cut(mask, entropy_bits, value_bits)
         return CcmTreeNode(
             subset=mask,
             mask_a=a,
-            mask_b=b,
-            distance_term=best_dist_bits[mask] * scale,
-            value=value_bits[mask] * scale,
+            mask_b=mask ^ a,
+            distance_term=dist * scale,
+            value=cost * scale,
             left=build(a),
-            right=build(b),
+            right=build(mask ^ a),
         )
 
+    bipartitions = (3 ** n + 1) // 2 - (1 << n)  # sum over subsets of size m of 2^(m-1) - 1
+    stats = CcmStats(subsets_evaluated=full, entropies_computed=full, cache_hits=3 * bipartitions)
     return CcmReport(value_bits[full] * scale, unit, build(full), stats)
+
+
+def _best_cut(mask: int, entropy_bits: list[float],
+              value_bits: list[float]) -> tuple[float, int, float]:
+    """(cost, A mask, weighted distance in bits) of the cheapest bipartition
+    of `mask` (two or more qubits), given the values of its proper submasks."""
+    weight = float(1 << (bin(mask).count("1") - 2))
+    tie = TIE_BITS * weight
+    low = mask & -mask
+    rest = mask ^ low
+    h_s = entropy_bits[mask]
+    best = None
+    for sub in _ascending_submasks(rest):
+        if sub == rest:
+            continue  # block B may not be empty
+        a = low | sub
+        b = mask ^ a
+        dist = entropy_bits[a] + entropy_bits[b] - h_s
+        if dist < 0.0:
+            dist = 0.0  # mutual information is non-negative; round-off only
+        cost = weight * dist + value_bits[a] + value_bits[b]
+        if best is None or cost < best[0] - tie:
+            best = (cost, a, weight * dist)
+    return best
 
 
 def ccm_naive(rho: PureState | DensityOperator,

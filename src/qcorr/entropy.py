@@ -9,7 +9,9 @@ other state is reduced and its reduced matrix diagonalized: one subset at a
 time by `partial_trace`, or, for the whole table that `ccm` needs, by
 `subset_entropies`, which traces one qubit at a time out of a parent subset.
 The whole register's entropy comes from the spectrum that the positivity
-check kept, when there is one.
+check kept, when there is one.  The table diagonalizes one subset per orbit
+of the qubit permutations that leave the state unchanged (`qubit_symmetry`,
+`orbit_representatives`).
 
 All entropies use log base 2 internally.  Results can be reported either in
 bits or in "normalized" units (bits / 2), the scale on which one Bell pair
@@ -84,40 +86,162 @@ def subset_entropy(state: PureState | DensityOperator, mask: int) -> float:
     return _entropy_bits(hermitian_eigenvalues(gram))
 
 
-def subset_entropies(state: PureState | DensityOperator) -> list[float]:
+class QubitGroup(enum.Enum):
+    """Group of qubit permutations that leaves a state unchanged (see `qubit_symmetry`)."""
+
+    TRIVIAL = "trivial"
+    CYCLIC = "cyclic"        # C_n: the shifts q -> q + k mod n
+    DIHEDRAL = "dihedral"    # D_n: the shifts and the reflection q -> n - 1 - q
+    SYMMETRIC = "symmetric"  # S_n: every permutation
+
+
+# Entries of a permuted matrix compared at a time by `_moves_by_at_most_cutoff`.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def qubit_symmetry(state: PureState | DensityOperator) -> QubitGroup:
+    """The group of qubit permutations found to leave `state` unchanged.
+
+    Three generators are tested: the shift c (q -> q + 1 mod n), the
+    transposition (0 1) and the reflection r (q -> n - 1 - q).  c and (0 1)
+    generate S_n, c and r generate D_n, c alone C_n; without c the group is
+    trivial.  A generator passes when it changes the state by at most
+    SUPPORT_CUTOFF in trace norm (see `_moves_by_at_most_cutoff`), the budget
+    intake accepts for the eigenvalues a factor drops, so by the
+    Fannes-Audenaert bound it moves no subset entropy by more than about
+    3e-11 bits; a permutation that takes L generators moves them by at most
+    L times that.  Ring ground states, damped or not, pass with trace norms
+    below 1e-13.
+    """
+    n = state.num_qubits
+    if n < 2 or not _moves_by_at_most_cutoff(state, [*range(1, n), 0]):
+        return QubitGroup.TRIVIAL
+    if _moves_by_at_most_cutoff(state, [1, 0, *range(2, n)]):
+        return QubitGroup.SYMMETRIC
+    if _moves_by_at_most_cutoff(state, list(range(n - 1, -1, -1))):
+        return QubitGroup.DIHEDRAL
+    return QubitGroup.CYCLIC
+
+
+def _moves_by_at_most_cutoff(state: PureState | DensityOperator, perm: list[int]) -> bool:
+    """Whether permuting the qubits of `state` by `perm` (an axis order, as
+    for `np.transpose`) changes it by at most SUPPORT_CUTOFF in trace norm
+    ||D||_1, where D is the permuted state minus the state.
+
+    The permuted diagonal is compared first: ||D||_1 >= sum_i |D_ii|, so a
+    state that fails there is rejected in O(2^n).  With a factor V (d x r),
+    D = W W^dagger - V V^dagger for the permuted factor W; if [W V] = Q R,
+    then ||D||_1 is the trace norm of the 2r x 2r matrix R J R^dagger, with
+    J = diag(1, -1) on W's and V's columns, so it is exact and costs
+    O(d r^2).  A dense state is bounded by ||D||_1 <= sqrt(d) ||D||_F, with
+    ||D||_F summed over blocks of rows so that no second full-size matrix is
+    made.
+    """
+    n = state.num_qubits
+    shape = (2,) * n
+    v = state.factor
+    diag = (np.abs(v) ** 2).sum(axis=1) if v is not None else state.matrix.diagonal().real
+    if float(np.abs(diag.reshape(shape).transpose(perm).reshape(-1) - diag).sum()) > SUPPORT_CUTOFF:
+        return False
+    if v is not None:
+        r = v.shape[1]
+        w = v.reshape(shape + (r,)).transpose(perm + [n]).reshape(v.shape)
+        rr = np.linalg.qr(np.hstack([w, v]), mode="r")
+        small = rr[:, :r] @ rr[:, :r].conj().T - rr[:, r:] @ rr[:, r:].conj().T
+        return float(np.linalg.norm(small, "nuc")) <= SUPPORT_CUTOFF
+    m = state.matrix
+    d = m.shape[0]
+    index = np.arange(d).reshape(shape).transpose(perm).reshape(-1)
+    limit = SUPPORT_CUTOFF ** 2 / d  # on ||D||_F^2
+    rows = max(1, _BLOCK_ENTRIES // d)
+    total = 0.0
+    for start in range(0, d, rows):
+        block = m[np.ix_(index[start:start + rows], index)]
+        block -= m[start:start + rows]
+        total += float(np.vdot(block, block).real)
+        if total > limit:
+            return False
+    return True
+
+
+def orbit_representatives(num_qubits: int, group: QubitGroup) -> np.ndarray:
+    """The smallest mask of each mask's orbit under `group`, indexed by mask."""
+    n = num_qubits
+    masks = np.arange(1 << n)
+    if group is QubitGroup.TRIVIAL:
+        return masks
+    bits = [(masks >> q) & 1 for q in range(n)]
+    if group is QubitGroup.SYMMETRIC:
+        return (1 << sum(bits)) - 1  # an orbit is a subset size
+    full = full_mask(n)
+    starts = [masks]
+    if group is QubitGroup.DIHEDRAL:
+        starts.append(sum(b << (n - 1 - q) for q, b in enumerate(bits)))  # reflected
+    reps = masks
+    for start in starts:
+        for k in range(1, n + 1):
+            reps = np.minimum(reps, ((start << k) | (start >> (n - k))) & full)
+    return reps
+
+
+class SubsetTable(list):
+    """S(rho_A) in bits indexed by mask A, as made by `subset_entropies`.
+
+    `representatives[A]` is the smallest mask of A's orbit under the state's
+    qubit symmetry; A's entry is a copy of that mask's.
+    """
+
+    __slots__ = ("representatives",)
+
+
+def subset_entropies(state: PureState | DensityOperator) -> SubsetTable:
     """S(rho_A) in bits for every mask A of the register, indexed by mask
     (entry 0, the empty set, is 0).
 
-    A state with a factor takes `subset_entropy`'s Gram path for each mask;
-    when the factor is one column (a pure state), S(A) = S(rest of A), so
-    only one mask of each complementary pair is diagonalized and the whole
-    register gets 0.  A dense state is reduced along a tree: the parent of a
-    subset is the subset plus its lowest missing qubit, and a child's matrix
-    is its parent's with one qubit traced out; the root takes the spectrum
-    the positivity check kept, if any.  The tree is walked depth first, so
-    only the matrices on the current path are alive, and no reduced matrix
-    is re-validated.
+    Subsets related by a qubit permutation that leaves the state unchanged
+    have equal entropies, so the group of such permutations is found first
+    (`qubit_symmetry`) and only the smallest mask of each orbit is
+    diagonalized; every other mask copies its representative's entry.  With
+    the trivial group every mask is its own representative.
+
+    A state with a factor takes `subset_entropy`'s Gram path for each
+    representative; when the factor is one column (a pure state), S(A) =
+    S(rest of A), so a representative whose complement's orbit comes earlier
+    copies that entry, and the whole register gets 0.  A dense state is
+    reduced along a tree: the parent of a subset is the subset plus its
+    lowest missing qubit, and a child's matrix is its parent's with one qubit
+    traced out.  The parent of a representative is a representative too (a
+    smallest mask stays smallest in its orbit when its lowest missing qubit
+    is added, for every group and register size `ccm` takes), so only
+    representatives are reduced and diagonalized.  The root takes the
+    spectrum the positivity check kept, if any.  The tree is walked depth
+    first, so only the matrices on the current path are alive, and no
+    reduced matrix is re-validated.
     """
     n = state.num_qubits
     full = full_mask(n)
+    rep = orbit_representatives(n, qubit_symmetry(state)).tolist()
     table = [0.0] * (1 << n)
     if state.factor is not None:
         pure = state.factor.shape[1] == 1
         for mask in range(1, 1 << n):
-            rest = full ^ mask
-            table[mask] = table[rest] if pure and rest < mask else subset_entropy(state, mask)
+            if rep[mask] == mask:
+                twin = rep[full ^ mask]
+                table[mask] = table[twin] if pure and twin < mask else subset_entropy(state, mask)
     else:
-        _reduce_along_tree(state.matrix, full, n, table, state.spectrum)
-    return table
+        _reduce_along_tree(state.matrix, full, n, table, rep, state.spectrum)
+    out = SubsetTable(table[r] for r in rep)
+    out.representatives = rep
+    return out
 
 
 def _reduce_along_tree(matrix: np.ndarray, mask: int, low: int, table: list[float],
-                       spectrum: np.ndarray | None = None) -> None:
-    """Fill `table` for `mask`, whose reduced matrix is `matrix` (with
-    eigenvalues `spectrum`, if known), and for every subset below it.  `low`
-    is the lowest qubit missing from `mask` (n for the whole register); its
-    children drop one qubit q < low, which is leg q of `matrix` because
-    qubits 0..low-1 are all in `mask`."""
+                       rep: list[int], spectrum: np.ndarray | None = None) -> None:
+    """Fill `table` for the representative `mask`, whose reduced matrix is
+    `matrix` (with eigenvalues `spectrum`, if known), and for every
+    representative below it.  `low` is the lowest qubit missing from `mask`
+    (n for the whole register); its children drop one qubit q < low, which
+    is leg q of `matrix` because qubits 0..low-1 are all in `mask`."""
     if spectrum is None:
         spectrum = hermitian_eigenvalues(matrix)
     table[mask] = _entropy_bits(spectrum)
@@ -125,11 +249,14 @@ def _reduce_along_tree(matrix: np.ndarray, mask: int, low: int, table: list[floa
     if d == 2:
         return
     for q in range(low):
+        child = mask & ~(1 << q)
+        if rep[child] != child:
+            continue
         outer, inner = 1 << q, d >> (q + 1)
         t = matrix.reshape(outer, 2, inner, outer, 2, inner)
         # The child is passed unbound, so it is freed as soon as its subtree is done.
         _reduce_along_tree((t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]).reshape(d // 2, d // 2),
-                           mask & ~(1 << q), q, table)
+                           child, q, table, rep)
 
 
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator,

@@ -14,6 +14,11 @@ from qcorr import ghz_closed_form
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "reproduce.py"
 SRC = pathlib.Path(qcorr.__file__).resolve().parents[1]  # where the tests import qcorr from
+# The seven CSVs as the script wrote them before subset entropies were shared
+# across qubit-permutation orbits.
+EXPECTED = pathlib.Path(__file__).resolve().parent / "data" / "reproduce"
+# The CCM tolerance of the differential tests plus the nine-decimal rounding.
+FIELD_TOL = 2e-9
 
 RESULTS = ("ghz_table", "xxz_critical", "xxz_size_scaling", "double_chain", "noisy_xxz",
            "ising_derivative")
@@ -63,3 +68,19 @@ def test_one_summary_line_per_result(run):
     lines, _ = run
     for name in RESULTS:
         assert sum(line.startswith(f"{name}: ") for line in lines) == 1
+
+
+def test_csvs_match_the_recorded_results(run):
+    _, out_dir = run
+    assert sorted(p.name for p in EXPECTED.iterdir()) == sorted(CSVS)
+    for name in CSVS:
+        with open(out_dir / name, newline="") as fh:
+            got = list(csv.reader(fh))
+        with open(EXPECTED / name, newline="") as fh:
+            want = list(csv.reader(fh))
+        assert got[0] == want[0]
+        assert len(got) == len(want)
+        for got_row, want_row in zip(got[1:], want[1:]):
+            assert len(got_row) == len(want_row)
+            for g, w in zip(got_row, want_row):
+                assert float(g) == pytest.approx(float(w), abs=FIELD_TOL), (name, want_row)
