@@ -32,13 +32,17 @@ from .linalg import hermitian_eigensystem
 from .spin_models import (
     GroundStateMode,
     GroundStatePolicy,
+    HamiltonianTerms,
     SpinChainSpec,
     build_double_xxz,
     build_hamiltonian,
     build_ising,
     build_xxz,
+    chain_terms,
     ground_gap,
     ground_state,
+    ising_ring,
+    xxz_ring,
 )
 from .states import (
     DensityOperator,
@@ -71,6 +75,7 @@ __all__ = [
     "DistanceUnit",
     "GroundStateMode",
     "GroundStatePolicy",
+    "HamiltonianTerms",
     "KrausChannel",
     "ParamRange",
     "PureState",
@@ -87,11 +92,13 @@ __all__ = [
     "ccm",
     "ccm_naive",
     "central_difference",
+    "chain_terms",
     "full_mask",
     "ghz_closed_form",
     "ground_gap",
     "ground_state",
     "hermitian_eigensystem",
+    "ising_ring",
     "make_ghz",
     "make_state_from_kets",
     "multi_information",
@@ -107,4 +114,5 @@ __all__ = [
     "von_neumann_entropy",
     "write_csv",
     "write_qs1",
+    "xxz_ring",
 ]

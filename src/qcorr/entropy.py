@@ -53,9 +53,14 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     """S(rho) = -sum_i lam_i log2 lam_i, in bits.
 
     Eigenvalues <= 1e-12 (including round-off negatives) contribute zero.
-    The spectrum kept by the positivity check is used when there is one.
+    The spectrum kept by the positivity check is used when there is one;
+    otherwise a state with a factor V takes the spectrum of the smaller Gram
+    matrix of V (r x r for r columns, see `subset_entropy`), so its
+    2^n x 2^n matrix is neither formed nor diagonalized.
     """
     vals = rho.spectrum
+    if vals is None and rho.factor is not None:
+        return subset_entropy(rho, full_mask(rho.num_qubits))
     return _entropy_bits(hermitian_eigenvalues(rho.matrix) if vals is None else vals)
 
 

@@ -128,13 +128,15 @@ class DensityOperator:
     positivity check computed them, and is None otherwise.
 
     `factor` is None, or a 2^n x r matrix V with matrix = V V^dagger.
-    `from_factor` keeps the V it is given.  The positivity check attaches
-    one when the matrix is numerically of low rank (see `_low_rank_factor`);
-    `matrix` then stays the matrix passed in, which V V^dagger matches to
-    1e-13 in every entry.
+    `from_factor` keeps the V it is given, and forms `matrix` = V V^dagger
+    only when `matrix` is first read (entropies, `ccm` and
+    `multi_information` take V and never read it).  The positivity check
+    attaches a factor when the matrix is numerically of low rank (see
+    `_low_rank_factor`); `matrix` then stays the matrix passed in, which
+    V V^dagger matches to 1e-13 in every entry.
     """
 
-    __slots__ = ("matrix", "num_qubits", "factor", "spectrum")
+    __slots__ = ("_matrix", "num_qubits", "factor", "spectrum")
 
     def __init__(self, matrix: np.ndarray, *, check_psd: bool = False):
         m = real_or_complex(matrix)
@@ -148,7 +150,7 @@ class DensityOperator:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise InvariantViolation(f"trace {tr!r} differs from 1 by more than {TRACE_ATOL}")
-        self.matrix = m
+        self._matrix = m
         self.factor = None
         self.spectrum = None
         if check_psd:
@@ -166,6 +168,7 @@ class DensityOperator:
         Hermiticity and positivity hold by construction, so only finiteness
         and the trace (1e-10) are checked.  The factor is kept, and subset
         entropies are then computed from it.  A real factor stays real.
+        The 2^n x 2^n matrix is formed on the first read of `matrix`.
         """
         v = np.ascontiguousarray(real_or_complex(factor))
         if v.ndim != 2 or v.shape[1] < 1:
@@ -177,15 +180,23 @@ class DensityOperator:
         if abs(tr - 1.0) > TRACE_ATOL:
             raise InvariantViolation(f"trace {tr!r} differs from 1 by more than {TRACE_ATOL}")
         self = cls.__new__(cls)
-        self.matrix = v @ v.conj().T
+        self._matrix = None
         self.num_qubits = num_qubits
         self.factor = v
         self.spectrum = None
         return self
 
     @property
+    def matrix(self) -> np.ndarray:
+        """The 2^n x 2^n density matrix; V V^dagger is formed once, on first read."""
+        if self._matrix is None:
+            v = self.factor
+            self._matrix = v @ v.conj().T
+        return self._matrix
+
+    @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return 1 << self.num_qubits
 
     def __repr__(self) -> str:
         return f"DensityOperator(num_qubits={self.num_qubits})"

@@ -22,7 +22,7 @@ from .ccm import ccm
 from .channels import amplitude_damping_channel, apply_channel_local, phase_damping_channel
 from .entropy import DistanceUnit, multi_information
 from .errors import OutOfRange, TooLarge
-from .spin_models import GroundStatePolicy, build_double_xxz, build_ising, build_xxz, ground_state
+from .spin_models import GroundStatePolicy, chain_terms, ground_state, ising_ring, xxz_ring
 from .states import DensityOperator, full_mask
 
 MAX_SWEEP_QUBITS = 10
@@ -131,12 +131,12 @@ def _grid_for(config: SweepConfig, rng: ParamRange) -> np.ndarray:
 
 def _state_at(config: SweepConfig, point: tuple[float, ...]) -> DensityOperator:
     if config.model == "xxz":
-        ham = build_xxz(config.spins, point[0])
+        rings = (xxz_ring(config.spins, point[0]),)
     elif config.model == "ising":
-        ham = build_ising(config.spins, point[0])
+        rings = (ising_ring(config.spins, point[0]),)
     else:
-        ham = build_double_xxz(config.spins, point[0], point[1])
-    return ground_state(ham, config.policy)
+        rings = (xxz_ring(config.spins, point[0]), xxz_ring(config.spins, point[1]))
+    return ground_state(chain_terms(*rings), config.policy)
 
 
 def sweep_rows(config: SweepConfig) -> tuple[list[str], list[tuple[float, ...]]]:

@@ -28,7 +28,7 @@ from qcorr import (
 )
 
 FIRST = GroundStatePolicy(mode=GroundStateMode.FIRST_VECTOR)
-RTOL = 1e-9  # the default degeneracy_rtol
+RTOL = 1e-9  # spin_models.DEGENERACY_RTOL
 TOL = 1e-9
 
 DELTAS = (-2.0, -1.0 - 1e-6, -1.0, -0.4, 0.0, 0.7, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.5)
