@@ -12,7 +12,8 @@ HERMITIAN_ATOL = 1e-10
 
 
 def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    return bool(np.abs(m - m.conj().T).max() <= atol)
+    """Whether `m`, or each matrix of a stack (..., d, d), is Hermitian within `atol`."""
+    return bool(np.abs(m - np.swapaxes(m.conj(), -1, -2)).max() <= atol)
 
 
 def real_or_complex(m) -> np.ndarray:
@@ -23,9 +24,10 @@ def real_or_complex(m) -> np.ndarray:
 
 def checked_hermitian(m: np.ndarray) -> np.ndarray:
     """`m` as a float64 or complex128 array (real input stays real), after
-    checking that it is square and Hermitian."""
+    checking that it is square and Hermitian; a stack (..., d, d) is checked
+    matrix by matrix."""
     a = real_or_complex(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not is_hermitian(a):
         raise NotHermitian("matrix is not Hermitian within 1e-10")
@@ -43,7 +45,8 @@ def hermitian_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of an already-validated Hermitian matrix."""
+    """Ascending eigenvalues of an already-validated Hermitian matrix, or of
+    each matrix of a stack (..., d, d)."""
     try:
         return np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover

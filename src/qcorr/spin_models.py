@@ -20,8 +20,13 @@ A Hamiltonian is made as `HamiltonianTerms`, its nonzero entries listed as
 (row, column, value) triples, at most N + 1 per basis state (`chain_terms`).
 The `build_*` functions scatter those terms into a dense matrix.
 `ground_state` and `ground_gap` take terms, or a dense matrix that they turn
-into terms, and build one dense block per connected component of the terms'
-pattern, so no 2^N x 2^N matrix is formed on the way to a ground state.
+into terms, and split them into the connected components of the terms'
+pattern (the magnetization sectors of an XXZ ring, say).  When the terms are
+invariant under the cyclic shift of the register's qubits and the shift maps
+every component onto itself, each component is split further into momentum
+blocks k = 2 pi m / N, built on the representatives of its shift orbits;
+otherwise the trivial group leaves each component whole.  No 2^N x 2^N
+matrix is formed on the way to a ground state.
 """
 
 from __future__ import annotations
@@ -183,6 +188,36 @@ def _as_terms(hamiltonian: HamiltonianTerms | np.ndarray) -> HamiltonianTerms:
     return HamiltonianTerms(h.shape[0], rows, cols, h[rows, cols])
 
 
+class _Block(NamedTuple):
+    """One connected block of a Hamiltonian's pattern (see `_blocks`) and
+    the shift orbits of its states, in the block's own indices.
+
+    State s is T^shift[s] applied to the representative (smallest index)
+    of its orbit, which is the block's rep[s]-th representative, and
+    period[s] is the orbit's size.  `links` are the terms whose column is a
+    representative a, as (a, b, H[r, a] sqrt(p_a / p_b), l_r) with
+    r = T^{l_r} b: the momentum blocks are sums of them.
+    """
+
+    idx: np.ndarray
+    terms: HamiltonianTerms
+    rep: np.ndarray
+    shift: np.ndarray
+    period: np.ndarray
+    links: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+class _Sector(NamedTuple):
+    """The momentum block k = 2 pi m / order of pattern block `block`, on the
+    representatives compatible with k (the True entries of `fits`, one per
+    representative of the block), and its ascending eigenvalues."""
+
+    block: int
+    m: int
+    fits: np.ndarray
+    values: np.ndarray
+
+
 def _blocks(terms: HamiltonianTerms) -> list[tuple[np.ndarray, HamiltonianTerms]]:
     """(basis indices, the block's terms in its own indices) per connected
     component of the pattern of the terms and their transposes.  The indices
@@ -222,14 +257,134 @@ def _blocks(terms: HamiltonianTerms) -> list[tuple[np.ndarray, HamiltonianTerms]
             for idx, t in zip(np.split(order, starts[1:]), groups)]
 
 
-def _block_spectra(terms: HamiltonianTerms):
-    """(blocks as `_blocks` gives them, ascending eigenvalues of each block).
+def _shift(states: np.ndarray, num_qubits: int) -> np.ndarray:
+    """T: the cyclic shift of the register's qubits, site i to site i + 1,
+    on basis indices (site i is bit n-1-i)."""
+    return (states >> 1) | ((states & 1) << (num_qubits - 1))
 
-    Every term lies inside a block, so checking each block for Hermiticity
-    checks the whole matrix.  Only one dense block is alive at a time.
+
+def _trivial_group(dim: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """`_translations`' tables for the group of order 1: every state is its
+    own orbit."""
+    return 1, np.arange(dim), np.zeros(dim, dtype=np.intp), np.ones(dim, dtype=np.intp)
+
+
+def _shift_invariant(terms: HamiltonianTerms, blocks: list[tuple[np.ndarray, HamiltonianTerms]]) -> bool:
+    """Whether the register has at least 2 qubits, the terms are invariant
+    under the shift T, entry for entry and value for value, and T maps every
+    block onto itself."""
+    dim, rows, cols, values = terms
+    n = dim.bit_length() - 1
+    if n < 2 or dim != 1 << n:
+        return False
+    moved = _shift(rows, n) * dim + _shift(cols, n)
+    order = np.argsort(moved)
+    # Terms list their keys ascending, so invariant terms move onto themselves.
+    if not (np.array_equal(rows * dim + cols, moved[order]) and np.array_equal(values, values[order])):
+        return False
+    block_of = np.empty(dim, dtype=np.intp)
+    for b, (idx, _) in enumerate(blocks):
+        block_of[idx] = b
+    return np.array_equal(block_of[_shift(np.arange(dim), n)], block_of)
+
+
+def _translations(terms: HamiltonianTerms, blocks: list[tuple[np.ndarray, HamiltonianTerms]]
+                  ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(order, rep, shift, period) of the cyclic group the terms are taken
+    to commute with, for every basis index s: rep[s] is the smallest index
+    of s's orbit, s = T^shift[s] rep[s], and period[s] is the orbit's size.
+
+    The group is generated by the qubit shift T when `_shift_invariant`
+    holds and every value is a normal float, and is otherwise the trivial
+    group.  (The phases and orbit weights of the momentum blocks would round
+    a subnormal value to a few bits, or to zero.)
     """
-    blocks = _blocks(terms)
-    return blocks, [hermitian_eigenvalues(checked_hermitian(_dense(b))) for _, b in blocks]
+    normal = np.all(np.abs(terms.values) >= np.finfo(float).tiny)
+    if not (normal and _shift_invariant(terms, blocks)):
+        return _trivial_group(terms.dim)
+    n = terms.dim.bit_length() - 1
+    every = np.arange(terms.dim)
+    rep, shift, period = every, np.zeros(terms.dim, dtype=np.intp), np.zeros(terms.dim, dtype=np.intp)
+    image = every
+    for j in range(1, n + 1):  # image = T^j s; where it is smaller than rep, s = T^(n-j) image
+        image = _shift(image, n)
+        smaller = image < rep
+        rep = np.where(smaller, image, rep)
+        shift = np.where(smaller, n - j, shift)
+        period = np.where((period == 0) & (image == every), j, period)
+    return n, rep, shift, period
+
+
+def _momentum_blocks(block: _Block, roots: np.ndarray, momenta: np.ndarray, fits: np.ndarray,
+                     real: bool) -> np.ndarray:
+    """H_k for k = 2 pi m / order, m in `momenta`, on the representatives
+    that `fits` selects, stacked as (len(momenta), R, R), real if `real`:
+
+        H_k[b, a] = sum over terms H[r, a] e^{i k l_r} sqrt(p_a / p_b),  r = T^{l_r} b,
+
+    with p the orbit sizes and `roots` the order-th roots of unity
+    e^{2 pi i q / order}.  The basis vector of representative b is
+    |b, k> = p_b^{-1/2} sum_{l < p_b} e^{-i k l} T^l |b>, so only the
+    representatives with m p = 0 mod order may be selected.
+    """
+    cols, rows, amplitudes, turns = block.links
+    kept = fits[cols] & fits[rows]
+    position = np.cumsum(fits) - 1
+    phases = roots[np.multiply.outer(momenta, turns[kept]) % roots.size]
+    if real:  # the real part of a real root is exactly +-1
+        phases = phases.real
+    size = int(position[-1]) + 1
+    stack = np.zeros((momenta.size, size, size), dtype=np.result_type(amplitudes, phases))
+    np.add.at(stack, (np.arange(momenta.size)[:, None], position[rows[kept]], position[cols[kept]]),
+              amplitudes[kept] * phases)
+    return stack
+
+
+def _spectra(terms: HamiltonianTerms) -> tuple[list[_Block], np.ndarray, list[_Sector]]:
+    """(pattern blocks, roots of unity of the group order, momentum blocks
+    with their eigenvalues).
+
+    Each block of `_blocks` is split by the momenta k = 2 pi m / order of
+    the group `_translations` finds.  Real terms take m = 0 .. order // 2
+    only: the block of -m is the complex conjugate of the block of m, with
+    the same eigenvalues.  Momenta of one block that share their set of
+    compatible representatives are built as one stack, real when the terms
+    are and every e^{ik} in it is +-1, checked for Hermiticity and given
+    eigenvalues in one batched `eigvalsh`.  The trivial group leaves one
+    momentum, m = 0, whose block is the pattern block itself.
+
+    The terms are exactly invariant under T when the group is not trivial,
+    so the matrix is unitarily the direct sum of its momentum blocks, and
+    checking every block for Hermiticity checks the whole matrix (for real
+    terms the unbuilt blocks are conjugates of built ones).
+    """
+    pattern = _blocks(terms)
+    order, rep, shift, period = _translations(terms, pattern)
+    real = not np.iscomplexobj(terms.values)
+    momenta = np.arange(order // 2 + 1 if real else order)
+    roots = np.exp(2j * np.pi * np.arange(order) / order)
+    blocks, sectors = [], []
+    for number, (idx, block_terms) in enumerate(pattern):
+        _, rows, cols, values = block_terms
+        local = np.searchsorted(idx, rep[idx])  # each state's representative, in block indices
+        is_rep = local == np.arange(idx.size)
+        slot = np.cumsum(is_rep) - 1  # a representative's number among the block's
+        linked = is_rep[cols]
+        rows, cols = rows[linked], cols[linked]
+        links = (slot[cols], slot[local[rows]],
+                 values[linked] * np.sqrt(period[idx[cols]] / period[idx[rows]]), shift[idx[rows]])
+        block = _Block(idx, block_terms, slot[local], shift[idx], period[idx], links)
+        blocks.append(block)
+        groups: dict[bytes, list[int]] = {}
+        for m, fits in zip(momenta, np.multiply.outer(momenta, period[idx[is_rep]]) % order == 0):
+            if fits.any():
+                groups.setdefault(fits.tobytes(), []).append(m)
+        for key, ms in groups.items():
+            fits, ms = np.frombuffer(key, dtype=bool), np.array(ms)
+            stack = _momentum_blocks(block, roots, ms, fits, real and np.all(2 * ms % order == 0))
+            values = hermitian_eigenvalues(checked_hermitian(stack))
+            sectors.extend(_Sector(number, m, fits, vals) for m, vals in zip(ms, values))
+    return blocks, roots, sectors
 
 
 def ground_state(hamiltonian: HamiltonianTerms | np.ndarray,
@@ -237,47 +392,68 @@ def ground_state(hamiltonian: HamiltonianTerms | np.ndarray,
     """Ground state of a Hermitian matrix, given as terms or dense, under the
     given degeneracy policy.
 
-    Every block (see `_blocks`) is built dense from its own terms and gets
-    its eigenvalues.  The lowest level is every eigenvalue within
-    `DEGENERACY_RTOL` times the whole spectral span of the global minimum,
-    whichever blocks it lies in; only a block whose lowest eigenvalue is on
-    that level is built again for its eigenvectors, of which it keeps as
-    many as it has eigenvalues on the level.  `first-vector` takes the
-    lowest eigenvector of the first such block, by smallest basis index.
-    The state carries its lowest-level eigenvectors, embedded in the full
-    basis, as its factor.
+    Every momentum block (see `_spectra`) gets its eigenvalues.  The lowest
+    level is every eigenvalue within `DEGENERACY_RTOL` times the whole
+    spectral span of the global minimum, whichever blocks it lies in; only a
+    momentum block whose lowest eigenvalue is on that level is built again
+    for its eigenvectors, of which it keeps as many as it has eigenvalues on
+    the level.  Each kept vector v is embedded in the full basis as
+    sum_b v[b] |b, k>; for real terms a block with 0 < k < pi stands for its
+    complex-conjugate partner at -k too, and enters as the two real columns
+    sqrt(2) Re and sqrt(2) Im of its embedding, so a real Hamiltonian gives
+    a real factor.  The state carries these vectors as its factor.
+
+    `first-vector` takes the lowest eigenvector of the first pattern block,
+    by smallest basis index, whose lowest eigenvalue is on the level,
+    diagonalizing that whole block.
     """
     if policy is None:
         policy = GroundStatePolicy()
     terms = _as_terms(hamiltonian)
-    blocks, spectra = _block_spectra(terms)
-    lowest = min(vals[0] for vals in spectra)
-    span = max(vals[-1] for vals in spectra) - lowest
+    blocks, roots, sectors = _spectra(terms)
+    lowest = min(s.values[0] for s in sectors)
+    span = max(s.values[-1] for s in sectors) - lowest
     top = lowest + DEGENERACY_RTOL * span
-    level = [(idx, block, int(np.count_nonzero(vals <= top)))
-             for (idx, block), vals in zip(blocks, spectra) if vals[0] <= top]
+    level = [(s, int(np.count_nonzero(s.values <= top))) for s in sectors if s.values[0] <= top]
     if policy.mode is GroundStateMode.FIRST_VECTOR:
-        idx, block, _ = level[0]
+        block = blocks[min(s.block for s, _ in level)]
         v = np.zeros(terms.dim, dtype=terms.values.dtype)
-        v[idx] = hermitian_eigensystem(_dense(block))[1][:, 0]
+        v[block.idx] = hermitian_eigensystem(_dense(block.terms))[1][:, 0]
         k = int(np.argmax(np.abs(v)))
         phase = v[k] / abs(v[k])
         v = v * phase.conjugate()
         return DensityOperator.from_factor(v.reshape(-1, 1))
-    width = sum(k for *_, k in level)
+    real = not np.iscomplexobj(terms.values)
+    paired = [real and 0 < 2 * s.m < roots.size for s, _ in level]  # 0 < k < pi
+    width = sum(k * (1 + pair) for (_, k), pair in zip(level, paired))
     factor = np.zeros((terms.dim, width), dtype=terms.values.dtype)
     column = 0
-    for idx, block, k in level:
-        factor[idx, column:column + k] = hermitian_eigensystem(_dense(block))[1][:, :k]
-        column += k
+    for (sector, k), pair in zip(level, paired):
+        block, real_block = blocks[sector.block], real and not pair
+        stack = _momentum_blocks(block, roots, np.array([sector.m]), sector.fits, real_block)
+        vecs = hermitian_eigensystem(stack[0])[1][:, :k]
+        states = np.flatnonzero(sector.fits[block.rep])  # the block's states in these orbits
+        amplitudes = (roots[-sector.m * block.shift[states] % roots.size]
+                      / np.sqrt(block.period[states]))[:, None]  # e^{-ikl} / sqrt(p)
+        position = np.cumsum(sector.fits) - 1
+        w = vecs[position[block.rep[states]]] * (amplitudes.real if real_block else amplitudes)
+        rows = block.idx[states]
+        if pair:
+            factor[rows, column:column + k] = math.sqrt(2.0) * w.real
+            factor[rows, column + k:column + 2 * k] = math.sqrt(2.0) * w.imag
+            column += 2 * k
+        else:
+            factor[rows, column:column + k] = w
+            column += k
     return DensityOperator.from_factor(factor / math.sqrt(width))
 
 
 def ground_gap(hamiltonian: HamiltonianTerms | np.ndarray) -> float:
     """Gap between the lowest eigenvalue of a Hermitian matrix, given as terms
     or dense, and the first one above its degeneracy window; +inf if no level
-    lies above the window.  Every block gets its eigenvalues only."""
-    vals = np.sort(np.concatenate(_block_spectra(_as_terms(hamiltonian))[1]))
+    lies above the window.  Every momentum block gets its eigenvalues only
+    (a block of real terms and its conjugate partner share them)."""
+    vals = np.sort(np.concatenate([s.values for s in _spectra(_as_terms(hamiltonian))[2]]))
     span = float(vals[-1] - vals[0])
     above = vals[vals > vals[0] + DEGENERACY_RTOL * span]
     if above.size == 0:

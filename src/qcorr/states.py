@@ -125,7 +125,10 @@ class DensityOperator:
     are clamped where entropies are evaluated, never in storage.
 
     `spectrum` holds the ascending eigenvalues of `matrix` when the
-    positivity check computed them, and is None otherwise.
+    positivity check found them, and is None otherwise.  A numerically
+    low-rank matrix is certified positive without an eigensolve of `matrix`
+    when its pivoted Cholesky factor V passes `_certified_factor`; its
+    spectrum is then that of V^dagger V, padded with zeros.
 
     `factor` is None, or a 2^n x r matrix V with matrix = V V^dagger.
     `from_factor` keeps the V it is given, and forms `matrix` = V V^dagger
@@ -154,6 +157,10 @@ class DensityOperator:
         self.factor = None
         self.spectrum = None
         if check_psd:
+            certified = _certified_factor(m)
+            if certified is not None:
+                self.factor, self.spectrum = certified
+                return
             vals = hermitian_eigenvalues(m)
             lo = float(vals[0])
             if lo < PSD_EIG_FLOOR:
@@ -217,17 +224,55 @@ def _low_rank_factor(m: np.ndarray, vals: np.ndarray) -> np.ndarray | None:
     r = int(np.count_nonzero(vals > SUPPORT_CUTOFF))
     if r * r > d or float(np.abs(vals[:d - r]).sum()) > SUPPORT_CUTOFF:
         return None
+    v = _pivoted_cholesky(m, r)
+    if v is None:
+        return None
+    gap = v @ v.conj().T
+    gap -= m
+    return v if np.abs(gap).max() <= FACTOR_ATOL else None
+
+
+def _certified_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(V, ascending spectrum) for a numerically low-rank m, certified
+    without an eigensolve of m, or None.
+
+    V is m's diagonally pivoted Cholesky factor, stopped as soon as the
+    residual diagonal sums to at most SUPPORT_CUTOFF, within floor(sqrt(d))
+    columns (the rank at which `_low_rank_factor` still factors).  It is
+    kept only if S = m - V V^dagger has sqrt(d) ||S||_F <= SUPPORT_CUTOFF
+    and max |S| <= FACTOR_ATOL.  Then ||S||_1 <= sqrt(d) ||S||_F bounds the
+    trace-norm distance to the positive V V^dagger by SUPPORT_CUTOFF, the
+    budget `_low_rank_factor` allows for the eigenvalues it drops, and
+    lambda_min(m) >= -SUPPORT_CUTOFF.  The spectrum is that of the r x r
+    Gram matrix V^dagger V, which V V^dagger shares, padded with d - r zeros.
+    """
+    d = m.shape[0]
+    v = _pivoted_cholesky(m, math.isqrt(d), SUPPORT_CUTOFF)
+    if v is None or np.trace(m).real - np.vdot(v, v).real > SUPPORT_CUTOFF:
+        return None  # the residual carries more than the budget: m is not of low rank
+    gap = v @ v.conj().T
+    gap -= m
+    if math.sqrt(d) * float(np.linalg.norm(gap)) > SUPPORT_CUTOFF or np.abs(gap).max() > FACTOR_ATOL:
+        return None
+    gram = hermitian_eigenvalues(v.conj().T @ v)
+    return v, np.sort(np.concatenate([np.zeros(d - v.shape[1]), gram]))
+
+
+def _pivoted_cholesky(m: np.ndarray, steps: int, stop: float = -math.inf) -> np.ndarray | None:
+    """The first `steps` columns V of m's diagonally pivoted Cholesky
+    factor, or fewer once the trace of m - V V^dagger is at most `stop`;
+    None if a pivot is not positive."""
     residual = m.diagonal().real.copy()  # diagonal of m - V V^dagger so far
-    v = np.zeros((d, r), dtype=m.dtype)
-    for k in range(r):
+    v = np.zeros((m.shape[0], steps), dtype=m.dtype)
+    k = 0
+    while k < steps and residual.sum() > stop:
         p = int(np.argmax(residual))
         if not residual[p] > 0.0:
             return None
         v[:, k] = (m[:, p] - v[:, :k] @ v[p, :k].conj()) / math.sqrt(residual[p])
         residual -= np.abs(v[:, k]) ** 2
-    gap = v @ v.conj().T
-    gap -= m
-    return v if np.abs(gap).max() <= FACTOR_ATOL else None
+        k += 1
+    return np.ascontiguousarray(v[:, :k])
 
 
 def tensor_product(a: DensityOperator, b: DensityOperator) -> DensityOperator:

@@ -12,14 +12,22 @@ and the projector onto a cluster cut that finely is fixed only to about
 1e-15 / (its distance to the next eigenvalue).  Any two correct eigensolvers
 disagree there, so the random ensemble skips couplings that put an
 eigenvalue between 1e-11 and 1e-6 spectral spans above the minimum.
+
+Both ensembles must take momentum blocks wherever the chain allows them: a
+spy on `_translations` checks that every call found the shift group of the
+ring, unless no pair of spins is flipped (diagonal chains), only aligned
+pairs are (jx = -jy, whose blocks the shift does not map onto themselves),
+or an entry is subnormal.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qcorr.spin_models
 from qcorr import SpinChainSpec, build_hamiltonian, ground_gap, ground_state
 
 WINDOW_RTOL = 1e-9
@@ -49,10 +57,23 @@ def well_posed(ham):
 
 
 def assert_matches_dense(ham):
+    """Projector and gap against the dense reference; returns the orders of
+    the groups the two calls used."""
     projector, gap = dense_reference(ham)
-    assert np.abs(ground_state(ham).matrix - projector).max() <= TOL
-    got = ground_gap(ham)
+    orders = []
+    find = qcorr.spin_models._translations
+
+    def spy(terms, blocks):
+        found = find(terms, blocks)
+        orders.append(found[0])
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qcorr.spin_models, "_translations", spy)
+        assert np.abs(ground_state(ham).matrix - projector).max() <= TOL
+        got = ground_gap(ham)
     assert got == gap if math.isinf(gap) else abs(got - gap) <= TOL
+    return orders
 
 
 @given(n=st.integers(2, 7), jx=COUPLING, jy=COUPLING, jz=COUPLING, h=COUPLING)
@@ -60,11 +81,15 @@ def assert_matches_dense(ham):
 def test_random_couplings_match_dense(n, jx, jy, jz, h):
     ham = build_hamiltonian(SpinChainSpec(n, jx=jx, jy=jy, jz=jz, h=h))
     assume(well_posed(ham))
-    assert_matches_dense(ham)
+    orders = assert_matches_dense(ham)
+    normal = np.all(np.abs(ham[ham != 0.0]) >= np.finfo(float).tiny)
+    if (jx != 0.0 or jy != 0.0) and jx != -jy and normal:
+        assert orders == [n, n]
 
 
 @given(n=st.integers(2, 7), offset=st.sampled_from((-1e-6, 0.0, 1e-6)), h=FIELD)
 @settings(deadline=None, max_examples=40)
 def test_xxz_at_the_crossing_matches_dense(n, offset, h):
-    assert_matches_dense(build_hamiltonian(
+    orders = assert_matches_dense(build_hamiltonian(
         SpinChainSpec(n, jx=0.5, jy=0.5, jz=(1.0 + offset) / 2.0, h=h)))
+    assert orders == [n, n]

@@ -150,11 +150,23 @@ def eigh_sizes(monkeypatch):
     return sizes
 
 
+def shift_orbits(n, states):
+    """Number of orbits of the cyclic shift of n qubits among `states`."""
+    full = (1 << n) - 1
+    return len({min(((s >> j) | (s << (n - j))) & full for j in range(n)) for s in states})
+
+
+def weight(n, ones):
+    return [s for s in range(1 << n) if bin(s).count("1") == ones]
+
+
+# Each level vector comes from one momentum block, whose size is the number
+# of shift orbits of its magnetization or parity sector (all orbits fit k = 0).
 @pytest.mark.parametrize("spec, expected", [
-    (xxz_ring(10, 0.5), [252]),
+    (xxz_ring(10, 0.5), [shift_orbits(10, weight(10, 5))]),  # 26 of the 252 states
     (xxz_ring(10, 2.0), [1, 1]),  # the two fully polarized states
-    (xxz_ring(10, 1.0), [math.comb(10, k) for k in range(11)]),  # the multiplet spans every sector
-    (ising_ring(10, 0.7), [512]),
+    (xxz_ring(10, 1.0), [shift_orbits(10, weight(10, k)) for k in range(11)]),  # k = 0 in every sector
+    (ising_ring(10, 0.7), [shift_orbits(10, [s for s in range(1024) if bin(s).count("1") % 2 == 0])]),
 ])
 def test_only_blocks_on_the_lowest_level_get_eigenvectors(eigh_sizes, spec, expected):
     ground_state(chain_terms(spec))
