@@ -13,6 +13,16 @@ check kept, when there is one.  The table diagonalizes one subset per orbit
 of the qubit permutations that leave the state unchanged (`qubit_symmetry`,
 `orbit_representatives`).
 
+A dense state whose entries between basis states of different popcount (the
+magnetization of a spin ring: XXZ and double-XXZ ground states, damped or
+not) are exactly 0.0 conserves it (`states.holds_popcount`).  A partial
+trace keeps those zeros, so every matrix of its table is diagonalized one
+popcount sector of its local index at a time: the sectors of each size as
+one batched stack, the 1 x 1 sectors read off the diagonal.  Only exact
+zeros count, and any other state is diagonalized whole.  The damped N = 8
+ring's largest eigensolve is 70 instead of 256, N = 10's 252 instead of
+1024.
+
 All entropies use log base 2 internally.  Results can be reported either in
 bits or in "normalized" units (bits / 2), the scale on which one Bell pair
 sits at distance 1 from its closest product state.  Normalized is the default
@@ -29,12 +39,15 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidBipartition, OutOfRange
 from .linalg import hermitian_eigensystem, hermitian_eigenvalues
 from .states import (
+    BLOCK_ENTRIES,
     SUPPORT_CUTOFF,
     DensityOperator,
     PureState,
     check_subset,
     full_mask,
+    holds_popcount,
     partial_trace,
+    popcount_blocks,
     subset_qubits,
 )
 
@@ -100,10 +113,6 @@ class QubitGroup(enum.Enum):
     SYMMETRIC = "symmetric"  # S_n: every permutation
 
 
-# Entries of a permuted matrix compared at a time by `_moves_by_at_most_cutoff`.
-_BLOCK_ENTRIES = 1 << 16
-
-
 def qubit_symmetry(state: PureState | DensityOperator) -> QubitGroup:
     """The group of qubit permutations found to leave `state` unchanged.
 
@@ -158,7 +167,7 @@ def _moves_by_at_most_cutoff(state: PureState | DensityOperator, perm: list[int]
     d = m.shape[0]
     index = np.arange(d).reshape(shape).transpose(perm).reshape(-1)
     limit = SUPPORT_CUTOFF ** 2 / d  # on ||D||_F^2
-    rows = max(1, _BLOCK_ENTRIES // d)
+    rows = max(1, BLOCK_ENTRIES // d)
     total = 0.0
     for start in range(0, d, rows):
         block = m[np.ix_(index[start:start + rows], index)]
@@ -234,21 +243,28 @@ def subset_entropies(state: PureState | DensityOperator) -> SubsetTable:
                 twin = rep[full ^ mask]
                 table[mask] = table[twin] if pure and twin < mask else subset_entropy(state, mask)
     else:
-        _reduce_along_tree(state.matrix, full, n, table, rep, state.spectrum)
+        matrix = state.matrix
+        _reduce_along_tree(matrix, full, n, table, rep, holds_popcount(matrix), state.spectrum)
     out = SubsetTable(table[r] for r in rep)
     out.representatives = rep
     return out
 
 
 def _reduce_along_tree(matrix: np.ndarray, mask: int, low: int, table: list[float],
-                       rep: list[int], spectrum: np.ndarray | None = None) -> None:
+                       rep: list[int], split: bool,
+                       spectrum: np.ndarray | None = None) -> None:
     """Fill `table` for the representative `mask`, whose reduced matrix is
     `matrix` (with eigenvalues `spectrum`, if known), and for every
     representative below it.  `low` is the lowest qubit missing from `mask`
     (n for the whole register); its children drop one qubit q < low, which
-    is leg q of `matrix` because qubits 0..low-1 are all in `mask`."""
+    is leg q of `matrix` because qubits 0..low-1 are all in `mask`.  With
+    `split`, every matrix of the tree holds its popcounts apart (see
+    `popcount_blocks`) and is diagonalized sector by sector: the 1 x 1
+    sectors are read off the diagonal, and the sectors of each larger size
+    are diagonalized as one stack."""
     if spectrum is None:
-        spectrum = hermitian_eigenvalues(matrix)
+        singles, stacks = popcount_blocks(matrix, split)
+        spectrum = np.concatenate([singles, *(hermitian_eigenvalues(s).reshape(-1) for s in stacks)])
     table[mask] = _entropy_bits(spectrum)
     d = matrix.shape[0]
     if d == 2:
@@ -261,7 +277,7 @@ def _reduce_along_tree(matrix: np.ndarray, mask: int, low: int, table: list[floa
         t = matrix.reshape(outer, 2, inner, outer, 2, inner)
         # The child is passed unbound, so it is freed as soon as its subtree is done.
         _reduce_along_tree((t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]).reshape(d // 2, d // 2),
-                           child, q, table, rep)
+                           child, q, table, rep, split)
 
 
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator,

@@ -188,33 +188,40 @@ def _as_terms(hamiltonian: HamiltonianTerms | np.ndarray) -> HamiltonianTerms:
     return HamiltonianTerms(h.shape[0], rows, cols, h[rows, cols])
 
 
-class _Block(NamedTuple):
-    """One connected block of a Hamiltonian's pattern (see `_blocks`) and
-    the shift orbits of its states, in the block's own indices.
+class _Orbits(NamedTuple):
+    """The shift orbits of a Hamiltonian's basis states and the terms that
+    build its momentum blocks (see `_spectra`).
 
-    State s is T^shift[s] applied to the representative (smallest index)
-    of its orbit, which is the block's rep[s]-th representative, and
-    period[s] is the orbit's size.  `links` are the terms whose column is a
-    representative a, as (a, b, H[r, a] sqrt(p_a / p_b), l_r) with
-    r = T^{l_r} b: the momentum blocks are sums of them.
+    `pattern` holds the blocks of `_blocks` and `roots` the order-th roots of
+    unity e^{2 pi i q / order}.  State s is T^shift[s] applied to rep[s], the
+    representative (smallest index) of its orbit, and period[s] is the
+    orbit's size.  The representatives are ranked block by block, ascending
+    within a block, and rank[r] is the rank of representative r.
+    fits[m, j] says whether the representative of rank j is compatible with
+    the momentum k = 2 pi m / order (m p = 0 mod order), and position[m, j]
+    is then its number among the compatible representatives of its block.
+    `links` are the terms whose column is a representative a, as (block,
+    rank of a, rank of b, H[r, a] sqrt(p_a / p_b), l_r) with r = T^{l_r} b:
+    the momentum blocks are sums of them.
     """
 
-    idx: np.ndarray
-    terms: HamiltonianTerms
+    pattern: list[tuple[np.ndarray, HamiltonianTerms]]
+    roots: np.ndarray
     rep: np.ndarray
     shift: np.ndarray
     period: np.ndarray
-    links: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    rank: np.ndarray
+    fits: np.ndarray
+    position: np.ndarray
+    links: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class _Sector(NamedTuple):
-    """The momentum block k = 2 pi m / order of pattern block `block`, on the
-    representatives compatible with k (the True entries of `fits`, one per
-    representative of the block), and its ascending eigenvalues."""
+    """The momentum block k = 2 pi m / order of pattern block `block`, on
+    the representatives compatible with k, and its ascending eigenvalues."""
 
     block: int
     m: int
-    fits: np.ndarray
     values: np.ndarray
 
 
@@ -315,41 +322,47 @@ def _translations(terms: HamiltonianTerms, blocks: list[tuple[np.ndarray, Hamilt
     return n, rep, shift, period
 
 
-def _momentum_blocks(block: _Block, roots: np.ndarray, momenta: np.ndarray, fits: np.ndarray,
+def _momentum_blocks(orbits: _Orbits, parts: list[tuple[int, int]], size: int,
                      real: bool) -> np.ndarray:
-    """H_k for k = 2 pi m / order, m in `momenta`, on the representatives
-    that `fits` selects, stacked as (len(momenta), R, R), real if `real`:
+    """H_k for the (pattern block, m) pairs `parts`, k = 2 pi m / order, on
+    the representatives compatible with k, of which each part has `size`,
+    stacked as (len(parts), size, size), real if `real`:
 
         H_k[b, a] = sum over terms H[r, a] e^{i k l_r} sqrt(p_a / p_b),  r = T^{l_r} b,
 
-    with p the orbit sizes and `roots` the order-th roots of unity
-    e^{2 pi i q / order}.  The basis vector of representative b is
+    with p the orbit sizes.  The basis vector of representative b is
     |b, k> = p_b^{-1/2} sum_{l < p_b} e^{-i k l} T^l |b>, so only the
-    representatives with m p = 0 mod order may be selected.
+    representatives with m p = 0 mod order take part.
     """
-    cols, rows, amplitudes, turns = block.links
-    kept = fits[cols] & fits[rows]
-    position = np.cumsum(fits) - 1
-    phases = roots[np.multiply.outer(momenta, turns[kept]) % roots.size]
+    block, cols, rows, amplitudes, turns = orbits.links
+    blocks, momenta = (np.array(column)[:, None] for column in zip(*parts))
+    wanted = np.zeros(len(orbits.pattern), dtype=bool)
+    wanted[blocks] = True
+    near = np.flatnonzero(wanted[block])  # the links of the parts' blocks
+    part, link = np.nonzero((block[near] == blocks) & orbits.fits[momenta, cols[near]]
+                            & orbits.fits[momenta, rows[near]])
+    link = near[link]
+    m = momenta[part, 0]
+    phases = orbits.roots[m * turns[link] % orbits.roots.size]
     if real:  # the real part of a real root is exactly +-1
         phases = phases.real
-    size = int(position[-1]) + 1
-    stack = np.zeros((momenta.size, size, size), dtype=np.result_type(amplitudes, phases))
-    np.add.at(stack, (np.arange(momenta.size)[:, None], position[rows[kept]], position[cols[kept]]),
-              amplitudes[kept] * phases)
+    stack = np.zeros((len(parts), size, size), dtype=np.result_type(amplitudes, phases))
+    entry = (part * size + orbits.position[m, rows[link]]) * size + orbits.position[m, cols[link]]
+    np.add.at(stack.reshape(-1), entry, amplitudes[link] * phases)
     return stack
 
 
-def _spectra(terms: HamiltonianTerms) -> tuple[list[_Block], np.ndarray, list[_Sector]]:
-    """(pattern blocks, roots of unity of the group order, momentum blocks
-    with their eigenvalues).
+def _spectra(terms: HamiltonianTerms) -> tuple[_Orbits, list[_Sector]]:
+    """(the orbit tables, the momentum blocks with their eigenvalues).
 
     Each block of `_blocks` is split by the momenta k = 2 pi m / order of
     the group `_translations` finds.  Real terms take m = 0 .. order // 2
     only: the block of -m is the complex conjugate of the block of m, with
     the same eigenvalues.  Momenta of one block that share their set of
-    compatible representatives are built as one stack, real when the terms
-    are and every e^{ik} in it is +-1, checked for Hermiticity and given
+    compatible representatives form a group, built real when the terms are
+    and every e^{ik} in it is +-1.  All momentum blocks of equal size and
+    type, from any pattern blocks (the S^z = +-j sectors of a ring have the
+    same orbits), are built as one stack, checked for Hermiticity and given
     eigenvalues in one batched `eigvalsh`.  The trivial group leaves one
     momentum, m = 0, whose block is the pattern block itself.
 
@@ -360,31 +373,43 @@ def _spectra(terms: HamiltonianTerms) -> tuple[list[_Block], np.ndarray, list[_S
     """
     pattern = _blocks(terms)
     order, rep, shift, period = _translations(terms, pattern)
-    real = not np.iscomplexobj(terms.values)
+    dim, rows, cols, values = terms
+    real = not np.iscomplexobj(values)
     momenta = np.arange(order // 2 + 1 if real else order)
-    roots = np.exp(2j * np.pi * np.arange(order) / order)
-    blocks, sectors = [], []
-    for number, (idx, block_terms) in enumerate(pattern):
-        _, rows, cols, values = block_terms
-        local = np.searchsorted(idx, rep[idx])  # each state's representative, in block indices
-        is_rep = local == np.arange(idx.size)
-        slot = np.cumsum(is_rep) - 1  # a representative's number among the block's
-        linked = is_rep[cols]
-        rows, cols = rows[linked], cols[linked]
-        links = (slot[cols], slot[local[rows]],
-                 values[linked] * np.sqrt(period[idx[cols]] / period[idx[rows]]), shift[idx[rows]])
-        block = _Block(idx, block_terms, slot[local], shift[idx], period[idx], links)
-        blocks.append(block)
+    states = np.concatenate([idx for idx, _ in pattern])  # block by block
+    block_of = np.empty(dim, dtype=np.intp)
+    block_of[states] = np.repeat(np.arange(len(pattern)), [idx.size for idx, _ in pattern])
+    reps = states[rep[states] == states]
+    rank = np.empty(dim, dtype=np.intp)
+    rank[reps] = np.arange(reps.size)
+    first = np.searchsorted(block_of[reps], np.arange(len(pattern) + 1))
+    fits = np.multiply.outer(momenta, period[reps]) % order == 0
+    counts = np.cumsum(fits, axis=1)
+    before = np.hstack([np.zeros((momenta.size, 1), dtype=counts.dtype), counts])[:, first]
+    position = counts - 1 - before[:, block_of[reps]]
+    linked = rep[cols] == cols
+    rows, cols = rows[linked], cols[linked]
+    links = (block_of[cols], rank[cols], rank[rep[rows]],
+             values[linked] * np.sqrt(period[cols] / period[rows]), shift[rows])
+    orbits = _Orbits(pattern, np.exp(2j * np.pi * np.arange(order) / order), rep, shift, period,
+                     rank, fits, position, links)
+    sizes = np.diff(before, axis=1).tolist()  # [m][block]
+    labels, stacks = [], {}  # labels: (block, m) of each momentum block, in block order
+    for number in range(len(pattern)):
         groups: dict[bytes, list[int]] = {}
-        for m, fits in zip(momenta, np.multiply.outer(momenta, period[idx[is_rep]]) % order == 0):
-            if fits.any():
-                groups.setdefault(fits.tobytes(), []).append(m)
-        for key, ms in groups.items():
-            fits, ms = np.frombuffer(key, dtype=bool), np.array(ms)
-            stack = _momentum_blocks(block, roots, ms, fits, real and np.all(2 * ms % order == 0))
-            values = hermitian_eigenvalues(checked_hermitian(stack))
-            sectors.extend(_Sector(number, m, fits, vals) for m, vals in zip(ms, values))
-    return blocks, roots, sectors
+        for m, fit in enumerate(fits[:, first[number]:first[number + 1]]):
+            if sizes[m][number]:
+                groups.setdefault(fit.tobytes(), []).append(m)
+        for ms in groups.values():
+            key = (sizes[ms[0]][number], real and all(2 * m % order == 0 for m in ms))
+            stacks.setdefault(key, []).extend(range(len(labels), len(labels) + len(ms)))
+            labels.extend((number, m) for m in ms)
+    spectra = [None] * len(labels)
+    for (size, flat), where in stacks.items():
+        stack = _momentum_blocks(orbits, [labels[i] for i in where], size, flat)
+        for i, vals in zip(where, hermitian_eigenvalues(checked_hermitian(stack))):
+            spectra[i] = vals
+    return orbits, [_Sector(*label, vals) for label, vals in zip(labels, spectra)]
 
 
 def ground_state(hamiltonian: HamiltonianTerms | np.ndarray,
@@ -410,34 +435,36 @@ def ground_state(hamiltonian: HamiltonianTerms | np.ndarray,
     if policy is None:
         policy = GroundStatePolicy()
     terms = _as_terms(hamiltonian)
-    blocks, roots, sectors = _spectra(terms)
+    orbits, sectors = _spectra(terms)
     lowest = min(s.values[0] for s in sectors)
     span = max(s.values[-1] for s in sectors) - lowest
     top = lowest + DEGENERACY_RTOL * span
     level = [(s, int(np.count_nonzero(s.values <= top))) for s in sectors if s.values[0] <= top]
     if policy.mode is GroundStateMode.FIRST_VECTOR:
-        block = blocks[min(s.block for s, _ in level)]
+        idx, block_terms = orbits.pattern[min(s.block for s, _ in level)]
         v = np.zeros(terms.dim, dtype=terms.values.dtype)
-        v[block.idx] = hermitian_eigensystem(_dense(block.terms))[1][:, 0]
+        v[idx] = hermitian_eigensystem(_dense(block_terms))[1][:, 0]
         k = int(np.argmax(np.abs(v)))
         phase = v[k] / abs(v[k])
         v = v * phase.conjugate()
         return DensityOperator.from_factor(v.reshape(-1, 1))
     real = not np.iscomplexobj(terms.values)
+    roots = orbits.roots
     paired = [real and 0 < 2 * s.m < roots.size for s, _ in level]  # 0 < k < pi
     width = sum(k * (1 + pair) for (_, k), pair in zip(level, paired))
     factor = np.zeros((terms.dim, width), dtype=terms.values.dtype)
     column = 0
     for (sector, k), pair in zip(level, paired):
-        block, real_block = blocks[sector.block], real and not pair
-        stack = _momentum_blocks(block, roots, np.array([sector.m]), sector.fits, real_block)
+        real_block, m = real and not pair, sector.m
+        stack = _momentum_blocks(orbits, [(sector.block, m)], sector.values.size, real_block)
         vecs = hermitian_eigensystem(stack[0])[1][:, :k]
-        states = np.flatnonzero(sector.fits[block.rep])  # the block's states in these orbits
-        amplitudes = (roots[-sector.m * block.shift[states] % roots.size]
-                      / np.sqrt(block.period[states]))[:, None]  # e^{-ikl} / sqrt(p)
-        position = np.cumsum(sector.fits) - 1
-        w = vecs[position[block.rep[states]]] * (amplitudes.real if real_block else amplitudes)
-        rows = block.idx[states]
+        idx = orbits.pattern[sector.block][0]
+        ranks = orbits.rank[orbits.rep[idx]]  # each state's representative
+        fits = orbits.fits[m, ranks]
+        rows, ranks = idx[fits], ranks[fits]  # the block's states in these orbits
+        amplitudes = (roots[-m * orbits.shift[rows] % roots.size]
+                      / np.sqrt(orbits.period[rows]))[:, None]  # e^{-ikl} / sqrt(p)
+        w = vecs[orbits.position[m, ranks]] * (amplitudes.real if real_block else amplitudes)
         if pair:
             factor[rows, column:column + k] = math.sqrt(2.0) * w.real
             factor[rows, column + k:column + 2 * k] = math.sqrt(2.0) * w.imag
@@ -453,7 +480,7 @@ def ground_gap(hamiltonian: HamiltonianTerms | np.ndarray) -> float:
     or dense, and the first one above its degeneracy window; +inf if no level
     lies above the window.  Every momentum block gets its eigenvalues only
     (a block of real terms and its conjugate partner share them)."""
-    vals = np.sort(np.concatenate([s.values for s in _spectra(_as_terms(hamiltonian))[2]]))
+    vals = np.sort(np.concatenate([s.values for s in _spectra(_as_terms(hamiltonian))[1]]))
     span = float(vals[-1] - vals[0])
     above = vals[vals > vals[0] + DEGENERACY_RTOL * span]
     if above.size == 0:

@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import os
@@ -128,7 +129,9 @@ class DensityOperator:
     positivity check found them, and is None otherwise.  A numerically
     low-rank matrix is certified positive without an eigensolve of `matrix`
     when its pivoted Cholesky factor V passes `_certified_factor`; its
-    spectrum is then that of V^dagger V, padded with zeros.
+    spectrum is then that of V^dagger V, padded with zeros.  Any other
+    matrix is diagonalized whole, or popcount sector by popcount sector
+    when it holds them apart (`holds_popcount`, `popcount_blocks`).
 
     `factor` is None, or a 2^n x r matrix V with matrix = V V^dagger.
     `from_factor` keeps the V it is given, and forms `matrix` = V V^dagger
@@ -161,7 +164,9 @@ class DensityOperator:
             if certified is not None:
                 self.factor, self.spectrum = certified
                 return
-            vals = hermitian_eigenvalues(m)
+            singles, stacks = popcount_blocks(m, holds_popcount(m))
+            vals = np.sort(np.concatenate([singles, *(hermitian_eigenvalues(s).reshape(-1)
+                                                      for s in stacks)]))
             lo = float(vals[0])
             if lo < PSD_EIG_FLOOR:
                 raise InvariantViolation(f"minimum eigenvalue {lo!r} below {PSD_EIG_FLOOR}")
@@ -273,6 +278,65 @@ def _pivoted_cholesky(m: np.ndarray, steps: int, stop: float = -math.inf) -> np.
         residual -= np.abs(v[:, k]) ** 2
         k += 1
     return np.ascontiguousarray(v[:, :k])
+
+
+# Entries of a d x d matrix gathered at a time where a second d x d array
+# is not to be made.
+BLOCK_ENTRIES = 1 << 16
+
+
+@functools.lru_cache(maxsize=None)
+def _popcount_sectors(num_qubits: int) -> tuple[np.ndarray, ...]:
+    """The basis indices of each popcount, by ascending popcount; the
+    indices of a sector ascend, and sector 0 is index 0 alone."""
+    index = np.arange(1 << num_qubits)
+    label = sum((index >> q) & 1 for q in range(num_qubits))
+    order = np.argsort(label, kind="stable")
+    return tuple(np.split(order, np.flatnonzero(np.diff(label[order])) + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _sector_stacks(num_qubits: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """(the indices of the 1 x 1 popcount sectors, one (s, c) array per
+    size c > 1 holding the indices of the s sectors of that size)."""
+    by_size: dict[int, list[np.ndarray]] = {}
+    for idx in _popcount_sectors(num_qubits):
+        by_size.setdefault(idx.size, []).append(idx)
+    singles = np.concatenate(by_size.pop(1))
+    return singles, tuple(np.stack(group) for group in by_size.values())
+
+
+def holds_popcount(m: np.ndarray) -> bool:
+    """Whether every entry of the 2^n x 2^n matrix `m` between basis states
+    of different popcount (a spin ring's magnetization) is exactly 0.0.
+
+    Only exact zeros count: there is no tolerance.  A partial trace sums
+    entries between basis states whose traced qubits agree, so it keeps
+    these zeros, and every reduced matrix of `m` holds the popcounts of its
+    own local index apart (see `popcount_blocks`).  Rows are gathered a few
+    of one sector at a time, so no second d x d array is made; sector 0 is
+    row 0 alone, so a generic matrix is rejected in O(d).
+    """
+    rows = max(1, BLOCK_ENTRIES // m.shape[0])
+    for idx in _popcount_sectors(m.shape[0].bit_length() - 1):
+        for start in range(0, idx.size, rows):
+            block = m[idx[start:start + rows]]
+            block[:, idx] = 0
+            if block.any():
+                return False
+    return True
+
+
+def popcount_blocks(m: np.ndarray, split: bool) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The eigenvalue problems of a Hermitian 2^n x 2^n matrix: with `split`
+    (the matrix holds the popcounts apart, see `holds_popcount`), the real
+    diagonal entries of its 1 x 1 sectors, which are eigenvalues, and one
+    stack (s, c, c) per size c > 1 of its s sectors of that size; without,
+    m is the one problem."""
+    if not split:
+        return np.empty(0), [m]
+    singles, stacks = _sector_stacks(m.shape[0].bit_length() - 1)
+    return m[singles, singles].real, [m[idx[:, :, None], idx[:, None, :]] for idx in stacks]
 
 
 def tensor_product(a: DensityOperator, b: DensityOperator) -> DensityOperator:

@@ -364,6 +364,9 @@ def test_perturbation_just_above_and_below_the_budget(make, path):
 
 
 def eigensolves(state, monkeypatch):
+    """Eigensolves of one `ccm`, with every dense matrix diagonalized whole
+    (its popcount sectors are counted in test_charge_sectors.py), so that
+    they count the orbit representatives."""
     calls = []
     original = qcorr.entropy.hermitian_eigenvalues
 
@@ -372,6 +375,7 @@ def eigensolves(state, monkeypatch):
         return original(m)
 
     monkeypatch.setattr(qcorr.entropy, "hermitian_eigenvalues", count)
+    monkeypatch.setattr(qcorr.entropy, "holds_popcount", lambda m: False)
     report = ccm(state)
     monkeypatch.undo()
     return len(calls), report
