@@ -1,4 +1,18 @@
-"""Single-qubit Kraus channels and their local application to registers."""
+"""Single-qubit Kraus channels and their local application to registers.
+
+A channel acts on each chosen qubit through its 4x4 superoperator
+S = sum_k E_k (x) E_k^* (`linalg.superoperator`), applied by
+`states.apply_local_superoperators`.  A state in popcount-block form (a ring
+ground state, say, whose factor columns each lie in one popcount sector)
+stays in it, and its 2^n x 2^n matrix is never formed, under every channel
+whose S keeps row and column popcounts together: phase damping scales the
+entries of each block, amplitude damping also feeds block k + 1 into block
+k, and depolarizing noise feeds both ways.  A Kraus set whose S moves them
+apart (a bit flip, say), or a state without blocks, goes through the dense
+kernel `linalg.apply_superoperators`.  The output is not validated again:
+S maps Hermitian matrices to Hermitian ones, and construction certified
+that the channel keeps the trace.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, OutOfRange
-from .linalg import apply_superoperators, superoperator
-from .states import DensityOperator, check_subset, subset_qubits
+from .linalg import superoperator
+from .states import DensityOperator, apply_local_superoperators, check_subset, subset_qubits
 
 TP_ATOL = 1e-10
 
@@ -66,14 +80,14 @@ def apply_channel_local(rho: DensityOperator, channel: KrausChannel, qubits: int
     """Apply `channel` independently to every qubit in the mask `qubits`.
 
     The channel acts through its superoperator (see `linalg.superoperator`),
-    which stays real for real Kraus operators, so a real state stays real.
-    An exact identity channel (damping strength 0) returns `rho` itself,
-    factor included.
+    which stays real for real Kraus operators, so a real state stays real,
+    and block by block on a state with popcount blocks when it keeps them
+    (see the module docstring).  An exact identity channel (damping
+    strength 0) returns `rho` itself, factor included.
     """
     n = rho.num_qubits
     check_subset(qubits, n, allow_empty=True)
     s = superoperator(channel.operators)
     if qubits == 0 or np.array_equal(s, np.eye(4)):
         return rho
-    supers = [(q, s) for q in subset_qubits(qubits)]
-    return DensityOperator(apply_superoperators(rho.matrix, n, supers))
+    return apply_local_superoperators(rho, [(q, s) for q in subset_qubits(qubits)])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ccm import ccm, ccm_naive, ghz_closed_form
-from .channels import apply_channel_local
+from .channels import amplitude_damping_channel, apply_channel_local, phase_damping_channel
 from .entropy import DistanceUnit, mutual_information, relative_entropy
 from .sampling import (
     random_density,
@@ -20,6 +20,7 @@ from .sampling import (
     random_product_density,
     random_qubit_channel,
 )
+from .spin_models import chain_terms, ground_state, xxz_ring
 from .states import apply_local_unitary, full_mask, make_ghz, partial_trace, tensor_product
 
 NONNEGATIVITY_TOL = 1e-9
@@ -124,12 +125,19 @@ def check_ghz_growth() -> CheckResult:
 
 
 def check_dp_vs_naive(rng: np.random.Generator, count: int) -> CheckResult:
-    """Dynamic program equals literal recursion on random mixed states."""
+    """Dynamic program equals literal recursion on random mixed states, and
+    on XXZ rings damped by either built-in channel, whose table the dynamic
+    program takes from popcount blocks."""
     worst = 0.0
-    for n in _sizes(count, (2, 3, 4)):
-        rho = random_density(n, rng)
+    states = [random_density(n, rng) for n in _sizes(count, (2, 3, 4))]
+    channels = (phase_damping_channel, amplitude_damping_channel)
+    for i, n in enumerate(_sizes(count, (2, 3, 4, 5, 6))):
+        ring = ground_state(chain_terms(xxz_ring(n, float(rng.uniform(-2.0, 2.0)))))
+        damping = channels[i % 2](float(rng.uniform(0.0, 1.0)))
+        states.append(apply_channel_local(ring, damping, full_mask(n)))
+    for rho in states:
         worst = max(worst, abs(ccm(rho).value - ccm_naive(rho)))
-    return _result("dp vs naive recursion", worst, DP_VS_NAIVE_TOL, count)
+    return _result("dp vs naive recursion", worst, DP_VS_NAIVE_TOL, len(states))
 
 
 def check_closed_form_vs_dp(max_qubits: int = 6) -> CheckResult:

@@ -5,23 +5,26 @@ a factor V (rho = V V^dagger: a `PureState`, a `DensityOperator` built by
 `from_factor`, or a numerically low-rank one that got V when its positivity
 was checked) gives rho_A's nonzero spectrum as that of the smaller Gram
 matrix of V reshaped to 2^|A| x (2^(n-|A|) r), with no partial trace.  Any
-other state is reduced and its reduced matrix diagonalized: one subset at a
+other state is reduced and its reduced data diagonalized: one subset at a
 time by `partial_trace`, or, for the whole table that `ccm` needs, by
-`subset_entropies`, which traces one qubit at a time out of a parent subset.
-The whole register's entropy comes from the spectrum that the positivity
-check kept, when there is one.  The table diagonalizes one subset per orbit
-of the qubit permutations that leave the state unchanged (`qubit_symmetry`,
-`orbit_representatives`).
+`subset_entropies`, which walks a tree of subsets, tracing one qubit at a
+time out of a parent subset (`_walk_tree`).  The whole register's entropy
+comes from the spectrum that the positivity check kept, when there is one.
+The table diagonalizes one subset per orbit of the qubit permutations that
+leave the state unchanged (`qubit_symmetry`, `orbit_representatives`).
 
-A dense state whose entries between basis states of different popcount (the
-magnetization of a spin ring: XXZ and double-XXZ ground states, damped or
-not) are exactly 0.0 conserves it (`states.holds_popcount`).  A partial
-trace keeps those zeros, so every matrix of its table is diagonalized one
-popcount sector of its local index at a time: the sectors of each size as
-one batched stack, the 1 x 1 sectors read off the diagonal.  Only exact
-zeros count, and any other state is diagonalized whole.  The damped N = 8
+One walk serves every state without a factor.  A state with popcount blocks
+(`DensityOperator.blocks`: damped XXZ and double-XXZ ground states, and
+matrices that hold popcounts apart) is carried as blocks all the way down,
+since a partial trace keeps the zeros between popcounts: a parent's blocks
+become its child's by index gathers, 1 x 1 blocks are read off, and each
+larger block waits to be diagonalized with the blocks of the same size of
+every other subset of its size, in one stacked `hermitian_eigenvalues` call
+(`_Eigensolves`, which flushes before BLOCK_ENTRIES entries wait).  Any other
+state is the one-block case: its matrices are reduced by a reshape and the
+sum of two slices and wait whole, stacked the same way.  The damped N = 8
 ring's largest eigensolve is 70 instead of 256, N = 10's 252 instead of
-1024.
+1024, and its 29 subsets take 16 stacked calls.
 
 All entropies use log base 2 internally.  Results can be reported either in
 bits or in "normalized" units (bits / 2), the scale on which one Bell pair
@@ -32,6 +35,7 @@ everywhere.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 
 import numpy as np
@@ -43,12 +47,13 @@ from .states import (
     SUPPORT_CUTOFF,
     DensityOperator,
     PureState,
+    block_layout,
     check_subset,
     full_mask,
-    holds_popcount,
     partial_trace,
-    popcount_blocks,
+    permuted_entries,
     subset_qubits,
+    trace_entries,
 )
 
 
@@ -147,14 +152,21 @@ def _moves_by_at_most_cutoff(state: PureState | DensityOperator, perm: list[int]
     D = W W^dagger - V V^dagger for the permuted factor W; if [W V] = Q R,
     then ||D||_1 is the trace norm of the 2r x 2r matrix R J R^dagger, with
     J = diag(1, -1) on W's and V's columns, so it is exact and costs
-    O(d r^2).  A dense state is bounded by ||D||_1 <= sqrt(d) ||D||_F, with
-    ||D||_F summed over blocks of rows so that no second full-size matrix is
-    made.
+    O(d r^2).  Any other state is bounded by ||D||_1 <= sqrt(d) ||D||_F,
+    with ||D||_F summed over pieces of BLOCK_ENTRIES entries so that no
+    second full-size array is made: over its popcount blocks, which a qubit
+    permutation maps onto themselves, when it has them, else over rows.
     """
     n = state.num_qubits
     shape = (2,) * n
     v = state.factor
-    diag = (np.abs(v) ** 2).sum(axis=1) if v is not None else state.matrix.diagonal().real
+    blocks = state.blocks if v is None else None
+    if v is not None:
+        diag = (np.abs(v) ** 2).sum(axis=1)
+    elif blocks is not None:
+        diag = blocks[block_layout(n).diagonal].real
+    else:
+        diag = state.matrix.diagonal().real
     if float(np.abs(diag.reshape(shape).transpose(perm).reshape(-1) - diag).sum()) > SUPPORT_CUTOFF:
         return False
     if v is not None:
@@ -163,12 +175,21 @@ def _moves_by_at_most_cutoff(state: PureState | DensityOperator, perm: list[int]
         rr = np.linalg.qr(np.hstack([w, v]), mode="r")
         small = rr[:, :r] @ rr[:, :r].conj().T - rr[:, r:] @ rr[:, r:].conj().T
         return float(np.linalg.norm(small, "nuc")) <= SUPPORT_CUTOFF
-    m = state.matrix
-    d = m.shape[0]
-    index = np.arange(d).reshape(shape).transpose(perm).reshape(-1)
+    d = 1 << n
     limit = SUPPORT_CUTOFF ** 2 / d  # on ||D||_F^2
-    rows = max(1, BLOCK_ENTRIES // d)
     total = 0.0
+    if blocks is not None:
+        (where,) = permuted_entries(n, tuple(perm))
+        for start in range(0, blocks.size, BLOCK_ENTRIES):
+            piece = blocks.take(where[start:start + BLOCK_ENTRIES])
+            piece -= blocks[start:start + BLOCK_ENTRIES]
+            total += float(np.vdot(piece, piece).real)
+            if total > limit:
+                return False
+        return True
+    m = state.matrix
+    index = np.arange(d).reshape(shape).transpose(perm).reshape(-1)
+    rows = max(1, BLOCK_ENTRIES // d)
     for start in range(0, d, rows):
         block = m[np.ix_(index[start:start + rows], index)]
         block -= m[start:start + rows]
@@ -221,16 +242,8 @@ def subset_entropies(state: PureState | DensityOperator) -> SubsetTable:
     A state with a factor takes `subset_entropy`'s Gram path for each
     representative; when the factor is one column (a pure state), S(A) =
     S(rest of A), so a representative whose complement's orbit comes earlier
-    copies that entry, and the whole register gets 0.  A dense state is
-    reduced along a tree: the parent of a subset is the subset plus its
-    lowest missing qubit, and a child's matrix is its parent's with one qubit
-    traced out.  The parent of a representative is a representative too (a
-    smallest mask stays smallest in its orbit when its lowest missing qubit
-    is added, for every group and register size `ccm` takes), so only
-    representatives are reduced and diagonalized.  The root takes the
-    spectrum the positivity check kept, if any.  The tree is walked depth
-    first, so only the matrices on the current path are alive, and no
-    reduced matrix is re-validated.
+    copies that entry, and the whole register gets 0.  Any other state is
+    reduced along a tree by `_walk_tree`.
     """
     n = state.num_qubits
     full = full_mask(n)
@@ -243,41 +256,106 @@ def subset_entropies(state: PureState | DensityOperator) -> SubsetTable:
                 twin = rep[full ^ mask]
                 table[mask] = table[twin] if pure and twin < mask else subset_entropy(state, mask)
     else:
-        matrix = state.matrix
-        _reduce_along_tree(matrix, full, n, table, rep, holds_popcount(matrix), state.spectrum)
+        _walk_tree(state, rep, table)
     out = SubsetTable(table[r] for r in rep)
     out.representatives = rep
     return out
 
 
-def _reduce_along_tree(matrix: np.ndarray, mask: int, low: int, table: list[float],
-                       rep: list[int], split: bool,
-                       spectrum: np.ndarray | None = None) -> None:
-    """Fill `table` for the representative `mask`, whose reduced matrix is
-    `matrix` (with eigenvalues `spectrum`, if known), and for every
-    representative below it.  `low` is the lowest qubit missing from `mask`
-    (n for the whole register); its children drop one qubit q < low, which
-    is leg q of `matrix` because qubits 0..low-1 are all in `mask`.  With
-    `split`, every matrix of the tree holds its popcounts apart (see
-    `popcount_blocks`) and is diagonalized sector by sector: the 1 x 1
-    sectors are read off the diagonal, and the sectors of each larger size
-    are diagonalized as one stack."""
-    if spectrum is None:
-        singles, stacks = popcount_blocks(matrix, split)
-        spectrum = np.concatenate([singles, *(hermitian_eigenvalues(s).reshape(-1) for s in stacks)])
-    table[mask] = _entropy_bits(spectrum)
-    d = matrix.shape[0]
-    if d == 2:
-        return
-    for q in range(low):
-        child = mask & ~(1 << q)
-        if rep[child] != child:
-            continue
-        outer, inner = 1 << q, d >> (q + 1)
-        t = matrix.reshape(outer, 2, inner, outer, 2, inner)
-        # The child is passed unbound, so it is freed as soon as its subtree is done.
-        _reduce_along_tree((t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]).reshape(d // 2, d // 2),
-                           child, q, table, rep, split)
+class _Eigensolves:
+    """Matrices waiting to be diagonalized, stacked by (subset size, matrix
+    size) and solved one `hermitian_eigenvalues` call per stack when
+    `flush` is called, or before the waiting entries would pass
+    BLOCK_ENTRIES.  Each result is written to its slot of a spectrum list."""
+
+    def __init__(self):
+        self.waiting: dict[tuple[int, int], list] = {}
+        self.entries = 0
+
+    def add(self, key: tuple[int, int], matrix: np.ndarray, spectrum: list, slot: int) -> None:
+        if self.entries + matrix.size > BLOCK_ENTRIES:
+            self.flush()
+        self.waiting.setdefault(key, []).append((matrix, spectrum, slot))
+        self.entries += matrix.size
+
+    def flush(self) -> None:
+        for items in self.waiting.values():
+            stack = np.stack([m for m, _, _ in items]) if len(items) > 1 else items[0][0][None]
+            for vals, (_, spectrum, slot) in zip(hermitian_eigenvalues(stack), items):
+                spectrum[slot] = vals
+        self.waiting.clear()
+        self.entries = 0
+
+
+def _walk_tree(state: DensityOperator, rep: list[int], table: list[float]) -> None:
+    """Fill `table` for every representative of `rep`, for a state without
+    a factor.
+
+    The parent of a subset is the subset plus its lowest missing qubit, and
+    a child's data are its parent's with that one qubit traced out.  The
+    parent of a representative is a representative too (a smallest mask
+    stays smallest in its orbit when its lowest missing qubit is added, for
+    every group and register size `ccm` takes), so only representatives are
+    reduced.  The tree is walked depth first, so only the data on the
+    current path and those waiting in `_Eigensolves` are alive.
+
+    A state with popcount blocks is carried as blocks all the way down
+    (`trace_entries`: a partial trace keeps the zeros between popcounts):
+    its 1 x 1 blocks are read off, and every larger block waits for a
+    stacked eigensolve with the equal blocks of the other subsets of its
+    size.  Any other state is the one-block case: its matrix is reduced by
+    a reshape and the sum of two slices, and waits whole.  The root takes
+    the spectrum the positivity check kept, if any.  Each spectrum is
+    assembled in the order 1 x 1 blocks, then blocks 1, m - 1, 2, m - 2, ...
+    """
+    n = state.num_qubits
+    blocks = state.blocks
+    charged = blocks is not None
+    solves = _Eigensolves()
+    spectra: dict[int, list] = {}
+
+    def visit(data: np.ndarray, mask: int, m: int, low: int, known: np.ndarray | None = None) -> None:
+        if known is not None:
+            spectra[mask] = [known]
+        elif charged:
+            lay, order = block_layout(m), _block_order(m)
+            spectrum = spectra[mask] = [data[[0, lay.offsets[m]]].real] + [None] * len(order)
+            for slot, k in enumerate(order, 1):
+                c = lay.sizes[k]
+                solves.add((m, c), data[lay.offsets[k]:lay.offsets[k + 1]].reshape(c, c), spectrum, slot)
+        else:
+            d = 1 << m
+            spectrum = spectra[mask] = [None]
+            solves.add((m, d), data.reshape(d, d), spectrum, 0)
+        if m == 1:
+            return
+        for q in range(low):  # leg q of the data is qubit q: qubits 0..low-1 are all in `mask`
+            child = mask & ~(1 << q)
+            if rep[child] != child:
+                continue
+            if charged:
+                zero, one = trace_entries(m, q)
+                reduced = data.take(zero)
+                reduced += data.take(one)
+            else:
+                outer, inner = 1 << q, 1 << (m - q - 1)
+                t = data.reshape(outer, 2, inner, outer, 2, inner)
+                reduced = (t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]).reshape(-1)
+            # The child is passed unbound: once its subtree is queued, only the
+            # stacks still waiting for their eigensolve keep it alive.
+            visit(reduced, child, m - 1, q)
+
+    visit(blocks if charged else state.matrix.reshape(-1), full_mask(n), n, n, state.spectrum)
+    solves.flush()
+    for mask, spectrum in spectra.items():
+        table[mask] = _entropy_bits(spectrum[0] if len(spectrum) == 1 else np.concatenate(spectrum))
+
+
+@functools.lru_cache(maxsize=None)
+def _block_order(m: int) -> tuple[int, ...]:
+    """The blocks of an m-qubit state larger than 1 x 1, in spectrum order:
+    1, m - 1, 2, m - 2, ..."""
+    return tuple(k for j in range(1, m // 2 + 1) for k in dict.fromkeys((j, m - j)))
 
 
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator,

@@ -6,15 +6,37 @@ Conventions used throughout the package:
   three qubits ``|101>`` is basis index 5 and its qubit 0 reads 1.
 * Subsets of qubits are plain ``int`` bitmasks with bit ``i`` standing for
   qubit ``i``.  A mask is only meaningful together with the register size.
+
+A `DensityOperator` is held in one of three forms, and forms its 2^n x 2^n
+`matrix` only when something reads it:
+
+* a factor V with rho = V V^dagger (`from_factor`, ground states, low-rank
+  state files);
+* popcount blocks (`blocks`, laid out by `sector_views`): a state whose
+  entries between basis states of different popcount (a spin ring's
+  magnetization) are exactly 0.0 is the direct sum of one
+  C(n, k) x C(n, k) block per popcount k, C(2n, n) entries in all, stored
+  back to back in one flat array.  A ground-state factor whose columns each
+  lie in one popcount sector gives them as V_k V_k^dagger; a channel that
+  keeps popcounts apart maps blocks to blocks
+  (`apply_local_superoperators`); the public constructor, and so intake,
+  finds them with `holds_popcount`, which runs nowhere else;
+* a dense matrix, which is the one-block case.
+
+Validation happens once, at the boundary: the public constructor and
+`read_qs1` check their input, while `partial_trace`, `tensor_product`,
+`apply_local_unitary` and the channels, which keep Hermiticity and the
+trace, build their output through the trusted `DensityOperator._trusted`.
 """
 
 from __future__ import annotations
 
 import functools
 import io
+import itertools
 import math
 import os
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -119,19 +141,23 @@ class DensityOperator:
     states (chain ground states and what the built-in channels make of them)
     are reduced and diagonalized in real arithmetic.
 
-    Construction checks Hermiticity (1e-10) and unit trace (1e-10); these are
-    cheap.  Positivity is checked only when `check_psd=True` (used for
-    untrusted input such as state files) because it needs an eigensolve.
-    Small negative eigenvalues from round-off are tolerated down to -1e-9 and
-    are clamped where entropies are evaluated, never in storage.
+    The public constructor is the boundary: it checks Hermiticity (1e-10)
+    and unit trace (1e-10), and whether the matrix holds popcounts apart
+    (`holds_popcount`).  Positivity is checked only when `check_psd=True`
+    (used for untrusted input such as state files) because it needs an
+    eigensolve.  Small negative eigenvalues from round-off are tolerated down
+    to -1e-9 and are clamped where entropies are evaluated, never in storage.
+    The maps that keep these properties (`partial_trace`, `tensor_product`,
+    `apply_local_superoperators` and so the channels and local unitaries)
+    build their output without checking it again.
 
     `spectrum` holds the ascending eigenvalues of `matrix` when the
     positivity check found them, and is None otherwise.  A numerically
     low-rank matrix is certified positive without an eigensolve of `matrix`
     when its pivoted Cholesky factor V passes `_certified_factor`; its
     spectrum is then that of V^dagger V, padded with zeros.  Any other
-    matrix is diagonalized whole, or popcount sector by popcount sector
-    when it holds them apart (`holds_popcount`, `popcount_blocks`).
+    matrix is diagonalized whole, or popcount block by popcount block when
+    it has `blocks`.
 
     `factor` is None, or a 2^n x r matrix V with matrix = V V^dagger.
     `from_factor` keeps the V it is given, and forms `matrix` = V V^dagger
@@ -140,9 +166,14 @@ class DensityOperator:
     attaches a factor when the matrix is numerically of low rank (see
     `_low_rank_factor`); `matrix` then stays the matrix passed in, which
     V V^dagger matches to 1e-13 in every entry.
+
+    `blocks` is the popcount-block form (see `sector_views`) of a state that
+    holds popcounts apart, and None for any other state, which is the
+    one-block case.  A state made from blocks forms `matrix` from them on its
+    first read.
     """
 
-    __slots__ = ("_matrix", "num_qubits", "factor", "spectrum")
+    __slots__ = ("_matrix", "_blocks", "_charged", "num_qubits", "factor", "spectrum")
 
     def __init__(self, matrix: np.ndarray, *, check_psd: bool = False):
         m = real_or_complex(matrix)
@@ -157,6 +188,10 @@ class DensityOperator:
         if abs(tr - 1.0) > TRACE_ATOL:
             raise InvariantViolation(f"trace {tr!r} differs from 1 by more than {TRACE_ATOL}")
         self._matrix = m
+        self._blocks = None
+        # Whether `m` holds popcounts apart: True, False, or None while a
+        # factor has not been looked at (see `blocks`).
+        self._charged = holds_popcount(m)
         self.factor = None
         self.spectrum = None
         if check_psd:
@@ -164,9 +199,9 @@ class DensityOperator:
             if certified is not None:
                 self.factor, self.spectrum = certified
                 return
-            singles, stacks = popcount_blocks(m, holds_popcount(m))
-            vals = np.sort(np.concatenate([singles, *(hermitian_eigenvalues(s).reshape(-1)
-                                                      for s in stacks)]))
+            blocks = self.blocks
+            vals = (hermitian_eigenvalues(m) if blocks is None
+                    else np.sort(_sector_eigenvalues(blocks, self.num_qubits)))
             lo = float(vals[0])
             if lo < PSD_EIG_FLOOR:
                 raise InvariantViolation(f"minimum eigenvalue {lo!r} below {PSD_EIG_FLOOR}")
@@ -191,20 +226,55 @@ class DensityOperator:
         tr = float(np.vdot(v, v).real)
         if abs(tr - 1.0) > TRACE_ATOL:
             raise InvariantViolation(f"trace {tr!r} differs from 1 by more than {TRACE_ATOL}")
-        self = cls.__new__(cls)
-        self._matrix = None
-        self.num_qubits = num_qubits
+        self = cls._trusted(num_qubits)
+        self._charged = None
         self.factor = v
+        return self
+
+    @classmethod
+    def _trusted(cls, num_qubits: int, *, matrix: np.ndarray | None = None,
+                 blocks: np.ndarray | None = None) -> "DensityOperator":
+        """The output of a map that keeps Hermiticity and the trace, applied
+        to a valid state, given as a `matrix` (the one-block case) or as
+        `blocks`: nothing is checked again."""
+        self = cls.__new__(cls)
+        self.num_qubits = num_qubits
+        self._matrix = matrix
+        self._blocks = blocks
+        self._charged = blocks is not None
+        self.factor = None
         self.spectrum = None
         return self
 
     @property
     def matrix(self) -> np.ndarray:
-        """The 2^n x 2^n density matrix; V V^dagger is formed once, on first read."""
+        """The 2^n x 2^n density matrix; formed once, on first read, from the
+        factor (V V^dagger) or from the blocks."""
         if self._matrix is None:
-            v = self.factor
-            self._matrix = v @ v.conj().T
+            if self.factor is not None:
+                v = self.factor
+                self._matrix = v @ v.conj().T
+            else:
+                self._matrix = _matrix_from_blocks(self._blocks, self.num_qubits)
         return self._matrix
+
+    @property
+    def blocks(self) -> np.ndarray | None:
+        """The popcount blocks of the state back to back (see `sector_views`),
+        or None when it does not hold popcounts apart.
+
+        They are formed once, on first read: from the matrix, when the
+        constructor found it holds popcounts apart; from the factor V when
+        every column of V lies in one popcount sector, as block
+        k = V_k V_k^dagger over the columns and rows of sector k.
+        """
+        if self._blocks is None and self._charged is not False:
+            if self._charged is None:
+                self._blocks = _blocks_from_factor(self.factor, self.num_qubits)
+                self._charged = self._blocks is not None
+            else:
+                self._blocks = _blocks_from_matrix(self._matrix, self.num_qubits)
+        return self._blocks
 
     @property
     def dim(self) -> int:
@@ -280,45 +350,181 @@ def _pivoted_cholesky(m: np.ndarray, steps: int, stop: float = -math.inf) -> np.
     return np.ascontiguousarray(v[:, :k])
 
 
-# Entries of a d x d matrix gathered at a time where a second d x d array
-# is not to be made.
+# Entries of a working piece: gathered at a time where a second full-size
+# array is not to be made, waiting at most in the stacks of eigensolves of
+# the entropy table, and held at most by the index arrays of the block
+# layout that are kept for reuse (larger ones cost little beside the gathers
+# they drive, and are made afresh).
 BLOCK_ENTRIES = 1 << 16
 
 
+class BlockLayout(NamedTuple):
+    """Where each popcount block of an n-qubit state sits in its flat array."""
+
+    sectors: tuple[np.ndarray, ...]  # basis indices of popcount k, ascending
+    position: np.ndarray             # each basis index's place in its sector
+    sizes: tuple[int, ...]           # C(n, k)
+    offsets: tuple[int, ...]         # block k is flat[offsets[k]:offsets[k + 1]]
+    diagonal: np.ndarray             # each basis index's diagonal entry in the flat array
+    popcount: np.ndarray             # each basis index's popcount
+
+
 @functools.lru_cache(maxsize=None)
-def _popcount_sectors(num_qubits: int) -> tuple[np.ndarray, ...]:
-    """The basis indices of each popcount, by ascending popcount; the
-    indices of a sector ascend, and sector 0 is index 0 alone."""
+def block_layout(num_qubits: int) -> BlockLayout:
+    """The popcount blocks of an n-qubit state and their places in its flat
+    block array (see `sector_views`).  The sectors ascend in popcount and
+    hold ascending basis indices; sector 0 is index 0 alone."""
     index = np.arange(1 << num_qubits)
     label = sum((index >> q) & 1 for q in range(num_qubits))
     order = np.argsort(label, kind="stable")
-    return tuple(np.split(order, np.flatnonzero(np.diff(label[order])) + 1))
+    sectors = tuple(np.split(order, np.flatnonzero(np.diff(label[order])) + 1))
+    position = np.empty(1 << num_qubits, dtype=np.intp)
+    for idx in sectors:
+        position[idx] = np.arange(idx.size)
+    sizes = tuple(idx.size for idx in sectors)
+    offsets = (0, *itertools.accumulate(c * c for c in sizes))
+    diagonal, popcount = np.empty_like(position), np.empty_like(position)
+    for k, idx in enumerate(sectors):
+        diagonal[idx] = offsets[k] + np.arange(idx.size) * (idx.size + 1)
+        popcount[idx] = k
+    return BlockLayout(sectors, position, sizes, offsets, diagonal, popcount)
 
 
-@functools.lru_cache(maxsize=None)
-def _sector_stacks(num_qubits: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """(the indices of the 1 x 1 popcount sectors, one (s, c) array per
-    size c > 1 holding the indices of the s sectors of that size)."""
+def sector_views(blocks: np.ndarray, num_qubits: int) -> list[np.ndarray]:
+    """The popcount blocks of an n-qubit state as C(n, k) x C(n, k) views,
+    k = 0..n, into its flat block array.
+
+    Block k holds the matrix entries between the basis states of popcount k,
+    rows and columns in ascending basis index; the flat array holds block 0,
+    block 1, ... back to back, each row-major: C(2n, n) entries in all.
+    """
+    lay = block_layout(num_qubits)
+    return [blocks[lay.offsets[k]:lay.offsets[k + 1]].reshape(c, c) for k, c in enumerate(lay.sizes)]
+
+
+def _entries(lay: BlockLayout, parts: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """Flat positions of the entries of block k in `rows` x `rows`, row-major,
+    for each (k, rows) of `parts` in turn, in one array."""
+    out = np.empty(sum(rows.size ** 2 for _, rows in parts), dtype=np.intp)
+    start = 0
+    for k, rows in parts:
+        c = rows.size
+        np.add((lay.offsets[k] + rows * lay.sizes[k])[:, None], rows, out=out[start:start + c * c].reshape(c, c))
+        start += c * c
+    return out
+
+
+def _kept_when_small(make):
+    """`make`, with each result kept for reuse when its index arrays hold at
+    most BLOCK_ENTRIES entries in all."""
+    kept = {}
+
+    @functools.wraps(make)
+    def get(*key):
+        out = kept.get(key)
+        if out is None:
+            out = make(*key)
+            if sum(a.size for a in out) <= BLOCK_ENTRIES:
+                kept[key] = out
+        return out
+
+    return get
+
+
+@_kept_when_small
+def trace_entries(num_qubits: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(zero, one): the flat block array of an n-qubit state with qubit q
+    traced out is blocks[zero] + blocks[one].
+
+    Block j of the (n-1)-qubit result sums the entries of block j whose
+    rows and columns have qubit q at 0 and those of block j + 1 whose rows
+    and columns have it at 1; dropping qubit q keeps the order of either set.
+    """
+    lay = block_layout(num_qubits)
+    bit = 1 << (num_qubits - 1 - q)
+    zero = _entries(lay, [(j, np.flatnonzero((lay.sectors[j] & bit) == 0)) for j in range(num_qubits)])
+    one = _entries(lay, [(j + 1, np.flatnonzero(lay.sectors[j + 1] & bit)) for j in range(num_qubits)])
+    return zero, one
+
+
+@_kept_when_small
+def permuted_entries(num_qubits: int, perm: tuple[int, ...]) -> tuple[np.ndarray]:
+    """(where,): the flat block array of an n-qubit state with its qubits
+    permuted by `perm` (an axis order, as for `np.transpose`) is blocks[where]."""
+    lay = block_layout(num_qubits)
+    index = np.arange(1 << num_qubits).reshape((2,) * num_qubits).transpose(perm).reshape(-1)
+    return (_entries(lay, [(k, lay.position[index[idx]]) for k, idx in enumerate(lay.sectors)]),)
+
+
+@_kept_when_small
+def _qubit_entries(num_qubits: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(code, low, high) for qubit q of the flat block array: code is
+    2 r + c for each entry, r and c being qubit q of its row and its column;
+    low lists the entries of blocks 0..n-1 with r = c = 0 and high, in the
+    same order, the entries of the next block that set qubit q in both."""
+    lay = block_layout(num_qubits)
+    bit = 1 << (num_qubits - 1 - q)
+    code = np.empty(lay.offsets[-1], dtype=np.int8)
+    low, high = [], []
+    for k, idx in enumerate(lay.sectors):
+        b = ((idx & bit) != 0).astype(np.int8)
+        np.add(2 * b[:, None], b, out=code[lay.offsets[k]:lay.offsets[k + 1]].reshape(idx.size, idx.size))
+        rows = np.flatnonzero(b == 0)
+        if rows.size:
+            low.append((k, rows))
+            high.append((k + 1, lay.position[idx[rows] | bit]))
+    return code, _entries(lay, low), _entries(lay, high)
+
+
+def _blocks_from_matrix(m: np.ndarray, num_qubits: int) -> np.ndarray:
+    return np.concatenate([m[np.ix_(idx, idx)].reshape(-1) for idx in block_layout(num_qubits).sectors])
+
+
+def _blocks_from_factor(v: np.ndarray, num_qubits: int) -> np.ndarray | None:
+    """The blocks V_k V_k^dagger, V_k the rows of sector k of the columns of
+    V that lie in it, or None if a column reaches into two sectors."""
+    lay = block_layout(num_qubits)
+    label = lay.popcount[:, None]
+    nonzero = v != 0
+    lowest = np.where(nonzero, label, num_qubits + 1).min(axis=0)
+    if np.any(nonzero & (label != lowest)):
+        return None
+    out = np.zeros(lay.offsets[-1], dtype=v.dtype)
+    for k, (idx, block) in enumerate(zip(lay.sectors, sector_views(out, num_qubits))):
+        vk = v[np.ix_(idx, np.flatnonzero(lowest == k))]
+        if vk.shape[1]:
+            block[...] = vk @ vk.conj().T
+    return out
+
+
+def _matrix_from_blocks(blocks: np.ndarray, num_qubits: int) -> np.ndarray:
+    d = 1 << num_qubits
+    m = np.zeros((d, d), dtype=blocks.dtype)
+    for idx, block in zip(block_layout(num_qubits).sectors, sector_views(blocks, num_qubits)):
+        m[np.ix_(idx, idx)] = block
+    return m
+
+
+def _sector_eigenvalues(blocks: np.ndarray, num_qubits: int) -> np.ndarray:
+    """The eigenvalues of every popcount block, the blocks of each size
+    diagonalized as one stack."""
     by_size: dict[int, list[np.ndarray]] = {}
-    for idx in _popcount_sectors(num_qubits):
-        by_size.setdefault(idx.size, []).append(idx)
-    singles = np.concatenate(by_size.pop(1))
-    return singles, tuple(np.stack(group) for group in by_size.values())
+    for block in sector_views(blocks, num_qubits):
+        by_size.setdefault(block.shape[0], []).append(block)
+    return np.concatenate([hermitian_eigenvalues(np.stack(group)).reshape(-1)
+                           for group in by_size.values()])
 
 
 def holds_popcount(m: np.ndarray) -> bool:
     """Whether every entry of the 2^n x 2^n matrix `m` between basis states
     of different popcount (a spin ring's magnetization) is exactly 0.0.
 
-    Only exact zeros count: there is no tolerance.  A partial trace sums
-    entries between basis states whose traced qubits agree, so it keeps
-    these zeros, and every reduced matrix of `m` holds the popcounts of its
-    own local index apart (see `popcount_blocks`).  Rows are gathered a few
+    Only exact zeros count: there is no tolerance.  Rows are gathered a few
     of one sector at a time, so no second d x d array is made; sector 0 is
     row 0 alone, so a generic matrix is rejected in O(d).
     """
     rows = max(1, BLOCK_ENTRIES // m.shape[0])
-    for idx in _popcount_sectors(m.shape[0].bit_length() - 1):
+    for idx in block_layout(m.shape[0].bit_length() - 1).sectors:
         for start in range(0, idx.size, rows):
             block = m[idx[start:start + rows]]
             block[:, idx] = 0
@@ -327,21 +533,51 @@ def holds_popcount(m: np.ndarray) -> bool:
     return True
 
 
-def popcount_blocks(m: np.ndarray, split: bool) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The eigenvalue problems of a Hermitian 2^n x 2^n matrix: with `split`
-    (the matrix holds the popcounts apart, see `holds_popcount`), the real
-    diagonal entries of its 1 x 1 sectors, which are eigenvalues, and one
-    stack (s, c, c) per size c > 1 of its s sectors of that size; without,
-    m is the one problem."""
-    if not split:
-        return np.empty(0), [m]
-    singles, stacks = _sector_stacks(m.shape[0].bit_length() - 1)
-    return m[singles, singles].real, [m[idx[:, :, None], idx[:, None, :]] for idx in stacks]
+# Superoperator entries S[(r', c'), (r, c)], at 2 r' + c' and 2 r + c, that
+# move a qubit's row and column popcounts apart: r' - c' != r - c.
+_MIXES_POPCOUNT = np.array([[(o >> 1) - (o & 1) != (i >> 1) - (i & 1) for i in range(4)] for o in range(4)])
+
+
+def apply_local_superoperators(rho: DensityOperator,
+                               supers: list[tuple[int, np.ndarray]]) -> DensityOperator:
+    """`rho` after each (qubit, 4x4 superoperator S) of `supers` in turn, S
+    acting on its qubit's row and column legs (see `linalg.superoperator`).
+
+    A state with blocks stays in block form when no S moves a qubit's row
+    and column popcounts apart: each S then scales the entries of every
+    block by its diagonal, and its (|0><0|, |1><1|) entries move entries
+    between blocks k + 1 and k (amplitude damping feeds block k + 1 into
+    block k).  Any other state or S goes through `apply_superoperators` on
+    the matrix, and the result is the one-block case.  S = sum_k E_k (x)
+    E_k^* maps Hermitian matrices to Hermitian ones, and the channels and
+    unitaries that call this keep the trace, so the output is not checked
+    again.
+    """
+    n = rho.num_qubits
+    blocks = rho.blocks
+    if blocks is None or any(s[_MIXES_POPCOUNT].any() for _, s in supers):
+        return DensityOperator._trusted(n, matrix=apply_superoperators(rho.matrix, n, supers))
+    out = blocks.astype(np.result_type(blocks, *(s for _, s in supers)))
+    for q, s in supers:
+        code, low, high = _qubit_entries(n, q)
+        # Either feed is read before the scaling below changes its source.
+        down = out.take(high) if s[0, 3] else None
+        up = out.take(low) if s[3, 0] else None
+        diagonal = s.diagonal().copy()  # contiguous: gathers from it are faster
+        for start in range(0, out.size, BLOCK_ENTRIES):
+            out[start:start + BLOCK_ENTRIES] *= diagonal.take(code[start:start + BLOCK_ENTRIES])
+        if down is not None:
+            down *= s[0, 3]
+            out[low] += down
+        if up is not None:
+            up *= s[3, 0]
+            out[high] += up
+    return DensityOperator._trusted(n, blocks=out)
 
 
 def tensor_product(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     """Joint state with `a`'s qubits in the more significant positions."""
-    return DensityOperator(np.kron(a.matrix, b.matrix))
+    return DensityOperator._trusted(a.num_qubits + b.num_qubits, matrix=np.kron(a.matrix, b.matrix))
 
 
 def partial_trace(rho: DensityOperator, keep: int) -> DensityOperator:
@@ -362,14 +598,15 @@ def partial_trace(rho: DensityOperator, keep: int) -> DensityOperator:
     t = rho.matrix.reshape((2,) * (2 * n))
     reduced = np.einsum(t, labels, out_labels)
     d = 1 << len(kept)
-    return DensityOperator(reduced.reshape(d, d))
+    return DensityOperator._trusted(len(kept), matrix=reduced.reshape(d, d))
 
 
 def apply_local_unitary(rho: DensityOperator, factors: Sequence[np.ndarray]) -> DensityOperator:
     """Conjugate by U_0 x U_1 x ... x U_{n-1}, one 2x2 factor per qubit.
 
     Each factor acts as the superoperator U (x) U^* on its qubit's row and
-    column legs, so the full product operator is never built.
+    column legs, so the full product operator is never built; diagonal
+    factors keep a state's blocks.
     """
     n = rho.num_qubits
     if len(factors) != n:
@@ -382,8 +619,7 @@ def apply_local_unitary(rho: DensityOperator, factors: Sequence[np.ndarray]) -> 
         if np.abs(m.conj().T @ m - np.eye(2)).max() > UNITARY_ATOL:
             raise NotUnitary(f"factor {q} is not unitary within {UNITARY_ATOL}")
         mats.append(m)
-    supers = [(q, superoperator([m])) for q, m in enumerate(mats)]
-    return DensityOperator(apply_superoperators(rho.matrix, n, supers))
+    return apply_local_superoperators(rho, [(q, superoperator([m])) for q, m in enumerate(mats)])
 
 
 def make_ghz(num_qubits: int) -> PureState:

@@ -3,8 +3,8 @@
 A dense state whose entries between basis states of different popcount are
 exactly 0.0 keeps those zeros under every partial trace, so each matrix of
 its subset table is diagonalized sector by sector, as is a mixed state file
-at intake.  Forcing the detector to find no charge (by replacing
-`holds_popcount`) gives the path that diagonalizes whole matrices, which
+at intake.  Forcing every state to show no blocks (by replacing
+`DensityOperator.blocks`) gives the path that diagonalizes whole matrices, which
 must agree with the sector path on every subset entropy and on the tree.
 """
 
@@ -99,11 +99,10 @@ UNCHARGED = list(_uncharged())
 
 @pytest.fixture
 def without_charge(monkeypatch):
-    """Make every dense matrix be diagonalized whole."""
+    """Make every dense matrix be diagonalized whole: no state shows blocks."""
 
     def force():
-        for module in (qcorr.entropy, qcorr.states):
-            monkeypatch.setattr(module, "holds_popcount", lambda m: False)
+        monkeypatch.setattr(DensityOperator, "blocks", property(lambda self: None))
 
     return force
 
@@ -200,10 +199,12 @@ def test_largest_eigensolve_is_the_half_filled_sector(eigvalsh_sizes, without_ch
 
 
 def test_eigensolve_calls_of_the_damped_ring(monkeypatch):
-    # 29 orbit representatives of the damped N = 8 ring (test_symmetry.py);
-    # a representative of m qubits takes one batched call per sector size
-    # C(m, k) > 1, so 0, 1, 1, 2, 2, 3, 3, 4 calls for m = 1..8, and D_8 has
-    # 1, 4, 5, 8, 5, 4, 1, 1 representatives of those sizes.
+    # 29 orbit representatives of the damped N = 8 ring (test_symmetry.py):
+    # D_8 has 1, 4, 5, 8, 5, 4, 1, 1 representatives of m = 1..8 qubits.
+    # The blocks C(m, k) > 1 of every representative of one size m wait in
+    # one stack per block size, so each size m that has a representative
+    # takes one call per distinct C(m, k) > 1, whatever its count of
+    # representatives.
     calls = []
     solve = qcorr.entropy.hermitian_eigenvalues
 
@@ -214,8 +215,14 @@ def test_eigensolve_calls_of_the_damped_ring(monkeypatch):
     state = damped_ring(8, -0.4, "phase", 0.4)
     monkeypatch.setattr(qcorr.entropy, "hermitian_eigenvalues", count)
     ccm(state)
-    assert len(calls) == 1 * 0 + 4 * 1 + 5 * 1 + 8 * 2 + 5 * 2 + 4 * 3 + 1 * 3 + 1 * 4 == 54
+    representatives = dict(zip(range(1, 9), (1, 4, 5, 8, 5, 4, 1, 1)))
+    per_size = {m: len({math.comb(m, k) for k in range(m + 1)} - {1}) for m in representatives}
+    assert len(calls) == sum(per_size.values()) == 0 + 1 + 1 + 2 + 2 + 3 + 3 + 4
     assert all(len(shape) == 3 for shape in calls)  # every call is a stack
+    # Every block of every representative is diagonalized once.
+    assert sum(shape[0] for shape in calls) == sum(
+        count * sum(1 for k in range(m + 1) if math.comb(m, k) > 1)
+        for m, count in representatives.items())
 
 
 def test_detection_makes_no_second_full_matrix():

@@ -4,7 +4,10 @@ A pivoted Cholesky factor V of at most floor(sqrt(d)) columns stands for the
 file's matrix m when S = m - V V^dagger has sqrt(d) ||S||_F <= SUPPORT_CUTOFF
 and max |S| <= FACTOR_ATOL: then ||S||_1 <= SUPPORT_CUTOFF, and m is
 positive up to that.  The kept spectrum is then that of V^dagger V, padded
-with zeros.  Any other file takes the full eigensolve, as before.
+with zeros.  Any other file takes the full eigensolve, as before, after which
+`_low_rank_factor` still attaches a factor when the eigenvalues it drops sum
+to at most SUPPORT_CUTOFF; files in that band between the two rules must give
+the values and trees of the same matrix without a factor.
 """
 
 import math
@@ -14,7 +17,7 @@ import pytest
 
 import qcorr.entropy
 import qcorr.states
-from qcorr import DensityOperator, read_qs1, write_qs1
+from qcorr import DensityOperator, ccm, read_qs1, write_qs1
 from qcorr.cli import main
 from qcorr.sampling import random_density
 from qcorr.states import FACTOR_ATOL, SUPPORT_CUTOFF
@@ -90,3 +93,43 @@ def test_noise_above_the_trace_norm_budget_falls_through(tmp_path, solve_dims):
     state = read_qs1(write(tmp_path, m / np.trace(m).real))
     assert solve_dims == [256]
     assert state.factor is None
+
+
+# --- the second rule: the eigensolve's low-rank factor ---------------------------
+
+
+def tree_shape(node):
+    if node is None:
+        return None
+    return (node.subset, node.mask_a, tree_shape(node.left), tree_shape(node.right))
+
+
+def rank_one_noise(n, seed, weight):
+    """weight * w w^dagger for a random unit w with |w_i|^2 = 2^-n: Hermitian
+    noise of trace `weight` and entries weight / 2^n."""
+    phases = np.exp(2j * np.pi * np.random.default_rng(seed).random(1 << n))
+    w = phases / math.sqrt(1 << n)
+    return weight * np.outer(w, w.conj())
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_factor_from_the_eigensolve_when_the_certificate_fails(tmp_path, monkeypatch, n):
+    # Noise of trace 3e-13 (entries 2e-14 at n = 4, 3e-16 at n = 10) fails
+    # the certificate, whose bound sqrt(d) ||S||_F comes out at 1.6e-12 or
+    # more, while its one eigenvalue, below SUPPORT_CUTOFF, stays within the
+    # eigensolve's budget for dropped eigenvalues, and `_low_rank_factor`
+    # rebuilds the matrix within FACTOR_ATOL: each by a margin of 1.6 or more.
+    rank = 2 + n % 2
+    m = low_rank(n, rank, n) + rank_one_noise(n, n + 7, 3e-13)
+    m = 0.5 * (m + m.conj().T)
+    m /= np.trace(m).real
+    state = read_qs1(write(tmp_path, m))
+    assert qcorr.states._certified_factor(state.matrix) is None
+    assert state.factor is not None and state.factor.shape[1] == rank
+    assert np.abs(state.factor @ state.factor.conj().T - state.matrix).max() <= FACTOR_ATOL
+    monkeypatch.setattr(qcorr.states, "_low_rank_factor", lambda m, vals: None)
+    dense = DensityOperator(state.matrix, check_psd=True)
+    assert dense.factor is None
+    factored, whole = ccm(state), ccm(dense)
+    assert factored.value == pytest.approx(whole.value, abs=1e-10)
+    assert tree_shape(factored.tree) == tree_shape(whole.tree)

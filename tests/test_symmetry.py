@@ -364,21 +364,22 @@ def test_perturbation_just_above_and_below_the_budget(make, path):
 
 
 def eigensolves(state, monkeypatch):
-    """Eigensolves of one `ccm`, with every dense matrix diagonalized whole
-    (its popcount sectors are counted in test_charge_sectors.py), so that
-    they count the orbit representatives."""
+    """Matrices diagonalized by one `ccm`, with every dense matrix
+    diagonalized whole (its popcount blocks are counted in
+    test_charge_sectors.py), so that they count the orbit representatives.
+    A stack (s, c, c) counts as its s matrices."""
     calls = []
     original = qcorr.entropy.hermitian_eigenvalues
 
     def count(m):
-        calls.append(m.shape[0])
+        calls.append(m.shape[0] if m.ndim == 3 else 1)
         return original(m)
 
     monkeypatch.setattr(qcorr.entropy, "hermitian_eigenvalues", count)
-    monkeypatch.setattr(qcorr.entropy, "holds_popcount", lambda m: False)
+    monkeypatch.setattr(DensityOperator, "blocks", property(lambda self: None))
     report = ccm(state)
     monkeypatch.undo()
-    return len(calls), report
+    return sum(calls), report
 
 
 def damped_ring(n):
