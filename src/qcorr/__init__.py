@@ -12,6 +12,7 @@ from .ccm import (
     CcmStats,
     CcmTreeNode,
     ccm,
+    ccm_many,
     ccm_naive,
     ghz_closed_form,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "build_ising",
     "build_xxz",
     "ccm",
+    "ccm_many",
     "ccm_naive",
     "central_difference",
     "chain_terms",

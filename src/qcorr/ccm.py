@@ -18,9 +18,12 @@ permutation leaving the state unchanged maps onto each other share one
 entropy and one value: the table diagonalizes, and the DP minimizes over, the
 smallest mask of each orbit only; each other mask on the reported tree has
 its cut searched for again.  With no such permutation every mask is its own
-orbit.  `ccm_naive` is an intentionally independent re-implementation by
-literal recursion (fresh dense reduced matrices at every level, no caching)
-kept as a cross-check oracle.
+orbit.  `ccm_many` takes a list of states and reduces those of the same
+register size, symmetry and form as one stack (the damped states of one row
+of a noise sweep, say); `ccm` is its one-state case.  `ccm_naive` is an
+intentionally independent re-implementation by literal recursion (fresh
+dense reduced matrices at every level, no caching) kept as a cross-check
+oracle.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
-from .entropy import DistanceUnit, subset_entropies, von_neumann_entropy
+from .entropy import DistanceUnit, subset_entropies_many, von_neumann_entropy
 from .errors import BadArity, OutOfRange, TooLarge
 from .states import DensityOperator, PureState, full_mask, partial_trace
 
@@ -132,16 +136,32 @@ def ccm(rho: PureState | DensityOperator,
     to the numerically smallest A mask.  Masks of one orbit of the state's
     qubit symmetry share their entropies (see `subset_entropies`) and so
     their values: the minimum is searched for each orbit's smallest mask
-    only, and again for every other mask on the reported tree.
+    only, and again for every other mask on the reported tree.  This is the
+    one-state case of `ccm_many`.
     """
-    n = rho.num_qubits
-    if n > MAX_QUBITS_DP:
-        raise TooLarge(f"ccm supports at most {MAX_QUBITS_DP} qubits, got {n}")
-    if n == 1:
-        return CcmReport(0.0, unit, None, CcmStats(subsets_evaluated=1))
+    return ccm_many([rho], unit)[0]
 
+
+def ccm_many(states: Sequence[PureState | DensityOperator],
+             unit: DistanceUnit = DistanceUnit.NORMALIZED) -> list[CcmReport]:
+    """`ccm` of each state, in order.
+
+    The entropy tables of all states come from one `subset_entropies_many`
+    call, which walks states of the same register size, qubit group and
+    form as one stack; each state's dynamic program then runs on its own
+    table.  Every report is the one `ccm` gives the state alone.
+    """
+    for rho in states:
+        if rho.num_qubits > MAX_QUBITS_DP:
+            raise TooLarge(f"ccm supports at most {MAX_QUBITS_DP} qubits, got {rho.num_qubits}")
+    tables = iter(subset_entropies_many([rho for rho in states if rho.num_qubits > 1]))
+    return [_report(next(tables), rho.num_qubits, unit) if rho.num_qubits > 1
+            else CcmReport(0.0, unit, None, CcmStats(subsets_evaluated=1)) for rho in states]
+
+
+def _report(entropy_bits: list[float], n: int, unit: DistanceUnit) -> CcmReport:
+    """The dynamic program and its tree over one state's entropy table."""
     full = full_mask(n)
-    entropy_bits = subset_entropies(rho)
     # A plain list (a per-subset oracle) shares nothing between masks.
     rep = getattr(entropy_bits, "representatives", range(full + 1))
     value_bits = [0.0] * (full + 1)

@@ -13,18 +13,17 @@ comes from the spectrum that the positivity check kept, when there is one.
 The table diagonalizes one subset per orbit of the qubit permutations that
 leave the state unchanged (`qubit_symmetry`, `orbit_representatives`).
 
-One walk serves every state without a factor.  A state with popcount blocks
-(`DensityOperator.blocks`: damped XXZ and double-XXZ ground states, and
-matrices that hold popcounts apart) is carried as blocks all the way down,
-since a partial trace keeps the zeros between popcounts: a parent's blocks
-become its child's by index gathers, 1 x 1 blocks are read off, and each
-larger block waits to be diagonalized with the blocks of the same size of
-every other subset of its size, in one stacked `hermitian_eigenvalues` call
-(`_Eigensolves`, which flushes before BLOCK_ENTRIES entries wait).  Any other
-state is the one-block case: its matrices are reduced by a reshape and the
-sum of two slices and wait whole, stacked the same way.  The damped N = 8
-ring's largest eigensolve is 70 instead of 256, N = 10's 252 instead of
-1024, and its 29 subsets take 16 stacked calls.
+One walk serves every state without a factor, and carries a leading stack
+axis: `subset_entropies_many` walks the states of a list that share register
+size, qubit group, form and dtype together (`_walk_tree`).  A state with
+popcount blocks (`DensityOperator.blocks`: damped XXZ and double-XXZ ground
+states, and matrices that hold popcounts apart) is carried as blocks all the
+way down, since a partial trace keeps the zeros between popcounts; any other
+state is the one-block case.  A block that is 0.0 in every stacked state is
+not diagonalized, and the others wait with the equal blocks of every subset
+of their size for one stacked `hermitian_eigenvalues` call.  A phase-damped
+N = 8 ring's largest eigensolve is 70 instead of 256, and its 29 subsets
+take 10 calls.
 
 All entropies use log base 2 internally.  Results can be reported either in
 bits or in "normalized" units (bits / 2), the scale on which one Bell pair
@@ -37,6 +36,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -199,23 +199,28 @@ def _moves_by_at_most_cutoff(state: PureState | DensityOperator, perm: list[int]
     return True
 
 
+@functools.lru_cache(maxsize=None)
 def orbit_representatives(num_qubits: int, group: QubitGroup) -> np.ndarray:
-    """The smallest mask of each mask's orbit under `group`, indexed by mask."""
+    """The smallest mask of each mask's orbit under `group`, indexed by mask.
+
+    The array is made once for each (n, group) and is read-only."""
     n = num_qubits
     masks = np.arange(1 << n)
-    if group is QubitGroup.TRIVIAL:
-        return masks
     bits = [(masks >> q) & 1 for q in range(n)]
-    if group is QubitGroup.SYMMETRIC:
-        return (1 << sum(bits)) - 1  # an orbit is a subset size
-    full = full_mask(n)
-    starts = [masks]
-    if group is QubitGroup.DIHEDRAL:
-        starts.append(sum(b << (n - 1 - q) for q, b in enumerate(bits)))  # reflected
-    reps = masks
-    for start in starts:
-        for k in range(1, n + 1):
-            reps = np.minimum(reps, ((start << k) | (start >> (n - k))) & full)
+    if group is QubitGroup.TRIVIAL:
+        reps = masks
+    elif group is QubitGroup.SYMMETRIC:
+        reps = (1 << sum(bits)) - 1  # an orbit is a subset size
+    else:
+        full = full_mask(n)
+        starts = [masks]
+        if group is QubitGroup.DIHEDRAL:
+            starts.append(sum(b << (n - 1 - q) for q, b in enumerate(bits)))  # reflected
+        reps = masks
+        for start in starts:
+            for k in range(1, n + 1):
+                reps = np.minimum(reps, ((start << k) | (start >> (n - k))) & full)
+    reps.flags.writeable = False
     return reps
 
 
@@ -227,6 +232,11 @@ class SubsetTable(list):
     """
 
     __slots__ = ("representatives",)
+
+
+# Root entries, summed over its states, of one stack of `_walk_tree`; past
+# it a list is walked in several stacks (a larger state alone).
+STACK_ENTRIES = 1 << 18
 
 
 def subset_entropies(state: PureState | DensityOperator) -> SubsetTable:
@@ -243,90 +253,108 @@ def subset_entropies(state: PureState | DensityOperator) -> SubsetTable:
     representative; when the factor is one column (a pure state), S(A) =
     S(rest of A), so a representative whose complement's orbit comes earlier
     copies that entry, and the whole register gets 0.  Any other state is
-    reduced along a tree by `_walk_tree`.
+    reduced along a tree by `_walk_tree`, as a stack of one.
     """
-    n = state.num_qubits
-    full = full_mask(n)
-    rep = orbit_representatives(n, qubit_symmetry(state)).tolist()
-    table = [0.0] * (1 << n)
-    if state.factor is not None:
-        pure = state.factor.shape[1] == 1
+    return subset_entropies_many([state])[0]
+
+
+def subset_entropies_many(states: Sequence[PureState | DensityOperator]) -> list[SubsetTable]:
+    """`subset_entropies` of each state, bit for bit, in order.  States
+    without a factor of one register size, qubit group, form (blocks or one
+    block), dtype and kept spectrum or none take the same gathers, so they
+    are walked as one stack of up to STACK_ENTRIES root entries."""
+    tables: list = [None] * len(states)
+    stacks: dict[tuple, list[int]] = {}
+    for i, state in enumerate(states):
+        n, group = state.num_qubits, qubit_symmetry(state)
+        if state.factor is None:
+            data = state.matrix if state.blocks is None else state.blocks
+            key = (n, group, state.blocks is not None, data.dtype, state.spectrum is not None)
+            stacks.setdefault(key, []).append(i)
+            continue
+        rep = orbit_representatives(n, group).tolist()
+        full, pure = full_mask(n), state.factor.shape[1] == 1
+        table = [0.0] * (1 << n)
         for mask in range(1, 1 << n):
             if rep[mask] == mask:
                 twin = rep[full ^ mask]
                 table[mask] = table[twin] if pure and twin < mask else subset_entropy(state, mask)
-    else:
-        _walk_tree(state, rep, table)
+        tables[i] = _subset_table(table, rep)
+    for (n, group, charged, _, _), members in stacks.items():
+        rep = orbit_representatives(n, group).tolist()
+        per = max(1, STACK_ENTRIES // (math.comb(2 * n, n) if charged else 1 << 2 * n))
+        for start in range(0, len(members), per):
+            chunk = members[start:start + per]
+            for i, table in zip(chunk, _walk_tree([states[i] for i in chunk], charged, rep)):
+                tables[i] = _subset_table(table, rep)
+    return tables
+
+
+def _subset_table(table: list[float], rep: list[int]) -> SubsetTable:
     out = SubsetTable(table[r] for r in rep)
     out.representatives = rep
     return out
 
 
-class _Eigensolves:
-    """Matrices waiting to be diagonalized, stacked by (subset size, matrix
-    size) and solved one `hermitian_eigenvalues` call per stack when
-    `flush` is called, or before the waiting entries would pass
-    BLOCK_ENTRIES.  Each result is written to its slot of a spectrum list."""
+def _walk_tree(states: list[DensityOperator], charged: bool, rep: list[int]) -> list[list[float]]:
+    """The entropy of every representative of `rep` for each of `states`, a
+    stack of one key of `subset_entropies_many` (blocks when `charged`).
 
-    def __init__(self):
-        self.waiting: dict[tuple[int, int], list] = {}
-        self.entries = 0
+    Every array of the walk has a leading axis over the states.  The parent
+    of a subset is the subset plus its lowest missing qubit, and a child's
+    data are its parent's with that qubit traced out.  The parent of a
+    representative is a representative too (a smallest mask stays smallest
+    in its orbit when its lowest missing qubit is added, for every group and
+    register size `ccm` takes), so only representatives are reduced.  The
+    walk is depth first: only the data on the current path and those
+    waiting for their eigensolve are alive.
 
-    def add(self, key: tuple[int, int], matrix: np.ndarray, spectrum: list, slot: int) -> None:
-        if self.entries + matrix.size > BLOCK_ENTRIES:
-            self.flush()
-        self.waiting.setdefault(key, []).append((matrix, spectrum, slot))
-        self.entries += matrix.size
-
-    def flush(self) -> None:
-        for items in self.waiting.values():
-            stack = np.stack([m for m, _, _ in items]) if len(items) > 1 else items[0][0][None]
-            for vals, (_, spectrum, slot) in zip(hermitian_eigenvalues(stack), items):
-                spectrum[slot] = vals
-        self.waiting.clear()
-        self.entries = 0
-
-
-def _walk_tree(state: DensityOperator, rep: list[int], table: list[float]) -> None:
-    """Fill `table` for every representative of `rep`, for a state without
-    a factor.
-
-    The parent of a subset is the subset plus its lowest missing qubit, and
-    a child's data are its parent's with that one qubit traced out.  The
-    parent of a representative is a representative too (a smallest mask
-    stays smallest in its orbit when its lowest missing qubit is added, for
-    every group and register size `ccm` takes), so only representatives are
-    reduced.  The tree is walked depth first, so only the data on the
-    current path and those waiting in `_Eigensolves` are alive.
-
-    A state with popcount blocks is carried as blocks all the way down
-    (`trace_entries`: a partial trace keeps the zeros between popcounts):
-    its 1 x 1 blocks are read off, and every larger block waits for a
-    stacked eigensolve with the equal blocks of the other subsets of its
-    size.  Any other state is the one-block case: its matrix is reduced by
-    a reshape and the sum of two slices, and waits whole.  The root takes
-    the spectrum the positivity check kept, if any.  Each spectrum is
-    assembled in the order 1 x 1 blocks, then blocks 1, m - 1, 2, m - 2, ...
+    Blocks are reduced by two index gathers (`trace_entries`), one block by
+    a reshape and the sum of two slices.  The 1 x 1 blocks are read off; a
+    block that is 0.0 in every state is not diagonalized (its eigenvalues
+    are 0, outside the support); every other matrix waits for one
+    `hermitian_eigenvalues` call per (subset size, block size), made before
+    more than BLOCK_ENTRIES entries would wait.  The root takes the spectra
+    the positivity check kept, if any.  Each spectrum is in the order 1 x 1
+    blocks, then blocks 1, m - 1, 2, m - 2, ...
     """
-    n = state.num_qubits
-    blocks = state.blocks
-    charged = blocks is not None
-    solves = _Eigensolves()
+    n, size = states[0].num_qubits, len(states)
+    waiting: dict[tuple[int, int], list] = {}  # (m, c) -> [(stack (size, c, c), mask, slot)]
+    entries = 0
     spectra: dict[int, list] = {}
+
+    def flush() -> None:
+        nonlocal entries
+        for items in waiting.values():
+            stack = items[0][0] if len(items) == 1 else np.concatenate([a for a, _, _ in items])
+            solved = hermitian_eigenvalues(stack).reshape(len(items), size, -1)
+            for vals, (_, mask, slot) in zip(solved, items):
+                spectra[mask][slot] = vals
+        waiting.clear()
+        entries = 0
+
+    def wait(m: int, stack: np.ndarray, mask: int, slot: int) -> None:
+        nonlocal entries
+        if entries + stack.size > BLOCK_ENTRIES:
+            flush()
+        waiting.setdefault((m, stack.shape[-1]), []).append((stack, mask, slot))
+        entries += stack.size
 
     def visit(data: np.ndarray, mask: int, m: int, low: int, known: np.ndarray | None = None) -> None:
         if known is not None:
             spectra[mask] = [known]
         elif charged:
             lay, order = block_layout(m), _block_order(m)
-            spectrum = spectra[mask] = [data[[0, lay.offsets[m]]].real] + [None] * len(order)
+            spectra[mask] = [data[:, [0, lay.offsets[m]]].real] + [None] * len(order)
             for slot, k in enumerate(order, 1):
-                c = lay.sizes[k]
-                solves.add((m, c), data[lay.offsets[k]:lay.offsets[k + 1]].reshape(c, c), spectrum, slot)
+                block = data[:, lay.offsets[k]:lay.offsets[k + 1]]
+                if block.any():  # else the slot stays None
+                    c = lay.sizes[k]
+                    wait(m, block.reshape(size, c, c), mask, slot)
         else:
             d = 1 << m
-            spectrum = spectra[mask] = [None]
-            solves.add((m, d), data.reshape(d, d), spectrum, 0)
+            spectra[mask] = [None]
+            wait(m, data.reshape(size, d, d), mask, 0)
         if m == 1:
             return
         for q in range(low):  # leg q of the data is qubit q: qubits 0..low-1 are all in `mask`
@@ -335,20 +363,30 @@ def _walk_tree(state: DensityOperator, rep: list[int], table: list[float]) -> No
                 continue
             if charged:
                 zero, one = trace_entries(m, q)
-                reduced = data.take(zero)
-                reduced += data.take(one)
+                reduced = data.take(zero, axis=1)
+                reduced += data.take(one, axis=1)
             else:
                 outer, inner = 1 << q, 1 << (m - q - 1)
-                t = data.reshape(outer, 2, inner, outer, 2, inner)
-                reduced = (t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]).reshape(-1)
+                t = data.reshape(size, outer, 2, inner, outer, 2, inner)
+                reduced = (t[:, :, 0, :, :, 0, :] + t[:, :, 1, :, :, 1, :]).reshape(size, -1)
             # The child is passed unbound: once its subtree is queued, only the
             # stacks still waiting for their eigensolve keep it alive.
             visit(reduced, child, m - 1, q)
 
-    visit(blocks if charged else state.matrix.reshape(-1), full_mask(n), n, n, state.spectrum)
-    solves.flush()
+    def stacked(arrays: list[np.ndarray]) -> np.ndarray:
+        return arrays[0][None] if size == 1 else np.stack(arrays)  # one state is not copied
+
+    kept = None if states[0].spectrum is None else stacked([s.spectrum for s in states])
+    visit(stacked([s.blocks if charged else s.matrix.reshape(-1) for s in states]),
+          full_mask(n), n, n, kept)
+    flush()
+    tables = [[0.0] * (1 << n) for _ in states]
     for mask, spectrum in spectra.items():
-        table[mask] = _entropy_bits(spectrum[0] if len(spectrum) == 1 else np.concatenate(spectrum))
+        pieces = [p for p in spectrum if p is not None]
+        vals = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
+        for table, row in zip(tables, vals):
+            table[mask] = _entropy_bits(row)
+    return tables
 
 
 @functools.lru_cache(maxsize=None)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ccm import ccm
+from .ccm import ccm, ccm_many
 from .channels import amplitude_damping_channel, apply_channel_local, phase_damping_channel
 from .entropy import DistanceUnit, multi_information
 from .errors import OutOfRange, TooLarge
@@ -185,12 +185,11 @@ def noise_sweep_rows(config: SweepConfig) -> tuple[list[str], list[tuple[float, 
     everything = full_mask(config.spins)
 
     def evaluate(x):
+        # One call for the row: its damped states are walked as one stack,
+        # and p = 0 (the state itself) keeps its factor.
         state = _state_at(config, (x,))
-        row = []
-        for p in p_values:
-            noisy = apply_channel_local(state, channels[p], everything)
-            row.append(ccm(noisy, config.unit).value)
-        return row
+        noisy = [apply_channel_local(state, channels[p], everything) for p in p_values]
+        return [report.value for report in ccm_many(noisy, config.unit)]
 
     per_delta = [evaluate(float(x)) for x in grid]
     rows = []

@@ -11,6 +11,7 @@ must agree with the sector path on every subset entropy and on the tree.
 import math
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,10 +34,10 @@ from qcorr import (
     write_qs1,
     xxz_ring,
 )
-from qcorr.entropy import subset_entropies
+from qcorr.entropy import QubitGroup, orbit_representatives, qubit_symmetry, subset_entropies
 from qcorr.errors import ParseError
 from qcorr.sampling import random_density
-from qcorr.states import holds_popcount
+from qcorr.states import block_layout, holds_popcount
 
 TABLE_TOL = 1e-12
 CCM_TOL = 1e-10
@@ -198,31 +199,49 @@ def test_largest_eigensolve_is_the_half_filled_sector(eigvalsh_sizes, without_ch
     assert max(eigvalsh_sizes) == 1 << n
 
 
-def test_eigensolve_calls_of_the_damped_ring(monkeypatch):
-    # 29 orbit representatives of the damped N = 8 ring (test_symmetry.py):
-    # D_8 has 1, 4, 5, 8, 5, 4, 1, 1 representatives of m = 1..8 qubits.
-    # The blocks C(m, k) > 1 of every representative of one size m wait in
-    # one stack per block size, so each size m that has a representative
-    # takes one call per distinct C(m, k) > 1, whatever its count of
-    # representatives.
-    calls = []
+def block_eigensolves(monkeypatch, channel):
+    """(stacked calls, blocks diagonalized, share of sum c^3 saved) for one
+    `ccm` of the damped N = 8 ring, whose 29 orbit representatives under D_8
+    (test_symmetry.py) have 91 blocks larger than 1 x 1.  Each such block
+    is diagonalized once if any entry is nonzero and never if it is exactly
+    0.0, in one stacked call per (subset size, block size)."""
+    stacks = []
     solve = qcorr.entropy.hermitian_eigenvalues
 
-    def count(m):
-        calls.append(m.shape)
+    def record(m):
+        stacks.append(m)
         return solve(m)
 
-    state = damped_ring(8, -0.4, "phase", 0.4)
-    monkeypatch.setattr(qcorr.entropy, "hermitian_eigenvalues", count)
+    n = 8
+    state = damped_ring(n, -0.4, channel, 0.4)
+    assert qubit_symmetry(state) is QubitGroup.DIHEDRAL
+    monkeypatch.setattr(qcorr.entropy, "hermitian_eigenvalues", record)
     ccm(state)
-    representatives = dict(zip(range(1, 9), (1, 4, 5, 8, 5, 4, 1, 1)))
-    per_size = {m: len({math.comb(m, k) for k in range(m + 1)} - {1}) for m in representatives}
-    assert len(calls) == sum(per_size.values()) == 0 + 1 + 1 + 2 + 2 + 3 + 3 + 4
-    assert all(len(shape) == 3 for shape in calls)  # every call is a stack
-    # Every block of every representative is diagonalized once.
-    assert sum(shape[0] for shape in calls) == sum(
-        count * sum(1 for k in range(m + 1) if math.comb(m, k) > 1)
-        for m, count in representatives.items())
+    nonzero, every = Counter(), Counter()
+    for mask in set(orbit_representatives(n, QubitGroup.DIHEDRAL).tolist()) - {0}:
+        reduced = qcorr.states.partial_trace(state, mask).matrix
+        for idx in block_layout(bin(mask).count("1")).sectors:
+            if idx.size > 1:
+                every[idx.size] += 1
+                nonzero[idx.size] += bool(reduced[np.ix_(idx, idx)].any())
+    assert all(m.ndim == 3 and m.any(axis=(1, 2)).all() for m in stacks)  # no zero block
+    assert Counter({c: k for c, k in nonzero.items() if k}) == Counter(
+        c for m in stacks for c in [m.shape[-1]] * m.shape[0])
+    assert sum(every.values()) == 91
+    cubes = sum(k * c ** 3 for c, k in nonzero.items()) / sum(k * c ** 3 for c, k in every.items())
+    return len(stacks), sum(nonzero.values()), 1 - cubes
+
+
+def test_eigensolve_calls_of_the_damped_ring(monkeypatch):
+    # Phase damping keeps the ground state's popcount-4 sector alone.
+    calls, solved, saved = block_eigensolves(monkeypatch, "phase")
+    assert (calls, solved) == (10, 73) and saved == pytest.approx(0.45, abs=0.01)
+
+
+def test_eigensolve_calls_of_the_amplitude_damped_ring(monkeypatch):
+    # Amplitude damping also feeds blocks 0..3; blocks 5..8 stay 0.0.
+    calls, solved, saved = block_eigensolves(monkeypatch, "amplitude")
+    assert (calls, solved) == (16, 82) and saved == pytest.approx(0.22, abs=0.01)
 
 
 def test_detection_makes_no_second_full_matrix():

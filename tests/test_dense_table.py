@@ -64,7 +64,8 @@ def reference_table(state):
 
 
 def reference_ccm(state):
-    with mock.patch.object(CCM_MODULE, "subset_entropies", reference_table):
+    with mock.patch.object(CCM_MODULE, "subset_entropies_many",
+                           lambda states: [reference_table(s) for s in states]):
         return ccm(state)
 
 

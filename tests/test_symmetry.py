@@ -67,12 +67,12 @@ def reference_table(state):
 
 def reference_ccm(state):
     """`ccm` on the reference table; a plain list shares nothing between masks."""
-    original = CCM_MODULE.subset_entropies
-    CCM_MODULE.subset_entropies = reference_table
+    original = CCM_MODULE.subset_entropies_many
+    CCM_MODULE.subset_entropies_many = lambda states: [reference_table(s) for s in states]
     try:
         return ccm(state)
     finally:
-        CCM_MODULE.subset_entropies = original
+        CCM_MODULE.subset_entropies_many = original
 
 
 def tree_shape(node):
@@ -367,11 +367,13 @@ def eigensolves(state, monkeypatch):
     """Matrices diagonalized by one `ccm`, with every dense matrix
     diagonalized whole (its popcount blocks are counted in
     test_charge_sectors.py), so that they count the orbit representatives.
-    A stack (s, c, c) counts as its s matrices."""
+    A stack (s, c, c) counts as its s matrices, and none may be all 0.0:
+    such a matrix is never diagonalized (a reduced state never is one)."""
     calls = []
     original = qcorr.entropy.hermitian_eigenvalues
 
     def count(m):
+        assert m.reshape(-1, *m.shape[-2:]).any(axis=(1, 2)).all()
         calls.append(m.shape[0] if m.ndim == 3 else 1)
         return original(m)
 
