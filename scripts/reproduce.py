@@ -16,14 +16,15 @@ import numpy as np
 from qcorr import (
     ParamRange,
     SweepConfig,
-    build_xxz,
     ccm,
+    chain_terms,
     ghz_closed_form,
     ground_state,
     make_ghz,
     noise_sweep_rows,
     sweep_rows,
     write_csv,
+    xxz_ring,
 )
 
 WIDE = ParamRange(-1.5, 1.5, 121)  # delta across both XXZ critical points
@@ -73,7 +74,7 @@ def double_chain(out_dir):
     """Two decoupled 3-site rings: the joint value is the sum of the rings'."""
     grid = ParamRange(-1.5, 1.5, 13)
     rows = sweep(out_dir, "dxxz_surface", SweepConfig("dxxz", 3, grid, param2=grid))
-    single = {x: ccm(ground_state(build_xxz(3, x))).value for x in {r[0] for r in rows}}
+    single = {x: ccm(ground_state(chain_terms(xxz_ring(3, x)))).value for x in {r[0] for r in rows}}
     worst = max(abs(r[2] - single[r[0]] - single[r[1]]) for r in rows)
     return f"max |joint - (left + right)| over the surface: {worst:.3e}"
 

@@ -35,10 +35,6 @@ from .spin_models import (
     GroundStatePolicy,
     HamiltonianTerms,
     SpinChainSpec,
-    build_double_xxz,
-    build_hamiltonian,
-    build_ising,
-    build_xxz,
     chain_terms,
     ground_gap,
     ground_state,
@@ -85,11 +81,7 @@ __all__ = [
     "amplitude_damping_channel",
     "apply_channel_local",
     "apply_local_unitary",
-    "build_double_xxz",
     "build_grid",
-    "build_hamiltonian",
-    "build_ising",
-    "build_xxz",
     "ccm",
     "ccm_many",
     "ccm_naive",

@@ -5,11 +5,13 @@ S = sum_k E_k (x) E_k^* (`linalg.superoperator`), applied by
 `states.apply_local_superoperators`.  A state in popcount-block form (a ring
 ground state, say, whose factor columns each lie in one popcount sector)
 stays in it, and its 2^n x 2^n matrix is never formed, under every channel
-whose S keeps row and column popcounts together: phase damping scales the
-entries of each block, amplitude damping also feeds block k + 1 into block
-k, and depolarizing noise feeds both ways.  A Kraus set whose S moves them
-apart (a bit flip, say), or a state without blocks, goes through the dense
-kernel `linalg.apply_superoperators`.  The output is not validated again:
+whose S keeps row and column popcounts together.  The two built-in
+channels do: phase damping scales the entries of each block, and amplitude
+damping also feeds block k + 1 into block k.  A `KrausChannel` built by hand
+takes the same route when its S qualifies (depolarizing noise, which is not
+built in, does and feeds both ways).  A Kraus set whose S moves them apart
+(a bit flip, say), or a state without blocks, goes through the dense kernel
+`linalg.apply_superoperators`.  The output is not validated again:
 S maps Hermitian matrices to Hermitian ones, and construction certified
 that the channel keeps the trace.
 """

@@ -17,9 +17,8 @@ One walk serves every state without a factor, and carries a leading stack
 axis: `subset_entropies_many` walks the states of a list that share register
 size, qubit group, form and dtype together (`_walk_tree`).  A state with
 popcount blocks (`DensityOperator.blocks`: damped XXZ and double-XXZ ground
-states, and matrices that hold popcounts apart) is carried as blocks all the
-way down, since a partial trace keeps the zeros between popcounts; any other
-state is the one-block case.  A block that is 0.0 in every stacked state is
+states) is carried as blocks all the way down, since a partial trace keeps
+the zeros between popcounts; any other state is the one-block case.  A block that is 0.0 in every stacked state is
 not diagonalized, and the others wait with the equal blocks of every subset
 of their size for one stacked `hermitian_eigenvalues` call.  A phase-damped
 N = 8 ring's largest eigensolve is 70 instead of 256, and its 29 subsets

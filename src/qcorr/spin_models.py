@@ -17,11 +17,10 @@ Concrete chains:
                   on the rest
 
 A Hamiltonian is made as `HamiltonianTerms`, its nonzero entries listed as
-(row, column, value) triples, at most N + 1 per basis state (`chain_terms`).
-The `build_*` functions scatter those terms into a dense matrix.
-`ground_state` and `ground_gap` take terms, or a dense matrix that they turn
-into terms, and split them into the connected components of the terms'
-pattern (the magnetization sectors of an XXZ ring, say).  When the terms are
+(row, column, value) triples, at most N + 1 per basis state (`chain_terms`);
+this is the one form the library takes.  `ground_state` and `ground_gap`
+split the terms into the connected components of their pattern (the
+magnetization sectors of an XXZ ring, say).  When the terms are
 invariant under the cyclic shift of the register's qubits and the shift maps
 every component onto itself, each component is split further into momentum
 blocks k = 2 pi m / N, built on the representatives of its shift orbits;
@@ -38,12 +37,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, OutOfRange, TooLarge
-from .linalg import checked_hermitian, hermitian_eigensystem, hermitian_eigenvalues, real_or_complex
+from .errors import OutOfRange, TooLarge
+from .linalg import checked_hermitian, hermitian_eigensystem, hermitian_eigenvalues
 from .states import DensityOperator
 
 MAX_CHAIN_SPINS = 14
-MAX_DOUBLE_CHAIN_SPINS = 6  # per ring; the joint register holds twice this
 # Eigenvalues within this fraction of the spectral span of the minimum form
 # the lowest level.
 DEGENERACY_RTOL = 1e-9
@@ -152,40 +150,6 @@ def _dense(terms: HamiltonianTerms) -> np.ndarray:
     matrix = np.zeros((terms.dim, terms.dim), dtype=terms.values.dtype)
     matrix[terms.rows, terms.cols] = terms.values
     return matrix
-
-
-def build_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
-    """Dense real 2^N x 2^N matrix of the chain described by `spec`: the
-    terms of `chain_terms(spec)` scattered into zeros, as float64."""
-    return _dense(chain_terms(spec))
-
-
-def build_xxz(num_spins: int, delta: float) -> np.ndarray:
-    return build_hamiltonian(xxz_ring(num_spins, delta))
-
-
-def build_ising(num_spins: int, lam: float) -> np.ndarray:
-    """Transverse-field Ising ring with exchange 1 and field `lam`."""
-    return build_hamiltonian(ising_ring(num_spins, lam))
-
-
-def build_double_xxz(spins_per_chain: int, delta: float, lam: float) -> np.ndarray:
-    """Two decoupled XXZ rings on one register, equal to H(delta) x I + I x H(lam):
-    the terms of `chain_terms` for the two rings, scattered into zeros."""
-    if spins_per_chain > MAX_DOUBLE_CHAIN_SPINS:
-        raise TooLarge(f"double chains support at most {MAX_DOUBLE_CHAIN_SPINS} spins per ring")
-    return _dense(chain_terms(xxz_ring(spins_per_chain, delta), xxz_ring(spins_per_chain, lam)))
-
-
-def _as_terms(hamiltonian: HamiltonianTerms | np.ndarray) -> HamiltonianTerms:
-    """Terms as given, or the nonzero entries of a dense square matrix."""
-    if isinstance(hamiltonian, HamiltonianTerms):
-        return hamiltonian
-    h = real_or_complex(hamiltonian)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {h.shape}")
-    rows, cols = np.nonzero(h)
-    return HamiltonianTerms(h.shape[0], rows, cols, h[rows, cols])
 
 
 class _Orbits(NamedTuple):
@@ -412,10 +376,18 @@ def _spectra(terms: HamiltonianTerms) -> tuple[_Orbits, list[_Sector]]:
     return orbits, [_Sector(*label, vals) for label, vals in zip(labels, spectra)]
 
 
-def ground_state(hamiltonian: HamiltonianTerms | np.ndarray,
+def _checked_terms(hamiltonian: HamiltonianTerms) -> HamiltonianTerms:
+    # `_spectra` unpacks its argument as (dim, rows, cols, values), which
+    # the rows of a 4 x 4 matrix would silently satisfy.
+    if not isinstance(hamiltonian, HamiltonianTerms):
+        raise TypeError(f"expected HamiltonianTerms, got {type(hamiltonian).__name__}")
+    return hamiltonian
+
+
+def ground_state(hamiltonian: HamiltonianTerms,
                  policy: GroundStatePolicy | None = None) -> DensityOperator:
-    """Ground state of a Hermitian matrix, given as terms or dense, under the
-    given degeneracy policy.
+    """Ground state of a Hermitian matrix, given as terms, under the given
+    degeneracy policy.
 
     Every momentum block (see `_spectra`) gets its eigenvalues.  The lowest
     level is every eigenvalue within `DEGENERACY_RTOL` times the whole
@@ -434,7 +406,7 @@ def ground_state(hamiltonian: HamiltonianTerms | np.ndarray,
     """
     if policy is None:
         policy = GroundStatePolicy()
-    terms = _as_terms(hamiltonian)
+    terms = _checked_terms(hamiltonian)
     orbits, sectors = _spectra(terms)
     lowest = min(s.values[0] for s in sectors)
     span = max(s.values[-1] for s in sectors) - lowest
@@ -475,12 +447,12 @@ def ground_state(hamiltonian: HamiltonianTerms | np.ndarray,
     return DensityOperator.from_factor(factor / math.sqrt(width))
 
 
-def ground_gap(hamiltonian: HamiltonianTerms | np.ndarray) -> float:
-    """Gap between the lowest eigenvalue of a Hermitian matrix, given as terms
-    or dense, and the first one above its degeneracy window; +inf if no level
+def ground_gap(hamiltonian: HamiltonianTerms) -> float:
+    """Gap between the lowest eigenvalue of a Hermitian matrix, given as
+    terms, and the first one above its degeneracy window; +inf if no level
     lies above the window.  Every momentum block gets its eigenvalues only
     (a block of real terms and its conjugate partner share them)."""
-    vals = np.sort(np.concatenate([s.values for s in _spectra(_as_terms(hamiltonian))[1]]))
+    vals = np.sort(np.concatenate([s.values for s in _spectra(_checked_terms(hamiltonian))[1]]))
     span = float(vals[-1] - vals[0])
     above = vals[vals > vals[0] + DEGENERACY_RTOL * span]
     if above.size == 0:

@@ -16,12 +16,12 @@ A `DensityOperator` is held in one of three forms, and forms its 2^n x 2^n
   entries between basis states of different popcount (a spin ring's
   magnetization) are exactly 0.0 is the direct sum of one
   C(n, k) x C(n, k) block per popcount k, C(2n, n) entries in all, stored
-  back to back in one flat array.  A ground-state factor whose columns each
-  lie in one popcount sector gives them as V_k V_k^dagger; a channel that
-  keeps popcounts apart maps blocks to blocks
-  (`apply_local_superoperators`); the public constructor, and so intake,
-  finds them with `holds_popcount`, which runs nowhere else;
-* a dense matrix, which is the one-block case.
+  back to back in one flat array.  Blocks come from two places only: a
+  ground-state factor whose columns each lie in one popcount sector gives
+  them as V_k V_k^dagger, and a channel that keeps popcounts apart maps
+  blocks to blocks (`apply_local_superoperators`);
+* a dense matrix, which is the one-block case: every matrix passed to the
+  public constructor, and so every mixed state file.
 
 Validation happens once, at the boundary: the public constructor and
 `read_qs1` check their input, while `partial_trace`, `tensor_product`,
@@ -142,8 +142,7 @@ class DensityOperator:
     are reduced and diagonalized in real arithmetic.
 
     The public constructor is the boundary: it checks Hermiticity (1e-10)
-    and unit trace (1e-10), and whether the matrix holds popcounts apart
-    (`holds_popcount`).  Positivity is checked only when `check_psd=True`
+    and unit trace (1e-10).  Positivity is checked only when `check_psd=True`
     (used for untrusted input such as state files) because it needs an
     eigensolve.  Small negative eigenvalues from round-off are tolerated down
     to -1e-9 and are clamped where entropies are evaluated, never in storage.
@@ -156,8 +155,7 @@ class DensityOperator:
     low-rank matrix is certified positive without an eigensolve of `matrix`
     when its pivoted Cholesky factor V passes `_certified_factor`; its
     spectrum is then that of V^dagger V, padded with zeros.  Any other
-    matrix is diagonalized whole, or popcount block by popcount block when
-    it has `blocks`.
+    matrix is diagonalized whole.
 
     `factor` is None, or a 2^n x r matrix V with matrix = V V^dagger.
     `from_factor` keeps the V it is given, and forms `matrix` = V V^dagger
@@ -167,10 +165,10 @@ class DensityOperator:
     `_low_rank_factor`); `matrix` then stays the matrix passed in, which
     V V^dagger matches to 1e-13 in every entry.
 
-    `blocks` is the popcount-block form (see `sector_views`) of a state that
-    holds popcounts apart, and None for any other state, which is the
-    one-block case.  A state made from blocks forms `matrix` from them on its
-    first read.
+    `blocks` is the popcount-block form (see `sector_views`) of a state
+    made from a sector-aligned factor or by a map that keeps blocks, and
+    None for any other state, which is the one-block case.  A state made
+    from blocks forms `matrix` from them on its first read.
     """
 
     __slots__ = ("_matrix", "_blocks", "_charged", "num_qubits", "factor", "spectrum")
@@ -189,9 +187,9 @@ class DensityOperator:
             raise InvariantViolation(f"trace {tr!r} differs from 1 by more than {TRACE_ATOL}")
         self._matrix = m
         self._blocks = None
-        # Whether `m` holds popcounts apart: True, False, or None while a
-        # factor has not been looked at (see `blocks`).
-        self._charged = holds_popcount(m)
+        # Whether the state has blocks: True, False, or None while a factor
+        # has not been looked at (see `blocks`).
+        self._charged = False
         self.factor = None
         self.spectrum = None
         if check_psd:
@@ -199,9 +197,7 @@ class DensityOperator:
             if certified is not None:
                 self.factor, self.spectrum = certified
                 return
-            blocks = self.blocks
-            vals = (hermitian_eigenvalues(m) if blocks is None
-                    else np.sort(_sector_eigenvalues(blocks, self.num_qubits)))
+            vals = hermitian_eigenvalues(m)
             lo = float(vals[0])
             if lo < PSD_EIG_FLOOR:
                 raise InvariantViolation(f"minimum eigenvalue {lo!r} below {PSD_EIG_FLOOR}")
@@ -261,19 +257,15 @@ class DensityOperator:
     @property
     def blocks(self) -> np.ndarray | None:
         """The popcount blocks of the state back to back (see `sector_views`),
-        or None when it does not hold popcounts apart.
+        or None for the one-block case.
 
-        They are formed once, on first read: from the matrix, when the
-        constructor found it holds popcounts apart; from the factor V when
+        A state made from a factor V forms them once, on first read, when
         every column of V lies in one popcount sector, as block
         k = V_k V_k^dagger over the columns and rows of sector k.
         """
-        if self._blocks is None and self._charged is not False:
-            if self._charged is None:
-                self._blocks = _blocks_from_factor(self.factor, self.num_qubits)
-                self._charged = self._blocks is not None
-            else:
-                self._blocks = _blocks_from_matrix(self._matrix, self.num_qubits)
+        if self._charged is None:
+            self._blocks = _blocks_from_factor(self.factor, self.num_qubits)
+            self._charged = self._blocks is not None
         return self._blocks
 
     @property
@@ -476,10 +468,6 @@ def _qubit_entries(num_qubits: int, q: int) -> tuple[np.ndarray, np.ndarray, np.
     return code, _entries(lay, low), _entries(lay, high)
 
 
-def _blocks_from_matrix(m: np.ndarray, num_qubits: int) -> np.ndarray:
-    return np.concatenate([m[np.ix_(idx, idx)].reshape(-1) for idx in block_layout(num_qubits).sectors])
-
-
 def _blocks_from_factor(v: np.ndarray, num_qubits: int) -> np.ndarray | None:
     """The blocks V_k V_k^dagger, V_k the rows of sector k of the columns of
     V that lie in it, or None if a column reaches into two sectors."""
@@ -503,34 +491,6 @@ def _matrix_from_blocks(blocks: np.ndarray, num_qubits: int) -> np.ndarray:
     for idx, block in zip(block_layout(num_qubits).sectors, sector_views(blocks, num_qubits)):
         m[np.ix_(idx, idx)] = block
     return m
-
-
-def _sector_eigenvalues(blocks: np.ndarray, num_qubits: int) -> np.ndarray:
-    """The eigenvalues of every popcount block, the blocks of each size
-    diagonalized as one stack."""
-    by_size: dict[int, list[np.ndarray]] = {}
-    for block in sector_views(blocks, num_qubits):
-        by_size.setdefault(block.shape[0], []).append(block)
-    return np.concatenate([hermitian_eigenvalues(np.stack(group)).reshape(-1)
-                           for group in by_size.values()])
-
-
-def holds_popcount(m: np.ndarray) -> bool:
-    """Whether every entry of the 2^n x 2^n matrix `m` between basis states
-    of different popcount (a spin ring's magnetization) is exactly 0.0.
-
-    Only exact zeros count: there is no tolerance.  Rows are gathered a few
-    of one sector at a time, so no second d x d array is made; sector 0 is
-    row 0 alone, so a generic matrix is rejected in O(d).
-    """
-    rows = max(1, BLOCK_ENTRIES // m.shape[0])
-    for idx in block_layout(m.shape[0].bit_length() - 1).sectors:
-        for start in range(0, idx.size, rows):
-            block = m[idx[start:start + rows]]
-            block[:, idx] = 0
-            if block.any():
-                return False
-    return True
 
 
 # Superoperator entries S[(r', c'), (r, c)], at 2 r' + c' and 2 r + c, that
@@ -667,7 +627,7 @@ def write_qs1(path: str | os.PathLike, state: PureState | DensityOperator) -> No
     else:
         raise TypeError(f"cannot serialize {type(state).__name__}")
     lines = [f"qs1 {kind} {state.num_qubits}"]
-    lines.extend(f"{float(z.real)!r} {float(z.imag)!r}" for z in values)
+    lines.extend(map("{!r} {!r}".format, values.real.tolist(), values.imag.tolist()))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

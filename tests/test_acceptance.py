@@ -16,13 +16,11 @@ from qcorr import (
     ParamRange,
     SweepConfig,
     apply_channel_local,
-    build_double_xxz,
     build_grid,
-    build_ising,
-    build_xxz,
     ccm,
     ccm_naive,
     central_difference,
+    chain_terms,
     full_mask,
     ghz_closed_form,
     ground_gap,
@@ -33,6 +31,7 @@ from qcorr import (
     phase_damping_channel,
     sweep_rows,
     tensor_product,
+    xxz_ring,
 )
 from qcorr.ccm import _ghz_value
 from qcorr.checks import (
@@ -171,7 +170,7 @@ def test_criterion_07_peak_grows_with_size():
     peaks = []
     for n in (4, 6, 8):
         grid = build_grid(-1.3, -0.7, 13)
-        peaks.append(max(_ground_ccm(build_xxz(n, float(d))) for d in grid))
+        peaks.append(max(_ground_ccm(chain_terms(xxz_ring(n, float(d)))) for d in grid))
     increasing = peaks[0] < peaks[1] < peaks[2]
     _line(7, increasing,
           "peak near delta=-1 for N=4,6,8: " + ", ".join(f"{p:.4f}" for p in peaks))
@@ -183,9 +182,9 @@ def test_criterion_08_double_chain_additivity():
     worst = 0.0
     for delta, lam in pairs:
         for v in (delta, lam):  # the lowest level is gapped away from the rest
-            assert ground_gap(build_xxz(3, v)) > 0.3
-        joint = _ground_ccm(build_double_xxz(3, delta, lam))
-        split = _ground_ccm(build_xxz(3, delta)) + _ground_ccm(build_xxz(3, lam))
+            assert ground_gap(chain_terms(xxz_ring(3, v))) > 0.3
+        joint = _ground_ccm(chain_terms(xxz_ring(3, delta), xxz_ring(3, lam)))
+        split = _ground_ccm(chain_terms(xxz_ring(3, delta))) + _ground_ccm(chain_terms(xxz_ring(3, lam)))
         worst = max(worst, abs(joint - split))
     _line(8, worst <= 1e-6,
           f"max |joint - sum| over {len(pairs)} pairs = {worst:.3e} (tol 1e-6)")
@@ -209,7 +208,7 @@ def test_criterion_10_noise_monotonicity():
     ps = (0.0, 0.01, 0.02, 0.03, 0.04)
     table = {}
     for d in deltas:
-        state = ground_state(build_xxz(4, d))
+        state = ground_state(chain_terms(xxz_ring(4, d)))
         row = []
         for p in ps:
             noisy = apply_channel_local(state, phase_damping_channel(p), full_mask(4))

@@ -44,6 +44,8 @@ from qcorr.linalg import apply_superoperators, superoperator
 from qcorr.sampling import random_density
 from qcorr.states import sector_views, subset_qubits
 
+from dense_reference import block_state, holds_popcount
+
 TABLE_TOL = 1e-12
 CCM_TOL = 1e-10
 NAIVE_TOL = 1e-9
@@ -160,8 +162,7 @@ KINDS = {"phase": phase_damping_channel, "amplitude": amplitude_damping_channel,
 def test_block_channels_match_the_dense_kernel_bit_for_bit(n, delta, p, kind, qubits):
     qubits &= full_mask(n)
     matrix = damped_ring(n, delta, "phase", 0.3).matrix if n > 1 else np.diag([0.25, 0.75])
-    state = DensityOperator(matrix)  # the public constructor finds the blocks
-    assert state.blocks is not None
+    state = block_state(matrix)
     channel = KINDS[kind](p)
     out = apply_channel_local(state, channel, qubits)
     assert out.blocks is not None
@@ -199,27 +200,32 @@ def test_states_without_blocks_stay_one_block(rng):
 # --- intake ---------------------------------------------------------------------
 
 
-def test_a_file_with_one_subnormal_cross_sector_entry_is_one_block(tmp_path):
+@pytest.mark.parametrize("channel", sorted(CHANNELS))
+def test_a_file_that_holds_popcounts_apart_is_one_block(tmp_path, channel):
+    # Intake does not look for popcount blocks: a damped ring read from a
+    # file takes the one-block walk, and must agree with the same matrix
+    # carried as blocks.
     n = 6
-    m = damped_ring(n, 0.5, "phase", 0.4).matrix.copy()
-    charged = tmp_path / "charged.qs1"
-    write_qs1(charged, DensityOperator(m))
-    m[0, 1] = m[1, 0] = 5e-324  # |000000> against |000001>
-    broken = tmp_path / "broken.qs1"
-    write_qs1(broken, DensityOperator(m))
-    state, reference = read_qs1(broken), read_qs1(charged)
-    assert state.factor is None and reference.factor is None
-    assert state.blocks is None and reference.blocks is not None
+    m = damped_ring(n, 0.5, channel, 0.4).matrix
+    path = tmp_path / "damped.qs1"
+    write_qs1(path, DensityOperator(m))
+    state, reference = read_qs1(path), block_state(m)
+    assert np.array_equal(state.matrix, m) and holds_popcount(state.matrix)
+    assert state.factor is None and state.blocks is None
     sizes = []
     solve = qcorr.entropy.hermitian_eigenvalues
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qcorr.entropy, "hermitian_eigenvalues", lambda a: sizes.append(a.shape[-1]) or solve(a))
-        report = ccm(state)
+        table, report = subset_entropies(state), ccm(state)
     # The root's spectrum was kept at intake; the five-qubit subsets are
     # diagonalized whole, where the blocks would be at most C(5, 2) = 10 wide.
     assert max(sizes) == 1 << (n - 1)
-    assert report.value == pytest.approx(ccm(reference).value, abs=CCM_TOL)
-    assert report.value == pytest.approx(ccm_naive(state), abs=NAIVE_TOL)
+    want_table, want = subset_entropies(reference), ccm(reference)
+    gap = max(abs(a - b) for a, b in zip(table, want_table))
+    assert gap <= TABLE_TOL
+    assert report.value == pytest.approx(want.value, abs=CCM_TOL)
+    if gap <= ROUNDOFF_BITS:
+        assert tree_shape(report.tree) == tree_shape(want.tree)
 
 
 # --- validation at the boundary ---------------------------------------------------

@@ -1,16 +1,17 @@
-"""Dense reduced states diagonalized one popcount sector at a time.
+"""Reduced states diagonalized one popcount sector at a time.
 
-A dense state whose entries between basis states of different popcount are
-exactly 0.0 keeps those zeros under every partial trace, so each matrix of
-its subset table is diagonalized sector by sector, as is a mixed state file
-at intake.  Forcing every state to show no blocks (by replacing
-`DensityOperator.blocks`) gives the path that diagonalizes whole matrices, which
-must agree with the sector path on every subset entropy and on the tree.
+A state carried as popcount blocks (a damped ring, or a matrix that holds
+popcounts apart put in block form by the tests' `block_state`) keeps the
+zeros between popcounts under every partial trace, so each matrix of its
+subset table is diagonalized sector by sector.  Forcing every state to show
+no blocks (by replacing `DensityOperator.blocks`) gives the path that
+diagonalizes whole matrices, which must agree with the sector path on every
+subset entropy and on the tree.  States from the public constructor, and so
+mixed state files, are the one-block case.
 """
 
 import math
 import re
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -37,7 +38,9 @@ from qcorr import (
 from qcorr.entropy import QubitGroup, orbit_representatives, qubit_symmetry, subset_entropies
 from qcorr.errors import ParseError
 from qcorr.sampling import random_density
-from qcorr.states import block_layout, holds_popcount
+from qcorr.states import block_layout
+
+from dense_reference import block_state, holds_popcount, one_block
 
 TABLE_TOL = 1e-12
 CCM_TOL = 1e-10
@@ -50,10 +53,6 @@ def damped_ring(n, delta, channel, p):
     """The XXZ ring's ground state with `channel` at strength p on every qubit."""
     state = ground_state(chain_terms(xxz_ring(n, delta)))
     return apply_channel_local(state, CHANNELS[channel](p), full_mask(n))
-
-
-def dense(state):
-    return DensityOperator(state.matrix)
 
 
 def phase_gates(n, seed):
@@ -79,19 +78,19 @@ def _cases():
                lambda n=n: apply_local_unitary(damped_ring(n, 0.5, "phase", 0.5), phase_gates(n, n)))
     for spins, delta, lam in ((2, 0.5, 1.5), (3, -0.5, 2.0), (4, 1.5, 0.3)):
         yield (f"dxxz{delta},{lam}-{2 * spins}",
-               lambda spins=spins, delta=delta, lam=lam: dense(
-                   ground_state(chain_terms(xxz_ring(spins, delta), xxz_ring(spins, lam)))))
+               lambda spins=spins, delta=delta, lam=lam: block_state(
+                   ground_state(chain_terms(xxz_ring(spins, delta), xxz_ring(spins, lam))).matrix))
 
 
 def _uncharged():
     # The transverse field flips one spin; GHZ's one coherence joins
-    # popcounts 0 and n.
+    # popcounts 0 and n.  The factors of both reach across sectors.
     for n, lam in ((4, 0.7), (8, 0.5)):
-        yield f"ising{lam}-{n}", lambda n=n, lam=lam: dense(ground_state(chain_terms(ising_ring(n, lam))))
+        yield f"ising{lam}-{n}", lambda n=n, lam=lam: ground_state(chain_terms(ising_ring(n, lam)))
     for n in (2, 5, 8):
-        yield f"ghz{n}", lambda n=n: dense(make_ghz(n).to_density())
+        yield f"ghz{n}", lambda n=n: make_ghz(n).to_density()
     for n in (3, 6):
-        yield f"random{n}", lambda n=n: random_density(n, np.random.default_rng(n))
+        yield f"random{n}", lambda n=n: one_block(random_density(n, np.random.default_rng(n)).matrix)
 
 
 CASES = list(_cases())
@@ -117,7 +116,7 @@ def tree_shape(node):
 @pytest.mark.parametrize("name, make", CASES, ids=[c[0] for c in CASES])
 def test_sectors_match_whole_matrices(without_charge, name, make):
     state = make()
-    assert state.factor is None
+    assert state.factor is None and state.blocks is not None
     assert holds_popcount(state.matrix)
     table, report = subset_entropies(state), ccm(state)
     without_charge()
@@ -132,7 +131,7 @@ def test_sectors_match_whole_matrices(without_charge, name, make):
 @pytest.mark.parametrize("name, make", UNCHARGED, ids=[c[0] for c in UNCHARGED])
 def test_states_without_the_charge(name, make):
     state = make()
-    assert state.factor is None
+    assert state.blocks is None
     assert not holds_popcount(state.matrix)
 
 
@@ -148,20 +147,6 @@ def with_entry(matrix, i, j, value):
     m = matrix.copy()
     m[i, j] = m[j, i] = value
     return m
-
-
-def test_one_subnormal_entry_breaks_the_charge():
-    m = damped_ring(6, 0.5, "phase", 0.4).matrix
-    assert holds_popcount(m)
-    # |000000> against |000001> and |000011>, in row 0.
-    assert not holds_popcount(with_entry(m, 0, 1, 5e-324))
-    assert not holds_popcount(with_entry(m, 0, 3, 5e-324))
-    # Far from row 0: |101000> and |111110>.
-    assert not holds_popcount(with_entry(m, 40, 62, 5e-324))
-    # Inside one sector: |000001> and |000010>.
-    assert holds_popcount(with_entry(m, 1, 2, 5e-324))
-    # A negative zero is a zero.
-    assert holds_popcount(with_entry(m, 0, 1, -0.0))
 
 
 @pytest.fixture
@@ -244,25 +229,6 @@ def test_eigensolve_calls_of_the_amplitude_damped_ring(monkeypatch):
     assert (calls, solved) == (16, 82) and saved == pytest.approx(0.22, abs=0.01)
 
 
-def test_detection_makes_no_second_full_matrix():
-    n = 10
-    charged = damped_ring(n, -0.7, "phase", 0.4).matrix
-    generic = random_density(n, np.random.default_rng(1)).matrix
-    for m in (charged, generic):
-        holds_popcount(m)  # builds the cached sector lists
-    # Rows are gathered BLOCK_ENTRIES entries at a time; a generic matrix
-    # is rejected from row 0 alone.
-    for m, holds, budget in ((charged, True, charged.nbytes // 4),
-                             (generic, False, 16 * generic.itemsize * (1 << n))):
-        tracemalloc.start()
-        try:
-            assert holds_popcount(m) is holds
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= budget
-
-
 # --- intake --------------------------------------------------------------------
 
 
@@ -270,17 +236,6 @@ def through_file(tmp_path, matrix):
     path = tmp_path / "state.qs1"
     write_qs1(path, DensityOperator(matrix))
     return path
-
-
-def test_intake_spectrum_from_sectors(tmp_path, eigvalsh_sizes):
-    n = 7
-    m = damped_ring(n, 0.5, "amplitude", 0.6).matrix
-    path = through_file(tmp_path, m)
-    eigvalsh_sizes.clear()
-    state = read_qs1(path)
-    assert max(eigvalsh_sizes) == math.comb(n, n // 2)
-    assert np.all(np.diff(state.spectrum) >= 0.0)
-    assert np.abs(state.spectrum - np.linalg.eigvalsh(state.matrix)).max() <= SPECTRUM_TOL
 
 
 MIN_EIGENVALUE = re.compile(r"minimum eigenvalue (\S+) below -1e-09")

@@ -26,19 +26,21 @@ from qcorr import (
     amplitude_damping_channel,
     apply_channel_local,
     apply_local_unitary,
-    build_xxz,
     ccm,
+    chain_terms,
     full_mask,
     ground_state,
     make_ghz,
     partial_trace,
     phase_damping_channel,
     von_neumann_entropy,
+    xxz_ring,
 )
 from qcorr.entropy import subset_entropies, subset_entropy
 from qcorr.sampling import random_density, random_local_unitaries, random_qubit_channel
 from qcorr.states import subset_qubits
 
+from dense_reference import block_state, holds_popcount, one_block
 from pauli_reference import kron_all
 
 CCM_MODULE = sys.modules["qcorr.ccm"]  # `qcorr.ccm` is the re-exported function
@@ -50,10 +52,6 @@ CUTOFF_TOL = 1e-10
 CCM_TOL = 1e-10
 ROUNDOFF_BITS = 1e-13  # as in test_factored.py: trees are compared below this gap
 CHANNEL_TOL = 1e-12
-
-
-def dense_copy(state):
-    return DensityOperator(state.matrix)
 
 
 def reference_table(state):
@@ -91,7 +89,9 @@ def assert_table_agrees(state, tol=TABLE_TOL):
 
 def test_corpus_tables_agree(corpus):
     for _, state in corpus:
-        assert_table_agrees(dense_copy(state))
+        assert_table_agrees(one_block(state.matrix))
+        if holds_popcount(state.matrix):
+            assert_table_agrees(block_state(state.matrix))
 
 
 # --- hypothesis ensembles -----------------------------------------------------
@@ -106,7 +106,7 @@ def random_factor(n, rank, rng, real):
 
 def from_factor_dense(v):
     m = v @ v.conj().T
-    return DensityOperator(0.5 * (m + m.conj().T))
+    return one_block(0.5 * (m + m.conj().T))
 
 
 def block_diagonal(n, rng, real):
@@ -114,7 +114,7 @@ def block_diagonal(n, rng, real):
     (a pinching, so still a state), like a damped XXZ ground state."""
     rho = from_factor_dense(random_factor(n, 1 << n, rng, real)).matrix
     weight = np.array([bin(i).count("1") for i in range(1 << n)])
-    return DensityOperator(np.where(weight[:, None] == weight[None, :], rho, 0.0))
+    return block_state(np.where(weight[:, None] == weight[None, :], rho, 0.0))
 
 
 def near_cutoff(n, eps, rng, real):
@@ -207,7 +207,7 @@ def test_local_unitaries_match_explicit_product(rng):
 
 
 def test_identity_channel_returns_the_input():
-    state = ground_state(build_xxz(4, 0.3))
+    state = ground_state(chain_terms(xxz_ring(4, 0.3)))
     for channel in (phase_damping_channel(0.0), amplitude_damping_channel(0.0)):
         assert apply_channel_local(state, channel, full_mask(4)) is state
     assert state.factor is not None
@@ -231,7 +231,7 @@ def eig_dtypes(state, monkeypatch):
 
 
 def test_real_states_stay_real(monkeypatch):
-    state = ground_state(build_xxz(5, -0.4))
+    state = ground_state(chain_terms(xxz_ring(5, -0.4)))
     assert state.factor.dtype == np.float64 and state.matrix.dtype == np.float64
     assert eig_dtypes(state, monkeypatch) == {np.dtype(np.float64)}
     for channel in (phase_damping_channel(0.3), amplitude_damping_channel(0.3)):
@@ -251,7 +251,7 @@ def test_complex_states_stay_complex(monkeypatch, rng):
     damped = apply_channel_local(rho, phase_damping_channel(0.3), full_mask(4))
     assert damped.matrix.dtype == np.complex128
     # A complex channel makes a real state complex.
-    real = ground_state(build_xxz(4, 0.3))
+    real = ground_state(chain_terms(xxz_ring(4, 0.3)))
     twisted = KrausChannel((np.diag([1.0, 1j]),))
     assert apply_channel_local(real, twisted, 0b1).matrix.dtype == np.complex128
 
@@ -260,7 +260,7 @@ def test_complex_states_stay_complex(monkeypatch, rng):
 
 
 def test_dense_ccm_n8_never_partial_traces(monkeypatch):
-    state = apply_channel_local(ground_state(build_xxz(8, -0.4)),
+    state = apply_channel_local(ground_state(chain_terms(xxz_ring(8, -0.4))),
                                 phase_damping_channel(0.4), full_mask(8))
     assert state.factor is None
     want = reference_ccm(state)

@@ -29,6 +29,8 @@ from qcorr import (
 )
 from qcorr.entropy import subset_entropy
 
+from dense_reference import one_block
+
 ENTROPY_TOL = 1e-10
 CCM_TOL = 1e-9
 # Away from SUPPORT_CUTOFF the two paths' entropies differ by round-off only
@@ -39,8 +41,7 @@ ROUNDOFF_BITS = 1e-13
 
 
 def dense_copy(state):
-    return DensityOperator(state.to_density().matrix if isinstance(state, PureState)
-                           else state.matrix)
+    return one_block(state.to_density().matrix if isinstance(state, PureState) else state.matrix)
 
 
 def tree_shape(node):

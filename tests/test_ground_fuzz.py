@@ -28,7 +28,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qcorr.spin_models
-from qcorr import SpinChainSpec, build_hamiltonian, ground_gap, ground_state
+from qcorr import SpinChainSpec, chain_terms, ground_gap, ground_state
+
+from dense_reference import dense
 
 WINDOW_RTOL = 1e-9
 TOL = 1e-9
@@ -56,10 +58,10 @@ def well_posed(ham):
     return not np.any((above > 1e-11 * span) & (above < 1e-6 * span))
 
 
-def assert_matches_dense(ham):
+def assert_matches_dense(terms):
     """Projector and gap against the dense reference; returns the orders of
     the groups the two calls used."""
-    projector, gap = dense_reference(ham)
+    projector, gap = dense_reference(dense(terms))
     orders = []
     find = qcorr.spin_models._translations
 
@@ -70,8 +72,8 @@ def assert_matches_dense(ham):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qcorr.spin_models, "_translations", spy)
-        assert np.abs(ground_state(ham).matrix - projector).max() <= TOL
-        got = ground_gap(ham)
+        assert np.abs(ground_state(terms).matrix - projector).max() <= TOL
+        got = ground_gap(terms)
     assert got == gap if math.isinf(gap) else abs(got - gap) <= TOL
     return orders
 
@@ -79,9 +81,10 @@ def assert_matches_dense(ham):
 @given(n=st.integers(2, 7), jx=COUPLING, jy=COUPLING, jz=COUPLING, h=COUPLING)
 @settings(deadline=None, max_examples=60)
 def test_random_couplings_match_dense(n, jx, jy, jz, h):
-    ham = build_hamiltonian(SpinChainSpec(n, jx=jx, jy=jy, jz=jz, h=h))
+    terms = chain_terms(SpinChainSpec(n, jx=jx, jy=jy, jz=jz, h=h))
+    ham = dense(terms)
     assume(well_posed(ham))
-    orders = assert_matches_dense(ham)
+    orders = assert_matches_dense(terms)
     normal = np.all(np.abs(ham[ham != 0.0]) >= np.finfo(float).tiny)
     if (jx != 0.0 or jy != 0.0) and jx != -jy and normal:
         assert orders == [n, n]
@@ -90,6 +93,6 @@ def test_random_couplings_match_dense(n, jx, jy, jz, h):
 @given(n=st.integers(2, 7), offset=st.sampled_from((-1e-6, 0.0, 1e-6)), h=FIELD)
 @settings(deadline=None, max_examples=40)
 def test_xxz_at_the_crossing_matches_dense(n, offset, h):
-    orders = assert_matches_dense(build_hamiltonian(
+    orders = assert_matches_dense(chain_terms(
         SpinChainSpec(n, jx=0.5, jy=0.5, jz=(1.0 + offset) / 2.0, h=h)))
     assert orders == [n, n]

@@ -18,14 +18,15 @@ from qcorr import (
     GroundStateMode,
     GroundStatePolicy,
     SpinChainSpec,
-    build_double_xxz,
-    build_hamiltonian,
-    build_ising,
-    build_xxz,
     ccm,
+    chain_terms,
     ground_gap,
     ground_state,
+    ising_ring,
+    xxz_ring,
 )
+
+from dense_reference import dense
 
 FIRST = GroundStatePolicy(mode=GroundStateMode.FIRST_VECTOR)
 RTOL = 1e-9  # spin_models.DEGENERACY_RTOL
@@ -44,24 +45,23 @@ GENERIC = (
 def _cases():
     for n in range(2, 9):
         for delta in DELTAS:
-            yield f"xxz-{n}-{delta!r}", build_xxz, (n, delta)
+            yield f"xxz-{n}-{delta!r}", (xxz_ring(n, delta),)
         for lam in LAMBDAS:
-            yield f"ising-{n}-{lam!r}", build_ising, (n, lam)
+            yield f"ising-{n}-{lam!r}", (ising_ring(n, lam),)
     for spins in (2, 3, 4):
         for delta, lam in DOUBLE_POINTS:
-            yield f"dxxz-{spins}-{delta!r}-{lam!r}", build_double_xxz, (spins, delta, lam)
+            yield f"dxxz-{spins}-{delta!r}-{lam!r}", (xxz_ring(spins, delta), xxz_ring(spins, lam))
     for n in range(2, 8):
         for name, couplings in GENERIC:
-            yield f"{name}-{n}", lambda n, c: build_hamiltonian(SpinChainSpec(n, **c)), (n, couplings)
+            yield f"{name}-{n}", (SpinChainSpec(n, **couplings),)
 
 
 CASES = list(_cases())
 
 
 @pytest.fixture(params=CASES, ids=[c[0] for c in CASES])
-def hamiltonian(request):
-    _, build, args = request.param
-    return build(*args)
+def terms(request):
+    return chain_terms(*request.param[1])
 
 
 def dense_reference(ham):
@@ -73,21 +73,22 @@ def dense_reference(ham):
     return vecs[:, vals <= top], gap
 
 
-def test_mixture_and_gap_match_dense(hamiltonian):
-    ground, gap = dense_reference(hamiltonian)
+def test_mixture_and_gap_match_dense(terms):
+    ground, gap = dense_reference(dense(terms))
     reference = DensityOperator.from_factor(ground / math.sqrt(ground.shape[1]))
-    state = ground_state(hamiltonian)
+    state = ground_state(terms)
     assert state.factor.shape[1] == ground.shape[1]
     assert np.abs(state.matrix - reference.matrix).max() <= TOL
     assert abs(ccm(state).value - ccm(reference).value) <= TOL
-    got = ground_gap(hamiltonian)
+    got = ground_gap(terms)
     assert got == gap if math.isinf(gap) else abs(got - gap) <= TOL
 
 
-def test_first_vector_is_on_the_lowest_level(hamiltonian):
+def test_first_vector_is_on_the_lowest_level(terms):
+    hamiltonian = dense(terms)
     ground, _ = dense_reference(hamiltonian)
     e0 = np.linalg.eigvalsh(hamiltonian)[0]
-    rho = ground_state(hamiltonian, FIRST).matrix
+    rho = ground_state(terms, FIRST).matrix
     assert np.abs(hamiltonian @ rho - e0 * rho).max() <= TOL
     if ground.shape[1] == 1:
         v = ground[:, 0]
@@ -97,7 +98,7 @@ def test_first_vector_is_on_the_lowest_level(hamiltonian):
 def test_first_vector_takes_the_first_block():
     # At delta = 1 the ferromagnetic multiplet has one state per magnetization
     # sector; the first block by smallest basis index is {|0...0>}.
-    rho = ground_state(build_xxz(4, 1.0), FIRST).matrix
+    rho = ground_state(chain_terms(xxz_ring(4, 1.0)), FIRST).matrix
     expected = np.zeros((16, 16))
     expected[0, 0] = 1.0
     assert np.abs(rho - expected).max() <= TOL
@@ -105,6 +106,6 @@ def test_first_vector_takes_the_first_block():
 
 def test_degenerate_level_across_sectors_is_kept_whole():
     # delta > 1: the two fully polarized states sit in the two extreme sectors
-    state = ground_state(build_xxz(5, 2.0))
+    state = ground_state(chain_terms(xxz_ring(5, 2.0)))
     assert state.factor.shape[1] == 2
     assert np.allclose(np.diag(state.matrix).real[[0, 31]], 0.5)

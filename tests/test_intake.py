@@ -24,6 +24,8 @@ from qcorr.entropy import SUPPORT_CUTOFF, subset_entropies
 from qcorr.errors import ParseError
 from qcorr.sampling import haar_unitary, random_density
 
+from dense_reference import one_block
+
 VALUE_TOL = 1e-10
 ROUNDOFF_BITS = 1e-13  # as in test_factored.py: trees are compared below this gap
 
@@ -66,7 +68,7 @@ def tree_shape(node):
 
 def assert_matches_dense(state, report_tree=None):
     """Table, ccm, tree and multi-information of `state` against a dense copy."""
-    dense = DensityOperator(state.matrix)
+    dense = one_block(state.matrix)
     assert dense.factor is None and dense.spectrum is None
     table, ref = subset_entropies(state), subset_entropies(dense)
     gap = max(abs(a - b) for a, b in zip(table, ref))

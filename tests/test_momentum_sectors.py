@@ -17,13 +17,13 @@ import numpy as np
 import pytest
 
 import qcorr.spin_models
+from dense_reference import dense, terms_of
 from pauli_reference import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron_all
 from qcorr import (
     GroundStateMode,
     GroundStatePolicy,
     HamiltonianTerms,
     SpinChainSpec,
-    build_hamiltonian,
     ccm,
     chain_terms,
     ground_gap,
@@ -135,10 +135,10 @@ def test_momentum_blocks_match_the_sector_blocks(monkeypatch, group_orders, name
 @pytest.mark.parametrize("name, couplings", FRUSTRATED + GENERIC,
                          ids=[c[0] for c in FRUSTRATED + GENERIC])
 def test_real_factor_matches_dense_eigh(n, name, couplings):
-    ham = build_hamiltonian(SpinChainSpec(n, **couplings))
-    state = ground_state(ham)
+    terms = chain_terms(SpinChainSpec(n, **couplings))
+    state = ground_state(terms)
     assert state.factor.dtype == np.float64
-    assert_matches_dense(ham, state, ground_gap(ham))
+    assert_matches_dense(dense(terms), state, ground_gap(terms))
 
 
 def test_odd_antiferromagnetic_ring_pairs_plus_and_minus_k():
@@ -173,10 +173,10 @@ def dm_ring(n, d):
 @pytest.mark.parametrize("d", (0.25, 0.75))
 def test_complex_terms_take_every_momentum(group_orders, n, d):
     ham = dm_ring(n, d)
-    state = ground_state(ham)
+    state = ground_state(terms_of(ham))
     assert group_orders == [n]
     assert np.iscomplexobj(state.factor)
-    assert_matches_dense(ham, state, ground_gap(ham))
+    assert_matches_dense(ham, state, ground_gap(terms_of(ham)))
 
 
 def random_hermitian(dim, seed):
@@ -194,18 +194,17 @@ OTHER = (
     ("aligned-flips-only", chain_terms(SpinChainSpec(6, jx=0.5, jy=-0.5, jz=0.2))),
     # Subnormal values would lose their digits in the phases.
     ("subnormal-xxz", chain_terms(SpinChainSpec(5, jx=5e-324, jy=5e-324, jz=1e-320))),
-    ("random-complex-16", random_hermitian(16, 3)),
-    ("random-real-8", random_hermitian(8, 4).real),
-    ("one-qubit", np.array([[1.0, 0.5], [0.5, -1.0]])),
+    ("random-complex-16", terms_of(random_hermitian(16, 3))),
+    ("random-real-8", terms_of(random_hermitian(8, 4).real)),
+    ("one-qubit", terms_of(np.array([[1.0, 0.5], [0.5, -1.0]]))),
 )
 
 
-@pytest.mark.parametrize("name, ham", OTHER, ids=[name for name, _ in OTHER])
-def test_other_input_takes_the_trivial_group(group_orders, name, ham):
-    dense = ham if isinstance(ham, np.ndarray) else qcorr.spin_models._dense(ham)
-    state = ground_state(ham)
+@pytest.mark.parametrize("name, terms", OTHER, ids=[name for name, _ in OTHER])
+def test_other_input_takes_the_trivial_group(group_orders, name, terms):
+    state = ground_state(terms)
     assert group_orders == [1]
-    assert_matches_dense(dense, state, ground_gap(ham))
+    assert_matches_dense(dense(terms), state, ground_gap(terms))
 
 
 def test_invariance_is_exact():

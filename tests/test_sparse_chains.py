@@ -1,10 +1,11 @@
 """Chain ground states from terms, against the same calls on dense matrices.
 
 Sweeps hand `ground_state` a chain as `HamiltonianTerms`, its nonzero
-(row, column, value) triples; a dense matrix is turned into the same kind of
-triples by `np.nonzero`, and one code path runs from there.  The `build_*`
-matrices are those terms scattered into zeros, so the two inputs must give
-bit-identical factors and equal gaps.  Double XXZ is two rings on one
+(row, column, value) triples, the one form it takes; the tests turn a dense
+matrix into the same kind of triples by `np.nonzero` (`terms_of`).  The
+dense reference builders scatter the terms into zeros, so the terms of the
+dense matrix must be the chain's terms and give bit-identical factors and
+equal gaps.  Double XXZ is two rings on one
 register; it is checked against the Kronecker sum H(delta) x I + I x H(lam).
 The memory tests show that no 2^N x 2^N matrix is formed on the way to a
 ground state, its `ccm` and its total correlations.
@@ -24,10 +25,6 @@ from qcorr import (
     GroundStatePolicy,
     HamiltonianTerms,
     SpinChainSpec,
-    build_double_xxz,
-    build_hamiltonian,
-    build_ising,
-    build_xxz,
     ccm,
     chain_terms,
     ground_gap,
@@ -39,6 +36,8 @@ from qcorr import (
 )
 from qcorr.errors import NotHermitian
 from qcorr.spin_models import _blocks
+
+from dense_reference import build_double_xxz, build_hamiltonian, build_ising, build_xxz, terms_of
 
 FIRST = GroundStatePolicy(mode=GroundStateMode.FIRST_VECTOR)
 POLICIES = (GroundStatePolicy(), FIRST)
@@ -89,10 +88,10 @@ def test_terms_match_the_dense_matrix(name, spec, build, n):
     assert np.array_equal(dense, old_build(spec(n)))
     for policy in POLICIES:
         got = ground_state(terms, policy).factor
-        want = ground_state(dense, policy).factor
+        want = ground_state(terms_of(dense), policy).factor
         assert got.dtype == want.dtype == np.float64
         assert np.array_equal(got, want)
-    assert ground_gap(terms) == ground_gap(dense)
+    assert ground_gap(terms) == ground_gap(terms_of(dense))
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -119,7 +118,7 @@ def test_aligned_flips_leave_the_magnetization_sectors_apart():
 def test_asymmetric_entry_raises():
     skew = np.diag([1.0, 2.0, 3.0, 4.0])
     skew[0, 3] = 0.5
-    for ham in (skew, HamiltonianTerms(4, np.array([0, 0, 1, 2, 3]), np.array([0, 3, 1, 2, 3]),
+    for ham in (terms_of(skew), HamiltonianTerms(4, np.array([0, 0, 1, 2, 3]), np.array([0, 3, 1, 2, 3]),
                                        np.array([1.0, 0.5, 2.0, 3.0, 4.0]))):
         with pytest.raises(NotHermitian):
             ground_state(ham)
@@ -134,7 +133,7 @@ def test_double_xxz_is_the_kron_sum(spins):
         kron_sum = np.kron(build_xxz(spins, delta), eye) + np.kron(eye, build_xxz(spins, lam))
         assert np.abs(build_double_xxz(spins, delta, lam) - kron_sum).max() <= 1e-12
         terms = chain_terms(xxz_ring(spins, delta), xxz_ring(spins, lam))
-        assert abs(ccm(ground_state(terms)).value - ccm(ground_state(kron_sum)).value) <= 1e-10
+        assert abs(ccm(ground_state(terms)).value - ccm(ground_state(terms_of(kron_sum))).value) <= 1e-10
 
 
 @pytest.fixture

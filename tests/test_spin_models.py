@@ -9,15 +9,15 @@ from qcorr import (
     GroundStateMode,
     GroundStatePolicy,
     SpinChainSpec,
-    build_double_xxz,
-    build_hamiltonian,
-    build_ising,
-    build_xxz,
+    chain_terms,
     ground_gap,
     ground_state,
+    ising_ring,
+    xxz_ring,
 )
 from qcorr.errors import OutOfRange, TooLarge
 
+from dense_reference import build_double_xxz, build_hamiltonian, build_ising, build_xxz, terms_of
 from pauli_reference import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron_all
 
 FIRST = GroundStatePolicy(mode=GroundStateMode.FIRST_VECTOR)
@@ -97,9 +97,16 @@ def test_double_chain_is_a_kron_sum():
 
 def test_size_guards():
     with pytest.raises(TooLarge):
-        build_hamiltonian(SpinChainSpec(15, jx=1.0))
+        chain_terms(SpinChainSpec(15, jx=1.0))
     with pytest.raises(TooLarge):
-        build_double_xxz(7, 0.5, 0.5)
+        chain_terms(xxz_ring(8, 0.5), xxz_ring(7, 0.5))
+
+
+def test_ground_states_take_terms_only():
+    # The rows of a 4 x 4 matrix would unpack as (dim, rows, cols, values).
+    for call in (ground_state, ground_gap):
+        with pytest.raises(TypeError):
+            call(np.eye(4))
 
 
 # --- ground states -----------------------------------------------------------
@@ -107,7 +114,7 @@ def test_size_guards():
 
 def test_first_vector_is_an_eigenstate():
     ham = build_ising(3, 0.8)
-    rho = ground_state(ham, FIRST)
+    rho = ground_state(chain_terms(ising_ring(3, 0.8)), FIRST)
     vals = np.linalg.eigvalsh(ham)
     # rho = |v><v| with Hv = E0 v
     assert np.allclose(ham @ rho.matrix, vals[0] * rho.matrix, atol=1e-9)
@@ -118,29 +125,29 @@ def test_xxz_three_ring_ground_is_a_doublet():
     # The 3-site ring's lowest level is a two-fold momentum doublet at every
     # anisotropy; the mixture policy returns the normalized rank-2 projector.
     for delta in (-1.5, -0.3, 0.2, 0.8, 2.0):
-        ham = build_xxz(3, delta)
-        rho = ground_state(ham)
+        terms = chain_terms(xxz_ring(3, delta))
+        rho = ground_state(terms)
         spectrum = np.sort(np.linalg.eigvalsh(rho.matrix))
         assert np.allclose(spectrum[:-2], 0.0, atol=1e-10)
         assert np.allclose(spectrum[-2:], 0.5, atol=1e-10)
-        assert ground_gap(ham) > 1e-6
+        assert ground_gap(terms) > 1e-6
 
 
 def test_mixture_projector_commutes_with_hamiltonian():
     ham = build_xxz(3, -0.7)
-    rho = ground_state(ham)
+    rho = ground_state(chain_terms(xxz_ring(3, -0.7)))
     assert np.allclose(ham @ rho.matrix, rho.matrix @ ham, atol=1e-9)
 
 
 def test_unique_ground_state_modes_agree():
     # the 3-spin Ising ring at moderate field has a non-degenerate ground level
-    ham = build_ising(3, 0.5)
-    assert ground_gap(ham) > 1e-3
-    mixture = ground_state(ham)
-    first = ground_state(ham, FIRST)
+    terms = chain_terms(ising_ring(3, 0.5))
+    assert ground_gap(terms) > 1e-3
+    mixture = ground_state(terms)
+    first = ground_state(terms, FIRST)
     assert np.abs(mixture.matrix - first.matrix).max() < 1e-9
 
 
 def test_ground_gap_flat_spectrum():
-    assert ground_gap(np.zeros((4, 4))) == math.inf
-    assert ground_gap(np.diag([0.0, 0.0, 1.0, 3.0])) == pytest.approx(1.0)
+    assert ground_gap(terms_of(np.zeros((4, 4)))) == math.inf
+    assert ground_gap(terms_of(np.diag([0.0, 0.0, 1.0, 3.0]))) == pytest.approx(1.0)

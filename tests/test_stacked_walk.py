@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 import qcorr.entropy
 from qcorr import (
-    DensityOperator,
     KrausChannel,
     amplitude_damping_channel,
     apply_channel_local,
@@ -38,6 +37,8 @@ from qcorr import (
 from qcorr.cli import main
 from qcorr.entropy import QubitGroup, orbit_representatives, subset_entropies, subset_entropies_many
 from qcorr.sampling import random_density
+
+from dense_reference import block_state, one_block
 
 NAIVE_TOL = 1e-9
 DATA = pathlib.Path(__file__).resolve().parent / "data" / "noise"
@@ -65,7 +66,7 @@ def make_state(kind, n, seed):
             phis = rng.uniform(0, 2 * np.pi, 1 if kind == "uniform-phase" else n).repeat(n)[:n]
             state = apply_local_unitary(state, [np.diag([1.0, np.exp(1j * phi)]) for phi in phis])
         if kind == "kept-blocks":
-            state = DensityOperator(state.matrix, check_psd=True)
+            state = block_state(state.matrix, check_psd=True)
         return state
     if kind == "amplitude":
         return apply_channel_local(ground, amplitude_damping_channel(p), full_mask(n))
@@ -74,9 +75,9 @@ def make_state(kind, n, seed):
     if kind == "random":
         return random_density(n, rng)
     if kind == "kept":
-        return DensityOperator(random_density(n, rng).matrix, check_psd=True)
+        return one_block(random_density(n, rng).matrix, check_psd=True)
     if kind == "ghz":
-        return DensityOperator(make_ghz(n).to_density().matrix)
+        return one_block(make_ghz(n).to_density().matrix)
     return ground
 
 

@@ -247,6 +247,39 @@ def test_qs1_roundtrip_arbitrary_amplitudes(tmp_path_factory, raw):
     assert np.array_equal(read_qs1(path).amplitudes, state.amplitudes)
 
 
+def per_scalar_qs1(kind, n, values):
+    """A qs1 file formatted one numpy scalar at a time, as `write_qs1` once did."""
+    lines = [f"qs1 {kind} {n}"] + [f"{float(z.real)!r} {float(z.imag)!r}" for z in values.reshape(-1)]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def edge_case_states(rng):
+    """States whose entries hold -0.0, subnormals and values that need all 17
+    significant digits: a pure state, a complex and a real mixed state."""
+    parts = rng.standard_normal((8, 2))
+    parts[0, 0], parts[1] = -0.0, (1e-310, -0.0)
+    parts /= np.linalg.norm(parts)  # in real arithmetic, which keeps the signs of zeros
+    pure = PureState(parts.view(complex).reshape(-1))
+    m = random_density(2, rng).matrix.copy()
+    m[0, 1], m[1, 0] = complex(5e-324, -0.0), complex(5e-324, 0.0)
+    real = np.diag([0.1, 0.2, 0.3, 0.4]) * (1.0 + 2.0 ** -52)
+    real[0, 1] = real[1, 0] = -0.0
+    real[2, 3] = real[3, 2] = 1e-310
+    return [pure, DensityOperator(m), DensityOperator(real)]
+
+
+def test_qs1_bytes_match_the_per_scalar_format(tmp_path, rng):
+    for state in edge_case_states(rng):
+        path = tmp_path / "state.qs1"
+        write_qs1(path, state)
+        if isinstance(state, PureState):
+            want = per_scalar_qs1("pure", state.num_qubits, state.amplitudes)
+        else:
+            want = per_scalar_qs1("mixed", state.num_qubits, state.matrix)
+        assert path.read_bytes() == want
+        assert b"-0.0" in want and b"e-3" in want
+
+
 @pytest.mark.parametrize("text,error", [
     ("", ParseError),
     ("qs2 pure 1\n0 0\n1 0\n", ParseError),

@@ -25,15 +25,15 @@ from qcorr import (
     SpinChainSpec,
     amplitude_damping_channel,
     apply_channel_local,
-    build_hamiltonian,
-    build_ising,
-    build_xxz,
     ccm,
+    chain_terms,
     full_mask,
     ground_state,
+    ising_ring,
     make_ghz,
     make_state_from_kets,
     phase_damping_channel,
+    xxz_ring,
 )
 from qcorr.ccm import MAX_QUBITS_DP
 from qcorr.entropy import (
@@ -45,6 +45,8 @@ from qcorr.entropy import (
 )
 from qcorr.sampling import random_density, random_pure_state
 from qcorr.states import SUPPORT_CUTOFF
+
+from dense_reference import block_state, one_block
 
 CCM_MODULE = sys.modules["qcorr.ccm"]  # `qcorr.ccm` is the re-exported function
 
@@ -127,7 +129,7 @@ def momentum_w_state(n):
 
 
 def dense_copy(state):
-    return DensityOperator(density(state))
+    return one_block(density(state))
 
 
 # --- orbits -------------------------------------------------------------------
@@ -187,8 +189,8 @@ def test_orbit_counts():
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_mixture_ring_ground_states_are_dihedral(n):
-    for h in (build_xxz(n, 0.5), build_xxz(n, -0.4), build_ising(n, 0.7)):
-        state = ground_state(h, MIXTURE)
+    for ring in (xxz_ring(n, 0.5), xxz_ring(n, -0.4), ising_ring(n, 0.7)):
+        state = ground_state(chain_terms(ring), MIXTURE)
         assert qubit_symmetry(state) is QubitGroup.DIHEDRAL
         assert qubit_symmetry(dense_copy(state)) is QubitGroup.DIHEDRAL
 
@@ -198,6 +200,8 @@ def test_ghz_and_w_are_symmetric(n):
     for state in (make_ghz(n), w_state(n)):
         assert qubit_symmetry(state) is QubitGroup.SYMMETRIC
         assert qubit_symmetry(dense_copy(state)) is QubitGroup.SYMMETRIC
+    # W lies in the popcount-1 sector, so it also has a block form.
+    assert qubit_symmetry(block_state(density(w_state(n)))) is QubitGroup.SYMMETRIC
 
 
 def test_momentum_state_is_cyclic():
@@ -217,7 +221,7 @@ def test_random_states_are_trivial(rng):
 
 
 def test_first_vector_at_a_degenerate_level_is_trivial():
-    h = build_hamiltonian(FRUSTRATED)
+    h = chain_terms(FRUSTRATED)
     mixture, first = ground_state(h, MIXTURE), ground_state(h, FIRST)
     assert mixture.factor.shape[1] > 1
     assert qubit_symmetry(mixture) is QubitGroup.DIHEDRAL
@@ -248,8 +252,8 @@ RING_PARAMS = {
 
 
 def ring_state(model, n, param, policy):
-    h = build_xxz(n, param) if model == "xxz" else build_ising(n, param)
-    return ground_state(h, policy)
+    ring = xxz_ring(n, param) if model == "xxz" else ising_ring(n, param)
+    return ground_state(chain_terms(ring), policy)
 
 
 @given(model=st.sampled_from(sorted(RING_PARAMS)), n=st.integers(3, 8), data=st.data(),
@@ -307,19 +311,19 @@ def fannes_audenaert_bits(trace_distance, dim):
 
 def perturbed_dense(eps):
     """A damped XXZ ring with population eps moved between two basis states
-    of its magnetization sector, which breaks the shift."""
+    of its magnetization sector, which breaks the shift, as blocks."""
     n = 6
-    m = apply_channel_local(ground_state(build_xxz(n, 0.5)), phase_damping_channel(0.3),
+    m = apply_channel_local(ground_state(chain_terms(xxz_ring(n, 0.5))), phase_damping_channel(0.3),
                             full_mask(n)).matrix.copy()
     m[0b000111, 0b000111] += eps
     m[0b001011, 0b001011] -= eps
-    return DensityOperator(m)
+    return block_state(m)
 
 
 def perturbed_pure(eps):
     """An XXZ ring ground vector plus eps times a vector that breaks the shift."""
     n = 6
-    v = ground_state(build_xxz(n, 0.5)).factor[:, 0].astype(complex)
+    v = ground_state(chain_terms(xxz_ring(n, 0.5))).factor[:, 0].astype(complex)
     v[0b000111] += eps
     return PureState(v / np.linalg.norm(v))
 
@@ -385,13 +389,13 @@ def eigensolves(state, monkeypatch):
 
 
 def damped_ring(n):
-    return apply_channel_local(ground_state(build_xxz(n, -0.4)), phase_damping_channel(0.4),
+    return apply_channel_local(ground_state(chain_terms(xxz_ring(n, -0.4))), phase_damping_channel(0.4),
                                full_mask(n))
 
 
 @pytest.mark.parametrize("name, make, count", [
     ("damped ring N=8", lambda: damped_ring(8), 29),           # 30 bracelets less the empty set
-    ("xxz N=10 mixture", lambda: ground_state(build_xxz(10, 0.5)), 43),
+    ("xxz N=10 mixture", lambda: ground_state(chain_terms(xxz_ring(10, 0.5))), 43),
     ("ghz-10", lambda: make_ghz(10), 5),                       # sizes 1..5; the rest are complements
     ("random n=6", lambda: random_density(6, np.random.default_rng(0)), 63),
 ])
