@@ -29,7 +29,8 @@ oracle.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -41,9 +42,10 @@ from .states import DensityOperator, PureState, full_mask, partial_trace
 MAX_QUBITS_DP = 14
 MAX_QUBITS_NAIVE = 6
 
-# Costs of a subset of size m closer than TIE_BITS * 2^(m-2) bits count as
-# tied.  Entropies from a factor and from partial traces differ by round-off
-# of about 1e-14 bits, far below this, so exact ties (every cut of a product
+# The reported cut of a subset of size m is the smallest A whose cost is
+# within TIE_BITS * 2^(m-2) bits of the subset's value, the minimum cost.
+# Entropies from a factor and from partial traces differ by round-off of
+# about 1e-14 bits, far below this, so exact ties (every cut of a product
 # state, say) go to the same cut whichever spectra the entropies came from.
 TIE_BITS = 1e-12
 
@@ -62,11 +64,7 @@ class CcmStats:
     cache_hits: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "subsets_evaluated": self.subsets_evaluated,
-            "entropies_computed": self.entropies_computed,
-            "cache_hits": self.cache_hits,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -87,15 +85,7 @@ class CcmTreeNode:
     right: "CcmTreeNode | None"
 
     def to_dict(self) -> dict:
-        return {
-            "subset": self.subset,
-            "mask_a": self.mask_a,
-            "mask_b": self.mask_b,
-            "distance_term": self.distance_term,
-            "value": self.value,
-            "left": self.left.to_dict() if self.left is not None else None,
-            "right": self.right.to_dict() if self.right is not None else None,
-        }
+        return asdict(self)  # the children too, in field order
 
 
 @dataclass
@@ -106,12 +96,7 @@ class CcmReport:
     stats: CcmStats = field(default_factory=CcmStats)
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "unit": self.unit.value,
-            "tree": self.tree.to_dict() if self.tree is not None else None,
-            "stats": self.stats.to_dict(),
-        }
+        return {**asdict(self), "unit": self.unit.value}  # "unit" keeps its place
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -132,11 +117,13 @@ def ccm(rho: PureState | DensityOperator,
     """Cumulative correlation measure of `rho`, with the minimizing tree.
 
     Bipartitions are canonicalized by keeping the subset's lowest qubit index
-    in block A; ties in cost (within TIE_BITS times the subset's weight) go
-    to the numerically smallest A mask.  Masks of one orbit of the state's
-    qubit symmetry share their entropies (see `subset_entropies`) and so
-    their values: the minimum is searched for each orbit's smallest mask
-    only, and again for every other mask on the reported tree.  This is the
+    in block A.  Every subset's value is the minimum cost over its cuts; the
+    tree reports the numerically smallest A whose cost is within TIE_BITS
+    times the subset's weight of that minimum, with the minimum as the
+    node's value.  Masks of one orbit of the state's qubit symmetry share
+    their entropies (see `subset_entropies`) and so their values: the
+    minimum is searched for each orbit's smallest mask only, and again for
+    every other mask on the reported tree.  This is the
     one-state case of `ccm_many`.
     """
     return ccm_many([rho], unit)[0]
@@ -147,8 +134,8 @@ def ccm_many(states: Sequence[PureState | DensityOperator],
     """`ccm` of each state, in order.
 
     The entropy tables of all states come from one `subset_entropies_many`
-    call, which walks states of the same register size, qubit group and
-    form as one stack; each state's dynamic program then runs on its own
+    call, which walks states of the same register size, symmetry and form
+    as one stack; each state's dynamic program then runs on its own
     table.  Every report is the one `ccm` gives the state alone.
     """
     for rho in states:
@@ -168,21 +155,42 @@ def _report(entropy_bits: list[float], n: int, unit: DistanceUnit) -> CcmReport:
     for mask in range(1, full + 1):  # ascending, so every proper submask comes first
         if rep[mask] != mask:
             value_bits[mask] = value_bits[rep[mask]]
-        elif mask & (mask - 1):
-            value_bits[mask] = _best_cut(mask, entropy_bits, value_bits)[0]
+        elif mask & (mask - 1):  # a single qubit has value 0
+            weight = float(1 << (bin(mask).count("1") - 2))
+            low, h_s, best, sub = mask & -mask, entropy_bits[mask], math.inf, 0
+            rest = mask ^ low
+            while sub != rest:  # the submasks of rest in ascending order; block B may not be empty
+                a, b = low | sub, rest ^ sub
+                dist = entropy_bits[a] + entropy_bits[b] - h_s
+                if dist < 0.0:
+                    dist = 0.0  # mutual information is non-negative; round-off only
+                cost = weight * dist + value_bits[a] + value_bits[b]
+                if cost < best:
+                    best = cost
+                sub = (sub - rest) & rest
+            value_bits[mask] = best
 
     scale = unit.factor
 
     def build(mask: int) -> CcmTreeNode | None:
         if mask & (mask - 1) == 0:  # single qubit
             return None
-        cost, a, dist = _best_cut(mask, entropy_bits, value_bits)
+        weight = float(1 << (bin(mask).count("1") - 2))
+        low = mask & -mask
+        limit = value_bits[mask] + TIE_BITS * weight
+        for sub in _ascending_submasks(mask ^ low):  # the smallest A within the tie of the value
+            a = low | sub
+            dist = weight * max(entropy_bits[a] + entropy_bits[mask ^ a] - entropy_bits[mask], 0.0)
+            if a != mask and dist + value_bits[a] + value_bits[mask ^ a] <= limit:
+                break
+        else:
+            raise AssertionError(f"no cut of subset {mask:#x} is within the tie of its value")
         return CcmTreeNode(
             subset=mask,
             mask_a=a,
             mask_b=mask ^ a,
             distance_term=dist * scale,
-            value=cost * scale,
+            value=value_bits[mask] * scale,
             left=build(a),
             right=build(mask ^ a),
         )
@@ -190,30 +198,6 @@ def _report(entropy_bits: list[float], n: int, unit: DistanceUnit) -> CcmReport:
     bipartitions = (3 ** n + 1) // 2 - (1 << n)  # sum over subsets of size m of 2^(m-1) - 1
     stats = CcmStats(subsets_evaluated=full, entropies_computed=full, cache_hits=3 * bipartitions)
     return CcmReport(value_bits[full] * scale, unit, build(full), stats)
-
-
-def _best_cut(mask: int, entropy_bits: list[float],
-              value_bits: list[float]) -> tuple[float, int, float]:
-    """(cost, A mask, weighted distance in bits) of the cheapest bipartition
-    of `mask` (two or more qubits), given the values of its proper submasks."""
-    weight = float(1 << (bin(mask).count("1") - 2))
-    tie = TIE_BITS * weight
-    low = mask & -mask
-    rest = mask ^ low
-    h_s = entropy_bits[mask]
-    best = None
-    for sub in _ascending_submasks(rest):
-        if sub == rest:
-            continue  # block B may not be empty
-        a = low | sub
-        b = mask ^ a
-        dist = entropy_bits[a] + entropy_bits[b] - h_s
-        if dist < 0.0:
-            dist = 0.0  # mutual information is non-negative; round-off only
-        cost = weight * dist + value_bits[a] + value_bits[b]
-        if best is None or cost < best[0] - tie:
-            best = (cost, a, weight * dist)
-    return best
 
 
 def ccm_naive(rho: PureState | DensityOperator,

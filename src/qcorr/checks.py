@@ -126,8 +126,10 @@ def check_ghz_growth() -> CheckResult:
 
 def check_dp_vs_naive(rng: np.random.Generator, count: int) -> CheckResult:
     """Dynamic program equals literal recursion on random mixed states, and
-    on XXZ rings damped by either built-in channel, whose table the dynamic
-    program takes from popcount blocks."""
+    on XXZ rings and double XXZ registers (2+2 and 3+3, equal and unequal
+    deltas) damped by either built-in channel, whose table the dynamic
+    program takes from popcount blocks and, for double rings, on the orbits
+    of a product group."""
     worst = 0.0
     states = [random_density(n, rng) for n in _sizes(count, (2, 3, 4))]
     channels = (phase_damping_channel, amplitude_damping_channel)
@@ -135,6 +137,11 @@ def check_dp_vs_naive(rng: np.random.Generator, count: int) -> CheckResult:
         ring = ground_state(chain_terms(xxz_ring(n, float(rng.uniform(-2.0, 2.0)))))
         damping = channels[i % 2](float(rng.uniform(0.0, 1.0)))
         states.append(apply_channel_local(ring, damping, full_mask(n)))
+    for spins, equal, channel in ((2, True, 0), (3, True, 1), (2, False, 1), (3, False, 0)):
+        deltas = [float(rng.uniform(-2.0, 2.0)) for _ in range(1 if equal else 2)]
+        rings = ground_state(chain_terms(xxz_ring(spins, deltas[0]), xxz_ring(spins, deltas[-1])))
+        damping = channels[channel](float(rng.uniform(0.0, 1.0)))
+        states.append(apply_channel_local(rings, damping, full_mask(2 * spins)))
     for rho in states:
         worst = max(worst, abs(ccm(rho).value - ccm_naive(rho)))
     return _result("dp vs naive recursion", worst, DP_VS_NAIVE_TOL, len(states))

@@ -11,7 +11,8 @@ time by `partial_trace`, or, for the whole table that `ccm` needs, by
 time out of a parent subset (`_walk_tree`).  The whole register's entropy
 comes from the spectrum that the positivity check kept, when there is one.
 The table diagonalizes one subset per orbit of the qubit permutations that
-leave the state unchanged (`qubit_symmetry`, `orbit_representatives`).
+leave the state unchanged (`qubit_symmetry` finds generators of that group,
+and `orbit_representatives` closes the masks under any generator list).
 
 One walk serves every state without a factor, and carries a leading stack
 axis: `subset_entropies_many` walks the states of a list that share register
@@ -108,40 +109,46 @@ def subset_entropy(state: PureState | DensityOperator, mask: int) -> float:
     return _entropy_bits(hermitian_eigenvalues(gram))
 
 
-class QubitGroup(enum.Enum):
-    """Group of qubit permutations that leaves a state unchanged (see `qubit_symmetry`)."""
+def qubit_symmetry(state: PureState | DensityOperator) -> tuple[tuple[int, ...], ...]:
+    """Generators (axis orders, as for `np.transpose`) of the qubit
+    permutations found to leave `state` unchanged; () is the trivial group.
 
-    TRIVIAL = "trivial"
-    CYCLIC = "cyclic"        # C_n: the shifts q -> q + k mod n
-    DIHEDRAL = "dihedral"    # D_n: the shifts and the reflection q -> n - 1 - q
-    SYMMETRIC = "symmetric"  # S_n: every permutation
-
-
-def qubit_symmetry(state: PureState | DensityOperator) -> QubitGroup:
-    """The group of qubit permutations found to leave `state` unchanged.
-
-    Three generators are tested: the shift c (q -> q + 1 mod n), the
-    transposition (0 1) and the reflection r (q -> n - 1 - q).  c and (0 1)
-    generate S_n, c and r generate D_n, c alone C_n; without c the group is
-    trivial.  A generator passes when it changes the state by at most
-    SUPPORT_CUTOFF in trace norm (see `_moves_by_at_most_cutoff`), the budget
-    intake accepts for the eigenvalues a factor drops, so by the
-    Fannes-Audenaert bound it moves no subset entropy by more than about
-    3e-11 bits; a permutation that takes L generators moves them by at most
-    L times that.  Ring ground states, damped or not, pass with trace norms
-    below 1e-13.
+    The shift c (q -> q + 1 mod n) is tested first; if it passes, (0 1), and
+    if that fails the reflection r (q -> n - 1 - q): (c, (0 1)) generates
+    S_n, (c, r) D_n and (c,) C_n.  Only if c fails on an even n >= 4 are
+    each half's shift and reflection and the swap of the halves tested,
+    and each that passes is kept: two rings side by side get D_N x D_N, and
+    the swap too when they are equal.  A generator passes when it changes
+    the state by at most SUPPORT_CUTOFF in trace norm (see
+    `_moves_by_at_most_cutoff`), the budget intake accepts for the
+    eigenvalues a factor drops, so by the Fannes-Audenaert bound it moves no
+    subset entropy by more than about 3e-11 bits; a permutation that takes
+    L generators moves them by at most L times that (L <= 9 in D_7 x D_7
+    with the swap).  Ring ground states, damped or not, pass with trace
+    norms below 1e-13.
     """
     n = state.num_qubits
-    if n < 2 or not _moves_by_at_most_cutoff(state, [*range(1, n), 0]):
-        return QubitGroup.TRIVIAL
-    if _moves_by_at_most_cutoff(state, [1, 0, *range(2, n)]):
-        return QubitGroup.SYMMETRIC
-    if _moves_by_at_most_cutoff(state, list(range(n - 1, -1, -1))):
-        return QubitGroup.DIHEDRAL
-    return QubitGroup.CYCLIC
+    if n < 2:
+        return ()
+    shift, swap, reflect, halves = _candidates(n)
+    if not _moves_by_at_most_cutoff(state, shift):
+        return tuple(g for g in halves if _moves_by_at_most_cutoff(state, g))
+    if _moves_by_at_most_cutoff(state, swap):
+        return shift, swap
+    return (shift, reflect) if _moves_by_at_most_cutoff(state, reflect) else (shift,)
 
 
-def _moves_by_at_most_cutoff(state: PureState | DensityOperator, perm: list[int]) -> bool:
+@functools.lru_cache(maxsize=None)
+def _candidates(n: int) -> tuple:
+    """c, (0 1), r and, for even n >= 4, the distinct ones of each half's shift
+    and reflection and the swap of the halves, as axis orders."""
+    a, b = tuple(range(n // 2)), tuple(range(n // 2, n))
+    halves = [a[1:] + a[:1] + b, a[::-1] + b, a + b[1:] + b[:1], a + b[::-1], b + a]
+    halves = tuple(dict.fromkeys(halves)) if n % 2 == 0 and n >= 4 else ()
+    return (*range(1, n), 0), (1, 0, *range(2, n)), tuple(range(n - 1, -1, -1)), halves
+
+
+def _moves_by_at_most_cutoff(state: PureState | DensityOperator, perm: tuple[int, ...]) -> bool:
     """Whether permuting the qubits of `state` by `perm` (an axis order, as
     for `np.transpose`) changes it by at most SUPPORT_CUTOFF in trace norm
     ||D||_1, where D is the permuted state minus the state.
@@ -170,7 +177,7 @@ def _moves_by_at_most_cutoff(state: PureState | DensityOperator, perm: list[int]
         return False
     if v is not None:
         r = v.shape[1]
-        w = v.reshape(shape + (r,)).transpose(perm + [n]).reshape(v.shape)
+        w = v.reshape(shape + (r,)).transpose((*perm, n)).reshape(v.shape)
         rr = np.linalg.qr(np.hstack([w, v]), mode="r")
         small = rr[:, :r] @ rr[:, :r].conj().T - rr[:, r:] @ rr[:, r:].conj().T
         return float(np.linalg.norm(small, "nuc")) <= SUPPORT_CUTOFF
@@ -178,7 +185,7 @@ def _moves_by_at_most_cutoff(state: PureState | DensityOperator, perm: list[int]
     limit = SUPPORT_CUTOFF ** 2 / d  # on ||D||_F^2
     total = 0.0
     if blocks is not None:
-        (where,) = permuted_entries(n, tuple(perm))
+        (where,) = permuted_entries(n, perm)
         for start in range(0, blocks.size, BLOCK_ENTRIES):
             piece = blocks.take(where[start:start + BLOCK_ENTRIES])
             piece -= blocks[start:start + BLOCK_ENTRIES]
@@ -199,26 +206,23 @@ def _moves_by_at_most_cutoff(state: PureState | DensityOperator, perm: list[int]
 
 
 @functools.lru_cache(maxsize=None)
-def orbit_representatives(num_qubits: int, group: QubitGroup) -> np.ndarray:
-    """The smallest mask of each mask's orbit under `group`, indexed by mask.
-
-    The array is made once for each (n, group) and is read-only."""
-    n = num_qubits
-    masks = np.arange(1 << n)
-    bits = [(masks >> q) & 1 for q in range(n)]
-    if group is QubitGroup.TRIVIAL:
-        reps = masks
-    elif group is QubitGroup.SYMMETRIC:
-        reps = (1 << sum(bits)) - 1  # an orbit is a subset size
-    else:
-        full = full_mask(n)
-        starts = [masks]
-        if group is QubitGroup.DIHEDRAL:
-            starts.append(sum(b << (n - 1 - q) for q, b in enumerate(bits)))  # reflected
-        reps = masks
-        for start in starts:
-            for k in range(1, n + 1):
-                reps = np.minimum(reps, ((start << k) | (start >> (n - k))) & full)
+def orbit_representatives(num_qubits: int, generators: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """The smallest mask of each mask's orbit under the group of `generators`
+    (as `qubit_symmetry` returns them), indexed by mask: rep = min(rep,
+    rep[g(A)]) for each generator g, which maps qubit q to g[q], then
+    rep = rep[rep], until nothing changes.  Made once for each
+    (n, generators) and read-only."""
+    masks = np.arange(1 << num_qubits)
+    images = [sum(((masks >> q) & 1) << p for q, p in enumerate(g)) for g in generators]
+    reps = masks
+    while True:
+        new = reps
+        for image in images:
+            new = np.minimum(new, new[image])
+        new = new[new]
+        if np.array_equal(new, reps):
+            break
+        reps = new
     reps.flags.writeable = False
     return reps
 
@@ -265,13 +269,13 @@ def subset_entropies_many(states: Sequence[PureState | DensityOperator]) -> list
     tables: list = [None] * len(states)
     stacks: dict[tuple, list[int]] = {}
     for i, state in enumerate(states):
-        n, group = state.num_qubits, qubit_symmetry(state)
+        n, generators = state.num_qubits, qubit_symmetry(state)
         if state.factor is None:
             data = state.matrix if state.blocks is None else state.blocks
-            key = (n, group, state.blocks is not None, data.dtype, state.spectrum is not None)
+            key = (n, generators, state.blocks is not None, data.dtype, state.spectrum is not None)
             stacks.setdefault(key, []).append(i)
             continue
-        rep = orbit_representatives(n, group).tolist()
+        rep = orbit_representatives(n, generators).tolist()
         full, pure = full_mask(n), state.factor.shape[1] == 1
         table = [0.0] * (1 << n)
         for mask in range(1, 1 << n):
@@ -279,8 +283,8 @@ def subset_entropies_many(states: Sequence[PureState | DensityOperator]) -> list
                 twin = rep[full ^ mask]
                 table[mask] = table[twin] if pure and twin < mask else subset_entropy(state, mask)
         tables[i] = _subset_table(table, rep)
-    for (n, group, charged, _, _), members in stacks.items():
-        rep = orbit_representatives(n, group).tolist()
+    for (n, generators, charged, _, _), members in stacks.items():
+        rep = orbit_representatives(n, generators).tolist()
         per = max(1, STACK_ENTRIES // (math.comb(2 * n, n) if charged else 1 << 2 * n))
         for start in range(0, len(members), per):
             chunk = members[start:start + per]
@@ -303,8 +307,9 @@ def _walk_tree(states: list[DensityOperator], charged: bool, rep: list[int]) -> 
     of a subset is the subset plus its lowest missing qubit, and a child's
     data are its parent's with that qubit traced out.  The parent of a
     representative is a representative too (a smallest mask stays smallest
-    in its orbit when its lowest missing qubit is added, for every group and
-    register size `ccm` takes), so only representatives are reduced.  The
+    in its orbit when its lowest missing qubit is added, as tests check for
+    every generator list `qubit_symmetry` returns up to n = 14), so only
+    representatives are reduced.  The
     walk is depth first: only the data on the current path and those
     waiting for their eigensolve are alive.
 

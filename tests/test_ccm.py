@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import types
 from fractions import Fraction
 
@@ -106,6 +107,23 @@ def test_ghz4_minimizing_tree():
     for child in (root.left, root.right):
         assert child.value == pytest.approx(0.5, abs=1e-9)
         assert child.left is None and child.right is None
+
+
+def test_value_is_the_minimum_within_a_tie(monkeypatch):
+    """Two cuts of a 3-qubit table 0.9 of a tie apart: the value is the lower
+    cost, and the tree keeps the smaller A with that value."""
+    module = sys.modules["qcorr.ccm"]  # `qcorr.ccm` is the re-exported function
+    eps = 0.9 * module.TIE_BITS * 2  # the tie of a 3-qubit subset is TIE_BITS * 2^(3-2)
+    table = [0.0, 1.0, 1.0, 1.0 - eps, 1.0, 1.0, 1.0, 1.0]  # S({0, 1}) lowered by eps
+    monkeypatch.setattr(module, "subset_entropies_many", lambda states: [table for _ in states])
+    report = ccm(make_ghz(3), BITS)
+    # A = {0}: 2 * 1 + 0 + 1 = 3.  A = {0, 1}: 2 * (1 - eps) + (1 + eps) + 0 = 3 - eps.
+    want = 2.0 * (table[3] + table[4] - table[7]) + (table[1] + table[2] - table[3])
+    assert want < 3.0
+    assert report.value == want
+    assert report.tree.mask_a == 0b001  # cost 3.0, within the tie of the value
+    assert report.tree.value == want
+    assert report.tree.distance_term == 2.0
 
 
 def test_dp_matches_closed_form():

@@ -1,5 +1,6 @@
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -13,7 +14,10 @@ from qcorr import (
     sweep_rows,
     write_csv,
 )
+from qcorr.cli import main
 from qcorr.errors import OutOfRange, TooLarge
+
+DATA = pathlib.Path(__file__).resolve().parent / "data" / "sweep"
 
 
 def test_param_range_validation():
@@ -114,6 +118,18 @@ def test_dxxz_sweep_row_order():
     assert header == ["param", "param2", "ccm"]
     assert [(r[0], r[1]) for r in rows] == [
         (0.0, -0.5), (0.0, 0.5), (0.5, -0.5), (0.5, 0.5)]
+
+
+def test_dxxz_sweep_n5_is_unchanged(tmp_path, capsys):
+    # Written when double rings took the trivial group; the 5 x 5 grid holds
+    # equal rings (swap of the rings accepted) on its diagonal and unequal
+    # rings (D_5 x D_5) off it.
+    out = tmp_path / "dxxz.csv"
+    grid = ["--param-start", "-1.5", "--param-stop", "1.5", "--param-steps", "5"]
+    assert main(["sweep", "--model", "dxxz", "--spins", "5", *grid,
+                 *[arg.replace("param", "param2") for arg in grid], "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "dxxz_n5.csv").read_bytes()
+    assert capsys.readouterr().out == ""
 
 
 def test_noise_sweep_layout():

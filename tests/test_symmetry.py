@@ -7,6 +7,7 @@ reference, which diagonalizes every subset and runs the DP on every mask, and
 the group found must be the one the state has.
 """
 
+import itertools
 import math
 import sys
 import tracemalloc
@@ -37,7 +38,6 @@ from qcorr import (
 )
 from qcorr.ccm import MAX_QUBITS_DP
 from qcorr.entropy import (
-    QubitGroup,
     orbit_representatives,
     qubit_symmetry,
     subset_entropies,
@@ -112,11 +112,36 @@ def permuted_distance(state, perm):
     return float(np.abs(np.linalg.eigvalsh(m[np.ix_(p, p)] - m)).sum())
 
 
+# Generators as axis orders, in the order `qubit_symmetry` returns them.
+def shift(n):
+    return (*range(1, n), 0)
+
+
+def cyclic(n):
+    return (shift(n),)
+
+
+def dihedral(n):
+    return shift(n), tuple(range(n - 1, -1, -1))
+
+
+def symmetric(n):
+    return shift(n), (1, 0, *range(2, n))
+
+
+def half_generators(n):
+    """Each half's shift and reflection, then the swap of the halves (n even; at
+    n = 4 a half's shift is its reflection, and `qubit_symmetry` tests it once)."""
+    first, second = tuple(range(n // 2)), tuple(range(n // 2, n))
+    return (first[1:] + first[:1] + second, first[::-1] + second,
+            first + second[1:] + second[:1], first + second[::-1], second + first)
+
+
 def expected_ring_group(state):
     """D_n for a ring state, S_n if the transposition (0 1) also leaves it unchanged."""
     n = state.num_qubits
     swap = [1, 0, *range(2, n)]
-    return QubitGroup.SYMMETRIC if permuted_distance(state, swap) <= 1e-12 else QubitGroup.DIHEDRAL
+    return symmetric(n) if permuted_distance(state, swap) <= 1e-12 else dihedral(n)
 
 
 def w_state(n):
@@ -151,37 +176,64 @@ def brute_force_representatives(n, generators):
     return reps
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_orbit_representatives_match_brute_force(n):
-    shift = [(q + 1) % n for q in range(n)]
-    reflect = [n - 1 - q for q in range(n)]
-    swap = [1, 0, *range(2, n)] if n >= 2 else [0]
-    for group, generators in ((QubitGroup.TRIVIAL, []), (QubitGroup.CYCLIC, [shift]),
-                              (QubitGroup.DIHEDRAL, [shift, reflect]),
-                              (QubitGroup.SYMMETRIC, [shift, swap])):
-        got = orbit_representatives(n, group)
-        assert got.tolist() == brute_force_representatives(n, generators)
+    sets = [()]
+    if n >= 2:
+        sets += [cyclic(n), dihedral(n), symmetric(n)]
+    if n in (4, 6, 8):  # n = 4 takes the half-register generators as listed, duplicates and all
+        halves = half_generators(n)
+        sets += [halves[:4], halves, halves[4:], halves[1:2] + halves[4:]]
+    for generators in sets:
+        got = orbit_representatives(n, generators)
+        assert got.tolist() == brute_force_representatives(n, generators), generators
+
+
+def symmetry_generator_sets(n):
+    """Every generator list `qubit_symmetry` can return on n qubits."""
+    if n < 2:
+        return [()]
+    c, swap, r, halves = qcorr.entropy._candidates(n)
+    subsets = [g for k in range(len(halves) + 1) for g in itertools.combinations(halves, k)]
+    return [(c,), (c, swap), (c, r), *subsets]
 
 
 def test_parents_of_representatives_are_representatives():
     """The dense table reduces only representatives, so each must be reached
     from one: adding the lowest missing qubit to the smallest mask of an orbit
-    gives the smallest mask of another, for every register `ccm` takes."""
+    gives the smallest mask of another, for every generator list
+    `qubit_symmetry` returns on every register `ccm` takes."""
     for n in range(1, MAX_QUBITS_DP + 1):
         full = full_mask(n)
-        for group in QubitGroup:
-            reps = orbit_representatives(n, group)
+        for generators in symmetry_generator_sets(n):
+            reps = orbit_representatives(n, generators)
             own = np.flatnonzero(reps == np.arange(1 << n))
             own = own[own != full]
             parent = own | ((full ^ own) & -(full ^ own))
-            assert np.array_equal(reps[parent], parent), (n, group)
+            assert np.array_equal(reps[parent], parent), (n, generators)
+
+
+def test_candidates_are_distinct_permutations():
+    for n in range(2, MAX_QUBITS_DP + 1):
+        c, swap, r, halves = qcorr.entropy._candidates(n)
+        for g in (c, swap, r, *halves):
+            assert sorted(g) == list(range(n))
+        assert len(set(halves)) == len(halves) == (0 if n % 2 or n < 4 else 3 if n == 4 else 5)
+        if n >= 6 and n % 2 == 0:
+            assert halves == half_generators(n)
 
 
 def test_orbit_counts():
     # Binary necklaces and bracelets of length 8 (OEIS A000031, A000029).
-    assert len(set(orbit_representatives(8, QubitGroup.CYCLIC).tolist())) == 36
-    assert len(set(orbit_representatives(8, QubitGroup.DIHEDRAL).tolist())) == 30
-    assert len(set(orbit_representatives(8, QubitGroup.SYMMETRIC).tolist())) == 9
+    assert len(set(orbit_representatives(8, cyclic(8)).tolist())) == 36
+    assert len(set(orbit_representatives(8, dihedral(8)).tolist())) == 30
+    assert len(set(orbit_representatives(8, symmetric(8)).tolist())) == 9
+    # D_N x D_N: the square of the bracelet count; with the swap of the two
+    # rings, the unordered pairs of bracelets, b (b + 1) / 2.
+    for n, bracelets in ((10, 8), (14, 18)):
+        halves = half_generators(n)
+        assert len(set(orbit_representatives(n, halves[:4]).tolist())) == bracelets ** 2
+        assert len(set(orbit_representatives(n, halves).tolist())) == bracelets * (bracelets + 1) // 2
 
 
 # --- detection ----------------------------------------------------------------
@@ -191,48 +243,69 @@ def test_orbit_counts():
 def test_mixture_ring_ground_states_are_dihedral(n):
     for ring in (xxz_ring(n, 0.5), xxz_ring(n, -0.4), ising_ring(n, 0.7)):
         state = ground_state(chain_terms(ring), MIXTURE)
-        assert qubit_symmetry(state) is QubitGroup.DIHEDRAL
-        assert qubit_symmetry(dense_copy(state)) is QubitGroup.DIHEDRAL
+        assert qubit_symmetry(state) == dihedral(n)
+        assert qubit_symmetry(dense_copy(state)) == dihedral(n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 9])
 def test_ghz_and_w_are_symmetric(n):
     for state in (make_ghz(n), w_state(n)):
-        assert qubit_symmetry(state) is QubitGroup.SYMMETRIC
-        assert qubit_symmetry(dense_copy(state)) is QubitGroup.SYMMETRIC
+        assert qubit_symmetry(state) == symmetric(n)
+        assert qubit_symmetry(dense_copy(state)) == symmetric(n)
     # W lies in the popcount-1 sector, so it also has a block form.
-    assert qubit_symmetry(block_state(density(w_state(n)))) is QubitGroup.SYMMETRIC
+    assert qubit_symmetry(block_state(density(w_state(n)))) == symmetric(n)
 
 
 def test_momentum_state_is_cyclic():
     for n in (4, 5, 6):
         state = momentum_w_state(n)
-        assert qubit_symmetry(state) is QubitGroup.CYCLIC
-        assert qubit_symmetry(dense_copy(state)) is QubitGroup.CYCLIC
+        assert qubit_symmetry(state) == cyclic(n)
+        assert qubit_symmetry(dense_copy(state)) == cyclic(n)
         assert_agrees(state)
         assert_agrees(dense_copy(state))
+
+
+def double_ring(spins, delta1, delta2):
+    """Ground state of two XXZ rings side by side, the first on qubits 0..spins-1."""
+    return ground_state(chain_terms(xxz_ring(spins, delta1), xxz_ring(spins, delta2)), MIXTURE)
+
+
+@pytest.mark.parametrize("deltas", [(0.5, 0.5), (0.5, 1.5)], ids=["equal", "unequal"])
+@pytest.mark.parametrize("spins", [3, 4])
+def test_double_rings_take_the_product_group(spins, deltas):
+    """D_N x D_N from each ring's shift and reflection, and the swap of the
+    rings when they are equal, on the factor, a dense copy and damped blocks."""
+    n = 2 * spins
+    halves = half_generators(n)
+    expected = halves if deltas[0] == deltas[1] else halves[:4]
+    pure = double_ring(spins, *deltas)
+    damped = apply_channel_local(pure, amplitude_damping_channel(0.3), full_mask(n))
+    assert pure.factor is not None and damped.blocks is not None
+    for state in (pure, dense_copy(pure), damped):
+        assert qubit_symmetry(state) == expected
+        assert_agrees(state)
 
 
 def test_random_states_are_trivial(rng):
     for n in (2, 3, 5, 7):
         for state in (random_density(n, rng), random_pure_state(n, rng),
                       random_density(n, rng, rank=2)):
-            assert qubit_symmetry(state) is QubitGroup.TRIVIAL
+            assert qubit_symmetry(state) == ()
 
 
 def test_first_vector_at_a_degenerate_level_is_trivial():
     h = chain_terms(FRUSTRATED)
     mixture, first = ground_state(h, MIXTURE), ground_state(h, FIRST)
     assert mixture.factor.shape[1] > 1
-    assert qubit_symmetry(mixture) is QubitGroup.DIHEDRAL
-    assert qubit_symmetry(first) is QubitGroup.TRIVIAL
-    assert qubit_symmetry(dense_copy(first)) is QubitGroup.TRIVIAL
+    assert qubit_symmetry(mixture) == dihedral(5)
+    assert qubit_symmetry(first) == ()
+    assert qubit_symmetry(dense_copy(first)) == ()
     assert_agrees(first)
     assert_agrees(mixture)
 
 
 def test_one_qubit_is_trivial():
-    assert qubit_symmetry(make_ghz(1)) is QubitGroup.TRIVIAL
+    assert qubit_symmetry(make_ghz(1)) == ()
     assert subset_entropies(make_ghz(1)).representatives == [0, 1]
 
 
@@ -263,7 +336,7 @@ def test_ring_ground_states(model, n, data, first):
     state = ring_state(model, n, data.draw(st.sampled_from(RING_PARAMS[model])),
                        FIRST if first else MIXTURE)
     if not first:
-        assert qubit_symmetry(state) is expected_ring_group(state)
+        assert qubit_symmetry(state) == expected_ring_group(state)
     assert_agrees(state)
 
 
@@ -276,7 +349,7 @@ def test_damped_ring_ground_states(model, n, data, damping, p):
     state = apply_channel_local(pure, damping(p), full_mask(n))
     assert state.factor is None
     # A channel on every qubit commutes with every permutation of them.
-    assert qubit_symmetry(state) is qubit_symmetry(pure)
+    assert qubit_symmetry(state) == qubit_symmetry(pure)
     assert_agrees(state)
 
 
@@ -286,7 +359,7 @@ def test_ghz_and_w(n, which, dense):
     state = make_ghz(n) if which == "ghz" else w_state(n)
     if dense:
         state = dense_copy(state)
-    assert qubit_symmetry(state) is QubitGroup.SYMMETRIC
+    assert qubit_symmetry(state) == symmetric(n)
     assert_agrees(state)
 
 
@@ -297,7 +370,7 @@ def test_random_states(n, seed, kind):
     rng = np.random.default_rng(seed)
     state = {"full": lambda: random_density(n, rng), "rank2": lambda: random_density(n, rng, rank=2),
              "pure": lambda: random_pure_state(n, rng)}[kind]()
-    assert qubit_symmetry(state) is QubitGroup.TRIVIAL
+    assert qubit_symmetry(state) == ()
     assert_agrees(state)
 
 
@@ -351,8 +424,8 @@ def test_perturbation_just_above_and_below_the_budget(make, path):
     assert measure(above, SHIFT) > SUPPORT_CUTOFF
     assert max(measure(below, SHIFT), measure(below, REFLECT)) <= SUPPORT_CUTOFF
 
-    assert qubit_symmetry(above) is QubitGroup.TRIVIAL
-    assert qubit_symmetry(below) is QubitGroup.DIHEDRAL
+    assert qubit_symmetry(above) == ()
+    assert qubit_symmetry(below) == dihedral(6)
     assert_agrees(above)
     # An element of D_6 takes at most 4 generators (c^3 r), each moving the
     # state by at most half the budget in trace distance.
@@ -393,11 +466,18 @@ def damped_ring(n):
                                full_mask(n))
 
 
+def damped_double_ring(spins):
+    return apply_channel_local(double_ring(spins, -0.4, -0.4), phase_damping_channel(0.4),
+                               full_mask(2 * spins))
+
+
 @pytest.mark.parametrize("name, make, count", [
     ("damped ring N=8", lambda: damped_ring(8), 29),           # 30 bracelets less the empty set
     ("xxz N=10 mixture", lambda: ground_state(chain_terms(xxz_ring(10, 0.5))), 43),
     ("ghz-10", lambda: make_ghz(10), 5),                       # sizes 1..5; the rest are complements
     ("random n=6", lambda: random_density(6, np.random.default_rng(0)), 63),
+    # D_4 x D_4 with the swap: 6 bracelets a ring, 21 unordered pairs less the empty set
+    ("damped double ring 4+4", lambda: damped_double_ring(4), 20),
 ])
 def test_eigensolve_counts(name, make, count, monkeypatch):
     state = make()
@@ -410,7 +490,7 @@ def test_eigensolve_counts(name, make, count, monkeypatch):
 def test_symmetric_table_peak_memory_n10():
     # tracemalloc sees numpy's arrays, not LAPACK's work buffers.
     state = damped_ring(10)
-    assert state.factor is None and qubit_symmetry(state) is QubitGroup.DIHEDRAL
+    assert state.factor is None and qubit_symmetry(state) == dihedral(10)
     tracemalloc.start()
     try:
         subset_entropies(state)
