@@ -63,9 +63,6 @@ class CcmStats:
     entropies_computed: int = 0
     cache_hits: int = 0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class CcmTreeNode:
@@ -83,9 +80,6 @@ class CcmTreeNode:
     value: float
     left: "CcmTreeNode | None"
     right: "CcmTreeNode | None"
-
-    def to_dict(self) -> dict:
-        return asdict(self)  # the children too, in field order
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 Subset entropies S(rho_A) come from one of two spectra.  A state that carries
 a factor V (rho = V V^dagger: a `PureState`, a `DensityOperator` built by
-`from_factor`, or a numerically low-rank one that got V when its positivity
-was checked) gives rho_A's nonzero spectrum as that of the smaller Gram
+`from_factor`, or one certified of low rank when its positivity was
+checked) gives rho_A's nonzero spectrum as that of the smaller Gram
 matrix of V reshaped to 2^|A| x (2^(n-|A|) r), with no partial trace.  Any
 other state is reduced and its reduced data diagonalized: one subset at a
 time by `partial_trace`, or, for the whole table that `ccm` needs, by
@@ -120,8 +120,8 @@ def qubit_symmetry(state: PureState | DensityOperator) -> tuple[tuple[int, ...],
     and each that passes is kept: two rings side by side get D_N x D_N, and
     the swap too when they are equal.  A generator passes when it changes
     the state by at most SUPPORT_CUTOFF in trace norm (see
-    `_moves_by_at_most_cutoff`), the budget intake accepts for the
-    eigenvalues a factor drops, so by the Fannes-Audenaert bound it moves no
+    `_moves_by_at_most_cutoff`), the budget of intake's low-rank certificate
+    (`states._certified_factor`), so by the Fannes-Audenaert bound it moves no
     subset entropy by more than about 3e-11 bits; a permutation that takes
     L generators moves them by at most L times that (L <= 9 in D_7 x D_7
     with the swap).  Ring ground states, damped or not, pass with trace

@@ -10,8 +10,8 @@ Conventions used throughout the package:
 A `DensityOperator` is held in one of three forms, and forms its 2^n x 2^n
 `matrix` only when something reads it:
 
-* a factor V with rho = V V^dagger (`from_factor`, ground states, low-rank
-  state files);
+* a factor V with rho = V V^dagger (`from_factor`, ground states, and
+  mixed state files that `_certified_factor` certifies as of low rank);
 * popcount blocks (`blocks`, laid out by `sector_views`): a state whose
   entries between basis states of different popcount (a spin ring's
   magnetization) are exactly 0.0 is the direct sum of one
@@ -20,8 +20,8 @@ A `DensityOperator` is held in one of three forms, and forms its 2^n x 2^n
   ground-state factor whose columns each lie in one popcount sector gives
   them as V_k V_k^dagger, and a channel that keeps popcounts apart maps
   blocks to blocks (`apply_local_superoperators`);
-* a dense matrix, which is the one-block case: every matrix passed to the
-  public constructor, and so every mixed state file.
+* a dense matrix, which is the one-block case: every other matrix passed
+  to the public constructor, and so every other mixed state file.
 
 Validation happens once, at the boundary: the public constructor and
 `read_qs1` check their input, while `partial_trace`, `tensor_product`,
@@ -150,20 +150,18 @@ class DensityOperator:
     `apply_local_superoperators` and so the channels and local unitaries)
     build their output without checking it again.
 
-    `spectrum` holds the ascending eigenvalues of `matrix` when the
-    positivity check found them, and is None otherwise.  A numerically
-    low-rank matrix is certified positive without an eigensolve of `matrix`
-    when its pivoted Cholesky factor V passes `_certified_factor`; its
-    spectrum is then that of V^dagger V, padded with zeros.  Any other
-    matrix is diagonalized whole.
-
     `factor` is None, or a 2^n x r matrix V with matrix = V V^dagger.
     `from_factor` keeps the V it is given, and forms `matrix` = V V^dagger
     only when `matrix` is first read (entropies, `ccm` and
-    `multi_information` take V and never read it).  The positivity check
-    attaches a factor when the matrix is numerically of low rank (see
-    `_low_rank_factor`); `matrix` then stays the matrix passed in, which
-    V V^dagger matches to 1e-13 in every entry.
+    `multi_information` take V and never read it).
+
+    The positivity check sets exactly one of `factor` and `spectrum`.  A
+    numerically low-rank matrix whose pivoted Cholesky factor V passes
+    `_certified_factor` is certified positive without an eigensolve and
+    keeps V as `factor`; `matrix` stays the matrix passed in, within
+    SUPPORT_CUTOFF of V V^dagger in trace norm.  Any other matrix is
+    diagonalized whole, and `spectrum` holds its ascending eigenvalues.
+    Without the check, `spectrum` is None.
 
     `blocks` is the popcount-block form (see `sector_views`) of a state
     made from a sector-aligned factor or by a map that keeps blocks, and
@@ -193,16 +191,14 @@ class DensityOperator:
         self.factor = None
         self.spectrum = None
         if check_psd:
-            certified = _certified_factor(m)
-            if certified is not None:
-                self.factor, self.spectrum = certified
+            self.factor = _certified_factor(m)
+            if self.factor is not None:
                 return
             vals = hermitian_eigenvalues(m)
             lo = float(vals[0])
             if lo < PSD_EIG_FLOOR:
                 raise InvariantViolation(f"minimum eigenvalue {lo!r} below {PSD_EIG_FLOOR}")
             self.spectrum = vals
-            self.factor = _low_rank_factor(m, vals)
 
     @classmethod
     def from_factor(cls, factor: np.ndarray) -> "DensityOperator":
@@ -276,70 +272,39 @@ class DensityOperator:
         return f"DensityOperator(num_qubits={self.num_qubits})"
 
 
-def _low_rank_factor(m: np.ndarray, vals: np.ndarray) -> np.ndarray | None:
-    """V (d x r) with m = V V^dagger to FACTOR_ATOL in every entry, or None.
-
-    `vals` are m's ascending eigenvalues, and r counts those above
-    SUPPORT_CUTOFF.  A factor is sought only when r^2 <= d, where subset
-    entropies from V cost less than the dense table, and when the other
-    eigenvalues sum in absolute value to at most SUPPORT_CUTOFF, so that by
-    the Fannes-Audenaert bound no subset entropy moves by more than about
-    3e-11 bits.  V is the first r columns of m's diagonally pivoted Cholesky
-    factor, O(d r^2) work.
-    """
-    d = m.shape[0]
-    r = int(np.count_nonzero(vals > SUPPORT_CUTOFF))
-    if r * r > d or float(np.abs(vals[:d - r]).sum()) > SUPPORT_CUTOFF:
-        return None
-    v = _pivoted_cholesky(m, r)
-    if v is None:
-        return None
-    gap = v @ v.conj().T
-    gap -= m
-    return v if np.abs(gap).max() <= FACTOR_ATOL else None
-
-
-def _certified_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(V, ascending spectrum) for a numerically low-rank m, certified
-    without an eigensolve of m, or None.
+def _certified_factor(m: np.ndarray) -> np.ndarray | None:
+    """V (d x r) with m = V V^dagger up to SUPPORT_CUTOFF in trace norm,
+    certified without an eigensolve of m, or None.
 
     V is m's diagonally pivoted Cholesky factor, stopped as soon as the
     residual diagonal sums to at most SUPPORT_CUTOFF, within floor(sqrt(d))
-    columns (the rank at which `_low_rank_factor` still factors).  It is
-    kept only if S = m - V V^dagger has sqrt(d) ||S||_F <= SUPPORT_CUTOFF
-    and max |S| <= FACTOR_ATOL.  Then ||S||_1 <= sqrt(d) ||S||_F bounds the
-    trace-norm distance to the positive V V^dagger by SUPPORT_CUTOFF, the
-    budget `_low_rank_factor` allows for the eigenvalues it drops, and
-    lambda_min(m) >= -SUPPORT_CUTOFF.  The spectrum is that of the r x r
-    Gram matrix V^dagger V, which V V^dagger shares, padded with d - r zeros.
+    columns: past r^2 = d, subset entropies from V's Gram matrices cost
+    about as much as the dense table.  It is kept only if S = m - V V^dagger
+    has sqrt(d) ||S||_F <= SUPPORT_CUTOFF and max |S| <= FACTOR_ATOL.  Then
+    ||S||_1 <= sqrt(d) ||S||_F bounds the trace-norm distance to the positive
+    V V^dagger by SUPPORT_CUTOFF, so by the Fannes-Audenaert bound no subset
+    entropy moves by more than about 3e-11 bits, and
+    lambda_min(m) >= -SUPPORT_CUTOFF.
     """
     d = m.shape[0]
-    v = _pivoted_cholesky(m, math.isqrt(d), SUPPORT_CUTOFF)
-    if v is None or np.trace(m).real - np.vdot(v, v).real > SUPPORT_CUTOFF:
-        return None  # the residual carries more than the budget: m is not of low rank
-    gap = v @ v.conj().T
-    gap -= m
-    if math.sqrt(d) * float(np.linalg.norm(gap)) > SUPPORT_CUTOFF or np.abs(gap).max() > FACTOR_ATOL:
-        return None
-    gram = hermitian_eigenvalues(v.conj().T @ v)
-    return v, np.sort(np.concatenate([np.zeros(d - v.shape[1]), gram]))
-
-
-def _pivoted_cholesky(m: np.ndarray, steps: int, stop: float = -math.inf) -> np.ndarray | None:
-    """The first `steps` columns V of m's diagonally pivoted Cholesky
-    factor, or fewer once the trace of m - V V^dagger is at most `stop`;
-    None if a pivot is not positive."""
     residual = m.diagonal().real.copy()  # diagonal of m - V V^dagger so far
-    v = np.zeros((m.shape[0], steps), dtype=m.dtype)
+    v = np.zeros((d, math.isqrt(d)), dtype=m.dtype)
     k = 0
-    while k < steps and residual.sum() > stop:
+    while k < v.shape[1] and residual.sum() > SUPPORT_CUTOFF:
         p = int(np.argmax(residual))
         if not residual[p] > 0.0:
             return None
         v[:, k] = (m[:, p] - v[:, :k] @ v[p, :k].conj()) / math.sqrt(residual[p])
         residual -= np.abs(v[:, k]) ** 2
         k += 1
-    return np.ascontiguousarray(v[:, :k])
+    v = np.ascontiguousarray(v[:, :k])
+    if np.trace(m).real - np.vdot(v, v).real > SUPPORT_CUTOFF:
+        return None  # the residual carries more than the budget: m is not of low rank
+    gap = v @ v.conj().T
+    gap -= m
+    if math.sqrt(d) * float(np.linalg.norm(gap)) > SUPPORT_CUTOFF or np.abs(gap).max() > FACTOR_ATOL:
+        return None
+    return v
 
 
 # Entries of a working piece: gathered at a time where a second full-size

@@ -1,15 +1,17 @@
-"""Mixed state files at intake: the kept spectrum and the low-rank factor.
+"""Mixed state files at intake: the low-rank factor or the kept spectrum.
 
-`read_qs1` diagonalizes a mixed file once, for its positivity check.  The
-spectrum is kept on the state, and a numerically low-rank matrix (r^2 <= 2^n,
-tail mass at most SUPPORT_CUTOFF) also gets a factor V with V V^dagger equal
-to the matrix within 1e-13.  Whatever intake decides, the table, the measure,
-its tree and the total correlations must match those of the same matrix
-taken as a plain dense `DensityOperator`.
+`read_qs1` checks a mixed file's positivity once.  A matrix of low numerical
+rank (r^2 <= 2^n) that intake's certificate accepts keeps a factor V with
+V V^dagger equal to the matrix within 1e-13; any other is diagonalized and
+keeps its spectrum.  A state holds exactly one of the two.  Whatever intake
+decides, the table, the measure, its tree and the total correlations must
+match those of the same matrix taken as a plain dense `DensityOperator`, and
+the CLI's output on the recorded files in `data/intake` must not change.
 """
 
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from dense_reference import one_block
 
 VALUE_TOL = 1e-10
 ROUNDOFF_BITS = 1e-13  # as in test_factored.py: trees are compared below this gap
+DATA = pathlib.Path(__file__).resolve().parent / "data" / "intake"
 
 
 def low_rank_matrix(n, rank, rng, noise=0.0):
@@ -54,7 +57,9 @@ def with_spectrum(n, eigenvalues, rng):
 def through_file(tmp_path, matrix):
     path = tmp_path / "state.qs1"
     write_qs1(path, DensityOperator(matrix))
-    return str(path), read_qs1(path)
+    state = read_qs1(path)
+    assert (state.factor is None) != (state.spectrum is None)
+    return str(path), state
 
 
 def tree_shape(node):
@@ -95,7 +100,7 @@ def test_low_rank_files_get_a_factor(tmp_path, capsys, n, which):
     assert state.factor is not None and state.factor.shape == (1 << n, rank)
     assert np.array_equal(state.matrix, m)  # the file's matrix, not V V^dagger
     assert np.abs(state.factor @ state.factor.conj().T - m).max() <= qcorr.states.FACTOR_ATOL
-    assert state.spectrum is not None and state.spectrum.shape == (1 << n,)
+    assert state.spectrum is None
     assert main(["ccm", path, "--report"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert_matches_dense(state, report["tree"])
@@ -153,9 +158,11 @@ def test_only_the_checked_constructor_keeps_a_spectrum():
     unchecked = DensityOperator(m)
     assert unchecked.factor is None and unchecked.spectrum is None
     checked = DensityOperator(m, check_psd=True)
-    assert checked.factor is not None and checked.spectrum is not None
+    assert checked.factor is not None and checked.spectrum is None
     from_factor = DensityOperator.from_factor(checked.factor)
     assert from_factor.spectrum is None
+    full = DensityOperator(random_density(3, np.random.default_rng(4)).matrix, check_psd=True)
+    assert full.factor is None and full.spectrum is not None
 
 
 @given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), data=st.data(),
@@ -187,3 +194,14 @@ def test_full_rank_file_is_diagonalized_once(tmp_path, capsys, monkeypatch, comm
     capsys.readouterr()
     assert dims.count(256) == 1
     assert max(dims) == 256
+
+
+@pytest.mark.parametrize("name, form", [("rank2_n5", "factor"), ("full_n5", "spectrum")])
+@pytest.mark.parametrize("command, options, suffix", [("ccm", ["--report"], "ccm-report"), ("tv", [], "tv")],
+                         ids=["ccm-report", "tv"])
+def test_mixed_file_output_is_unchanged(capsys, name, form, command, options, suffix):
+    path = str(DATA / f"{name}.qs1")
+    state = read_qs1(path)
+    assert {"factor": state.factor, "spectrum": state.spectrum}[form] is not None
+    assert main([command, path, *options]) == 0
+    assert capsys.readouterr().out.encode() == (DATA / f"{name}.{suffix}.stdout").read_bytes()
