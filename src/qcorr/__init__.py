@@ -32,7 +32,6 @@ from .entropy import (
 from .linalg import hermitian_eigensystem
 from .spin_models import (
     GroundStateMode,
-    GroundStatePolicy,
     HamiltonianTerms,
     SpinChainSpec,
     chain_terms,
@@ -71,7 +70,6 @@ __all__ = [
     "DensityOperator",
     "DistanceUnit",
     "GroundStateMode",
-    "GroundStatePolicy",
     "HamiltonianTerms",
     "KrausChannel",
     "ParamRange",

@@ -39,7 +39,6 @@ class KrausChannel:
     """
 
     operators: tuple[np.ndarray, ...]
-    label: str = ""
 
     def __post_init__(self):
         ops = tuple(np.asarray(e, dtype=complex) for e in self.operators)
@@ -66,7 +65,7 @@ def phase_damping_channel(p: float) -> KrausChannel:
         raise OutOfRange(f"damping strength must lie in [0, 1], got {p!r}")
     e0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - p)]], dtype=complex)
     e1 = np.array([[0.0, 0.0], [0.0, math.sqrt(p)]], dtype=complex)
-    return KrausChannel((e0, e1), label="phase-damping")
+    return KrausChannel((e0, e1))
 
 
 def amplitude_damping_channel(p: float) -> KrausChannel:
@@ -75,7 +74,7 @@ def amplitude_damping_channel(p: float) -> KrausChannel:
         raise OutOfRange(f"damping strength must lie in [0, 1], got {p!r}")
     e0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - p)]], dtype=complex)
     e1 = np.array([[0.0, math.sqrt(p)], [0.0, 0.0]], dtype=complex)
-    return KrausChannel((e0, e1), label="amplitude-damping")
+    return KrausChannel((e0, e1))
 
 
 def apply_channel_local(rho: DensityOperator, channel: KrausChannel, qubits: int) -> DensityOperator:

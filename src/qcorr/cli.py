@@ -14,7 +14,7 @@ from .ccm import ccm, ccm_naive, ghz_closed_form
 from .checks import run_default_checks
 from .entropy import DistanceUnit, multi_information
 from .errors import ConvergenceFailure, OutOfRange, ParseError, QcorrError, TooLarge
-from .spin_models import GroundStateMode, GroundStatePolicy
+from .spin_models import GroundStateMode
 from .states import make_ghz, read_qs1
 from .sweeps import ParamRange, SweepConfig, noise_sweep_rows, sweep_rows, write_csv
 
@@ -39,10 +39,6 @@ def _add_sweep_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--param-start", type=float, required=True)
     parser.add_argument("--param-stop", type=float, required=True)
     parser.add_argument("--param-steps", type=int, required=True)
-
-
-def _policy(args: argparse.Namespace) -> GroundStatePolicy:
-    return GroundStatePolicy(mode=DEGENERACY_MODES[args.degeneracy])
 
 
 def _unit(args: argparse.Namespace) -> DistanceUnit:
@@ -105,7 +101,7 @@ def _sweep_config(args: argparse.Namespace, *, model: str, with_noise: bool) -> 
         noise=noise,
         channel=getattr(args, "channel", "paper"),
         unit=_unit(args),
-        policy=_policy(args),
+        mode=DEGENERACY_MODES[args.degeneracy],
         include_tv=getattr(args, "tv", False),
         derivative=getattr(args, "derivative", False),
     )

@@ -416,8 +416,7 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator,
     outside = sig_vals <= SUPPORT_CUTOFF
     if float(weights[outside].sum()) > SUPPORT_CUTOFF:
         return math.inf
-    kept = rho_vals[rho_vals > SUPPORT_CUTOFF]
-    tr_rho_log_rho = float((kept * np.log2(kept)).sum()) if kept.size else 0.0
+    tr_rho_log_rho = -_entropy_bits(rho_vals)
     inside = ~outside
     tr_rho_log_sig = float((weights[inside] * np.log2(sig_vals[inside])).sum())
     bits = tr_rho_log_rho - tr_rho_log_sig

@@ -48,4 +48,4 @@ def random_qubit_channel(rng: np.random.Generator, kraus_count: int = 2) -> Krau
     """Random CPTP qubit channel from a Haar-random isometry into `kraus_count` branches."""
     q, _ = np.linalg.qr(_ginibre(rng, 2 * kraus_count, 2))
     ops = [q[2 * i:2 * i + 2, :] for i in range(kraus_count)]
-    return KrausChannel(tuple(ops), label="random")
+    return KrausChannel(tuple(ops))

@@ -66,22 +66,16 @@ class SpinChainSpec:
 
 
 class GroundStateMode(enum.Enum):
-    SUBSPACE_MIXTURE = "subspace-mixture"
-    FIRST_VECTOR = "first-vector"
-
-
-@dataclass(frozen=True)
-class GroundStatePolicy:
     """How to turn a (possibly degenerate) lowest eigenspace into a state.
 
     `subspace-mixture` returns the normalized projector onto every eigenvalue
     within `DEGENERACY_RTOL * (spectral span)` of the minimum; `first-vector`
     keeps one eigenvector of that level, chosen by block order (see
-    `ground_state`), with its global phase fixed by making the
-    largest-magnitude amplitude real and positive.
+    `ground_state`).
     """
 
-    mode: GroundStateMode = GroundStateMode.SUBSPACE_MIXTURE
+    SUBSPACE_MIXTURE = "subspace-mixture"
+    FIRST_VECTOR = "first-vector"
 
 
 class HamiltonianTerms(NamedTuple):
@@ -144,12 +138,6 @@ def chain_terms(*rings: SpinChainSpec) -> HamiltonianTerms:
     kept = sums != 0.0
     keys = keys[kept]
     return HamiltonianTerms(dim, keys >> n, keys & (dim - 1), sums[kept])
-
-
-def _dense(terms: HamiltonianTerms) -> np.ndarray:
-    matrix = np.zeros((terms.dim, terms.dim), dtype=terms.values.dtype)
-    matrix[terms.rows, terms.cols] = terms.values
-    return matrix
 
 
 class _Orbits(NamedTuple):
@@ -384,66 +372,78 @@ def _checked_terms(hamiltonian: HamiltonianTerms) -> HamiltonianTerms:
     return hamiltonian
 
 
+def _embedded(orbits: _Orbits, sector: _Sector, count: int, real: bool, fix_phase: bool
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """(basis indices, columns there) of the lowest `count` eigenvectors of
+    `sector`'s momentum block, each v embedded as sum_b v[b] |b, k>.
+
+    For real terms a block with 0 < k < pi stands for its complex-conjugate
+    partner at -k too, and each vector enters as the two real columns
+    sqrt(2) Re and sqrt(2) Im of its embedding, the Re columns first.  With
+    `fix_phase` (for one vector) its largest-magnitude entry is first made
+    real and positive, so that its sqrt(2) Re column does not depend on the
+    phase the eigensolver returns.
+    """
+    roots, m = orbits.roots, sector.m
+    pair = real and 0 < 2 * m < roots.size  # 0 < k < pi
+    real_block = real and not pair
+    stack = _momentum_blocks(orbits, [(sector.block, m)], sector.values.size, real_block)
+    vecs = hermitian_eigensystem(stack[0])[1][:, :count]
+    if fix_phase:
+        j = int(np.argmax(np.abs(vecs[:, 0])))
+        vecs = vecs * (vecs[j, 0] / abs(vecs[j, 0])).conjugate()
+    idx = orbits.pattern[sector.block][0]
+    ranks = orbits.rank[orbits.rep[idx]]  # each state's representative
+    fits = orbits.fits[m, ranks]
+    rows, ranks = idx[fits], ranks[fits]  # the block's states in these orbits
+    amplitudes = (roots[-m * orbits.shift[rows] % roots.size]
+                  / np.sqrt(orbits.period[rows]))[:, None]  # e^{-ikl} / sqrt(p)
+    w = vecs[orbits.position[m, ranks]] * (amplitudes.real if real_block else amplitudes)
+    if pair:
+        w = math.sqrt(2.0) * np.hstack([w.real, w.imag])
+    return rows, w
+
+
 def ground_state(hamiltonian: HamiltonianTerms,
-                 policy: GroundStatePolicy | None = None) -> DensityOperator:
+                 mode: GroundStateMode = GroundStateMode.SUBSPACE_MIXTURE) -> DensityOperator:
     """Ground state of a Hermitian matrix, given as terms, under the given
-    degeneracy policy.
+    degeneracy mode.
 
     Every momentum block (see `_spectra`) gets its eigenvalues.  The lowest
     level is every eigenvalue within `DEGENERACY_RTOL` times the whole
     spectral span of the global minimum, whichever blocks it lies in; only a
     momentum block whose lowest eigenvalue is on that level is built again
-    for its eigenvectors, of which it keeps as many as it has eigenvalues on
-    the level.  Each kept vector v is embedded in the full basis as
-    sum_b v[b] |b, k>; for real terms a block with 0 < k < pi stands for its
-    complex-conjugate partner at -k too, and enters as the two real columns
-    sqrt(2) Re and sqrt(2) Im of its embedding, so a real Hamiltonian gives
-    a real factor.  The state carries these vectors as its factor.
+    for its eigenvectors (`_embedded`).  `subspace-mixture` keeps as many of
+    them as the block has eigenvalues on the level, so a real Hamiltonian
+    gives a real factor whose columns span the level, and the state carries
+    them, scaled to unit trace, as its factor.
 
-    `first-vector` takes the lowest eigenvector of the first pattern block,
-    by smallest basis index, whose lowest eigenvalue is on the level,
-    diagonalizing that whole block.
+    `first-vector` takes one of these blocks: the first pattern block, by
+    smallest basis index, whose lowest eigenvalue is on the level, and in it
+    the smallest m.  Its lowest eigenvector, phase fixed, gives the first
+    column of its embedding (for a paired block the sqrt(2) Re column), a
+    pure state.  A level still degenerate inside that momentum block is
+    decided by `eigh`.
     """
-    if policy is None:
-        policy = GroundStatePolicy()
     terms = _checked_terms(hamiltonian)
     orbits, sectors = _spectra(terms)
     lowest = min(s.values[0] for s in sectors)
     span = max(s.values[-1] for s in sectors) - lowest
     top = lowest + DEGENERACY_RTOL * span
     level = [(s, int(np.count_nonzero(s.values <= top))) for s in sectors if s.values[0] <= top]
-    if policy.mode is GroundStateMode.FIRST_VECTOR:
-        idx, block_terms = orbits.pattern[min(s.block for s, _ in level)]
-        v = np.zeros(terms.dim, dtype=terms.values.dtype)
-        v[idx] = hermitian_eigensystem(_dense(block_terms))[1][:, 0]
-        k = int(np.argmax(np.abs(v)))
-        phase = v[k] / abs(v[k])
-        v = v * phase.conjugate()
-        return DensityOperator.from_factor(v.reshape(-1, 1))
     real = not np.iscomplexobj(terms.values)
-    roots = orbits.roots
-    paired = [real and 0 < 2 * s.m < roots.size for s, _ in level]  # 0 < k < pi
-    width = sum(k * (1 + pair) for (_, k), pair in zip(level, paired))
+    if mode is GroundStateMode.FIRST_VECTOR:
+        sector = min((s for s, _ in level), key=lambda s: (s.block, s.m))
+        rows, w = _embedded(orbits, sector, 1, real, fix_phase=True)
+        parts = [(rows, w[:, :1])]
+    else:
+        parts = [_embedded(orbits, s, k, real, fix_phase=False) for s, k in level]
+    width = sum(w.shape[1] for _, w in parts)
     factor = np.zeros((terms.dim, width), dtype=terms.values.dtype)
     column = 0
-    for (sector, k), pair in zip(level, paired):
-        real_block, m = real and not pair, sector.m
-        stack = _momentum_blocks(orbits, [(sector.block, m)], sector.values.size, real_block)
-        vecs = hermitian_eigensystem(stack[0])[1][:, :k]
-        idx = orbits.pattern[sector.block][0]
-        ranks = orbits.rank[orbits.rep[idx]]  # each state's representative
-        fits = orbits.fits[m, ranks]
-        rows, ranks = idx[fits], ranks[fits]  # the block's states in these orbits
-        amplitudes = (roots[-m * orbits.shift[rows] % roots.size]
-                      / np.sqrt(orbits.period[rows]))[:, None]  # e^{-ikl} / sqrt(p)
-        w = vecs[orbits.position[m, ranks]] * (amplitudes.real if real_block else amplitudes)
-        if pair:
-            factor[rows, column:column + k] = math.sqrt(2.0) * w.real
-            factor[rows, column + k:column + 2 * k] = math.sqrt(2.0) * w.imag
-            column += 2 * k
-        else:
-            factor[rows, column:column + k] = w
-            column += k
+    for rows, w in parts:
+        factor[rows, column:column + w.shape[1]] = w
+        column += w.shape[1]
     return DensityOperator.from_factor(factor / math.sqrt(width))
 
 

@@ -414,23 +414,16 @@ def permuted_entries(num_qubits: int, perm: tuple[int, ...]) -> tuple[np.ndarray
 
 
 @_kept_when_small
-def _qubit_entries(num_qubits: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(code, low, high) for qubit q of the flat block array: code is
-    2 r + c for each entry, r and c being qubit q of its row and its column;
-    low lists the entries of blocks 0..n-1 with r = c = 0 and high, in the
-    same order, the entries of the next block that set qubit q in both."""
+def _qubit_codes(num_qubits: int, q: int) -> tuple[np.ndarray]:
+    """(code,) for qubit q of the flat block array: code is 2 r + c for each
+    entry, r and c being qubit q of its row and its column."""
     lay = block_layout(num_qubits)
     bit = 1 << (num_qubits - 1 - q)
     code = np.empty(lay.offsets[-1], dtype=np.int8)
-    low, high = [], []
     for k, idx in enumerate(lay.sectors):
         b = ((idx & bit) != 0).astype(np.int8)
         np.add(2 * b[:, None], b, out=code[lay.offsets[k]:lay.offsets[k + 1]].reshape(idx.size, idx.size))
-        rows = np.flatnonzero(b == 0)
-        if rows.size:
-            low.append((k, rows))
-            high.append((k + 1, lay.position[idx[rows] | bit]))
-    return code, _entries(lay, low), _entries(lay, high)
+    return (code,)
 
 
 def _blocks_from_factor(v: np.ndarray, num_qubits: int) -> np.ndarray | None:
@@ -484,7 +477,10 @@ def apply_local_superoperators(rho: DensityOperator,
         return DensityOperator._trusted(n, matrix=apply_superoperators(rho.matrix, n, supers))
     out = blocks.astype(np.result_type(blocks, *(s for _, s in supers)))
     for q, s in supers:
-        code, low, high = _qubit_entries(n, q)
+        (code,) = _qubit_codes(n, q)
+        # The entries of blocks 0..n-1 with r = c = 0 and, in the same order,
+        # those of the next block with r = c = 1: the pairs a trace sums.
+        low, high = trace_entries(n, q)
         # Either feed is read before the scaling below changes its source.
         down = out.take(high) if s[0, 3] else None
         up = out.take(low) if s[3, 0] else None

@@ -14,7 +14,7 @@ the discontinuity is detected from the adjacent pair straddling it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .ccm import ccm, ccm_many
 from .channels import amplitude_damping_channel, apply_channel_local, phase_damping_channel
 from .entropy import DistanceUnit, multi_information
 from .errors import OutOfRange, TooLarge
-from .spin_models import GroundStatePolicy, chain_terms, ground_state, ising_ring, xxz_ring
+from .spin_models import GroundStateMode, chain_terms, ground_state, ising_ring, xxz_ring
 from .states import DensityOperator, full_mask
 
 MAX_SWEEP_QUBITS = 10
@@ -91,7 +91,7 @@ class SweepConfig:
     noise: ParamRange | None = None
     channel: str = "paper"
     unit: DistanceUnit = DistanceUnit.NORMALIZED
-    policy: GroundStatePolicy = field(default_factory=GroundStatePolicy)
+    mode: GroundStateMode = GroundStateMode.SUBSPACE_MIXTURE
     include_tv: bool = False
     derivative: bool = False
 
@@ -136,7 +136,7 @@ def _state_at(config: SweepConfig, point: tuple[float, ...]) -> DensityOperator:
         rings = (ising_ring(config.spins, point[0]),)
     else:
         rings = (xxz_ring(config.spins, point[0]), xxz_ring(config.spins, point[1]))
-    return ground_state(chain_terms(*rings), config.policy)
+    return ground_state(chain_terms(*rings), config.mode)
 
 
 def sweep_rows(config: SweepConfig) -> tuple[list[str], list[tuple[float, ...]]]:

@@ -92,8 +92,3 @@ def test_damping_commutes_across_qubits():
     ab = apply_channel_local(apply_channel_local(bell, ch_a, 0b01), ch_b, 0b10)
     ba = apply_channel_local(apply_channel_local(bell, ch_b, 0b10), ch_a, 0b01)
     assert np.allclose(ab.matrix, ba.matrix)
-
-
-def test_labels():
-    assert phase_damping_channel(0.2).label == "phase-damping"
-    assert amplitude_damping_channel(0.2).label == "amplitude-damping"

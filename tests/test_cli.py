@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import shutil
 import subprocess
 
@@ -10,6 +11,8 @@ from qcorr import ghz_closed_form, make_ghz, write_qs1
 from qcorr.checks import CheckResult
 from qcorr.cli import main
 from qcorr.sampling import random_density
+
+SWEEP_DATA = pathlib.Path(__file__).resolve().parent / "data" / "sweep"
 
 
 @pytest.fixture
@@ -234,6 +237,19 @@ def test_sweep_first_vector_policy(capsys, tmp_path):
                   "--degeneracy", "first", "--out", str(out_path))
     assert code == 0
     assert len(out_path.read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("xxz_n7_first.csv", ["--model", "xxz", "--spins", "7", "--param-start", "-2",
+                          "--param-stop", "2", "--param-steps", "41", "--tv"]),
+    ("ising_n8_first.csv", ["--model", "ising", "--spins", "8", "--param-start", "0",
+                            "--param-stop", "2", "--param-steps", "21"]),
+])
+def test_sweep_first_vector_bytes(capsys, tmp_path, golden, argv):
+    out_path = tmp_path / golden
+    code, _ = run(capsys, "sweep", *argv, "--degeneracy", "first", "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_bytes() == (SWEEP_DATA / golden).read_bytes()
 
 
 @pytest.mark.parametrize("command", [

@@ -16,7 +16,6 @@ import pytest
 from qcorr import (
     DensityOperator,
     GroundStateMode,
-    GroundStatePolicy,
     SpinChainSpec,
     ccm,
     chain_terms,
@@ -28,7 +27,7 @@ from qcorr import (
 
 from dense_reference import dense
 
-FIRST = GroundStatePolicy(mode=GroundStateMode.FIRST_VECTOR)
+FIRST = GroundStateMode.FIRST_VECTOR
 RTOL = 1e-9  # spin_models.DEGENERACY_RTOL
 TOL = 1e-9
 

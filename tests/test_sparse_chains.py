@@ -22,7 +22,6 @@ import qcorr.spin_models
 from qcorr import (
     DensityOperator,
     GroundStateMode,
-    GroundStatePolicy,
     HamiltonianTerms,
     SpinChainSpec,
     ccm,
@@ -39,8 +38,8 @@ from qcorr.spin_models import _blocks
 
 from dense_reference import build_double_xxz, build_hamiltonian, build_ising, build_xxz, terms_of
 
-FIRST = GroundStatePolicy(mode=GroundStateMode.FIRST_VECTOR)
-POLICIES = (GroundStatePolicy(), FIRST)
+FIRST = GroundStateMode.FIRST_VECTOR
+MODES = (GroundStateMode.SUBSPACE_MIXTURE, FIRST)
 
 DELTAS = (-2.0, -1.0, 0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.5)
 LAMBDAS = (0.0, 0.7, 1.0, 1.7)
@@ -86,9 +85,9 @@ def test_terms_match_the_dense_matrix(name, spec, build, n):
     terms = chain_terms(spec(n))
     dense = build(n)
     assert np.array_equal(dense, old_build(spec(n)))
-    for policy in POLICIES:
-        got = ground_state(terms, policy).factor
-        want = ground_state(terms_of(dense), policy).factor
+    for mode in MODES:
+        got = ground_state(terms, mode).factor
+        want = ground_state(terms_of(dense), mode).factor
         assert got.dtype == want.dtype == np.float64
         assert np.array_equal(got, want)
     assert ground_gap(terms) == ground_gap(terms_of(dense))
@@ -169,6 +168,17 @@ def weight(n, ones):
 ])
 def test_only_blocks_on_the_lowest_level_get_eigenvectors(eigh_sizes, spec, expected):
     ground_state(chain_terms(spec))
+    assert eigh_sizes == expected
+
+
+# `first-vector` diagonalizes the one momentum block its vector comes from,
+# not the whole pattern block (924 and 2048 states here).
+@pytest.mark.parametrize("spec, expected", [
+    (xxz_ring(12, 0.5), [80]),  # shift orbits of the 924 S^z = 0 states
+    (ising_ring(12, 0.9), [180]),  # shift orbits of the 2048 even-parity states
+])
+def test_first_vector_diagonalizes_one_momentum_block(eigh_sizes, spec, expected):
+    ground_state(chain_terms(spec), FIRST)
     assert eigh_sizes == expected
 
 

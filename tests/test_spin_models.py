@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qcorr import (
     GroundStateMode,
-    GroundStatePolicy,
     SpinChainSpec,
     chain_terms,
     ground_gap,
@@ -20,7 +19,7 @@ from qcorr.errors import OutOfRange, TooLarge
 from dense_reference import build_double_xxz, build_hamiltonian, build_ising, build_xxz, terms_of
 from pauli_reference import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron_all
 
-FIRST = GroundStatePolicy(mode=GroundStateMode.FIRST_VECTOR)
+FIRST = GroundStateMode.FIRST_VECTOR
 
 
 def manual_chain(n, jx, jy, jz, h):

@@ -48,7 +48,7 @@ KINDS = ("phase", "amplitude", "complex", "uniform-phase", "bit-flip", "random",
 
 def bit_flip_channel(p):
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return KrausChannel((np.sqrt(1.0 - p) * np.eye(2), np.sqrt(p) * x), label="bit-flip")
+    return KrausChannel((np.sqrt(1.0 - p) * np.eye(2), np.sqrt(p) * x))
 
 
 def make_state(kind, n, seed):

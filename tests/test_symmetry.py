@@ -21,7 +21,6 @@ import qcorr.entropy
 from qcorr import (
     DensityOperator,
     GroundStateMode,
-    GroundStatePolicy,
     PureState,
     SpinChainSpec,
     amplitude_damping_channel,
@@ -54,8 +53,8 @@ TABLE_TOL = 1e-12
 CCM_TOL = 1e-10
 ROUNDOFF_BITS = 1e-13  # as in test_factored.py: trees are compared below this gap
 
-FIRST = GroundStatePolicy(GroundStateMode.FIRST_VECTOR)
-MIXTURE = GroundStatePolicy()
+FIRST = GroundStateMode.FIRST_VECTOR
+MIXTURE = GroundStateMode.SUBSPACE_MIXTURE
 # Antiferromagnetic XY coupling frustrates an odd ring: its lowest level is
 # degenerate inside one magnetization sector, so `first-vector` keeps one
 # vector of a multiplet that the shift rotates.
@@ -324,9 +323,9 @@ RING_PARAMS = {
 }
 
 
-def ring_state(model, n, param, policy):
+def ring_state(model, n, param, mode):
     ring = xxz_ring(n, param) if model == "xxz" else ising_ring(n, param)
-    return ground_state(chain_terms(ring), policy)
+    return ground_state(chain_terms(ring), mode)
 
 
 @given(model=st.sampled_from(sorted(RING_PARAMS)), n=st.integers(3, 8), data=st.data(),
