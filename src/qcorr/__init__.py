@@ -9,7 +9,6 @@ single-qubit damping channels.
 
 from .ccm import (
     CcmReport,
-    CcmStats,
     CcmTreeNode,
     ccm,
     ccm_many,
@@ -65,7 +64,6 @@ from .sweeps import (
 
 __all__ = [
     "CcmReport",
-    "CcmStats",
     "CcmTreeNode",
     "DensityOperator",
     "DistanceUnit",

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -48,20 +48,6 @@ MAX_QUBITS_NAIVE = 6
 # about 1e-14 bits, far below this, so exact ties (every cut of a product
 # state, say) go to the same cut whichever spectra the entropies came from.
 TIE_BITS = 1e-12
-
-
-@dataclass
-class CcmStats:
-    """Work counters for one `ccm` evaluation.
-
-    They count the register's subsets and the bipartitions of its subsets
-    (three table lookups each), whatever the entropy table shared between
-    them, so they are not counts of eigensolves.
-    """
-
-    subsets_evaluated: int = 0
-    entropies_computed: int = 0
-    cache_hits: int = 0
 
 
 @dataclass
@@ -87,7 +73,6 @@ class CcmReport:
     value: float
     unit: DistanceUnit
     tree: CcmTreeNode | None
-    stats: CcmStats = field(default_factory=CcmStats)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "unit": self.unit.value}  # "unit" keeps its place
@@ -135,9 +120,7 @@ def ccm_many(states: Sequence[PureState | DensityOperator],
     for rho in states:
         if rho.num_qubits > MAX_QUBITS_DP:
             raise TooLarge(f"ccm supports at most {MAX_QUBITS_DP} qubits, got {rho.num_qubits}")
-    tables = iter(subset_entropies_many([rho for rho in states if rho.num_qubits > 1]))
-    return [_report(next(tables), rho.num_qubits, unit) if rho.num_qubits > 1
-            else CcmReport(0.0, unit, None, CcmStats(subsets_evaluated=1)) for rho in states]
+    return [_report(t, rho.num_qubits, unit) for t, rho in zip(subset_entropies_many(states), states)]
 
 
 def _report(entropy_bits: list[float], n: int, unit: DistanceUnit) -> CcmReport:
@@ -189,9 +172,7 @@ def _report(entropy_bits: list[float], n: int, unit: DistanceUnit) -> CcmReport:
             right=build(mask ^ a),
         )
 
-    bipartitions = (3 ** n + 1) // 2 - (1 << n)  # sum over subsets of size m of 2^(m-1) - 1
-    stats = CcmStats(subsets_evaluated=full, entropies_computed=full, cache_hits=3 * bipartitions)
-    return CcmReport(value_bits[full] * scale, unit, build(full), stats)
+    return CcmReport(value_bits[full] * scale, unit, build(full))
 
 
 def ccm_naive(rho: PureState | DensityOperator,

@@ -36,6 +36,7 @@ import io
 import itertools
 import math
 import os
+import re
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -602,10 +603,12 @@ def read_qs1(path: str | os.PathLike) -> PureState | DensityOperator:
     """Parse a qs1 state file; returns a PureState or a validated DensityOperator."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if not raw.isascii() or b"\r" in raw:
-        # Text mode rejects non-ASCII bytes and turns '\r' line ends into '\n'.
-        with open(path, "r", encoding="ascii") as fh:
-            raw = fh.read().encode("ascii")
+    if b"\r" in raw:  # '\r\n' and a lone '\r' end a line, as '\n' does
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not raw.isascii():
+        bad = re.search(rb"[^\x00-\x7f]", raw).start()
+        line = raw.count(b"\n", 0, bad) + 1
+        raise ParseError(f"line {line}: non-ASCII byte {raw[bad]:#04x}")
     if not raw:
         raise ParseError("empty state file")
     newline = raw.find(b"\n")

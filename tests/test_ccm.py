@@ -1,5 +1,4 @@
 import json
-import math
 import sys
 import types
 from fractions import Fraction
@@ -12,7 +11,9 @@ from hypothesis import strategies as st
 from qcorr import (
     DensityOperator,
     DistanceUnit,
+    PureState,
     ccm,
+    ccm_many,
     ccm_naive,
     full_mask,
     ghz_closed_form,
@@ -72,11 +73,22 @@ def test_closed_form_affine_in_subblock_distance(n, numer, denom_pow):
 # --- engine on known states --------------------------------------------------
 
 
-def test_single_qubit_is_zero():
-    report = ccm(DensityOperator(np.diag([0.7, 0.3])))
-    assert report.value == 0.0
-    assert report.tree is None
-    assert report.stats.subsets_evaluated == 1
+ONE_QUBIT = {  # the four forms a one-qubit state takes
+    "dense": lambda: DensityOperator(np.diag([0.7, 0.3])),
+    "kept": lambda: DensityOperator(np.diag([0.7, 0.3]), check_psd=True),
+    "factor": lambda: DensityOperator.from_factor(np.array([[0.6], [0.8j]])),
+    "pure": lambda: PureState(np.array([0.6, 0.8j])),
+}
+
+
+@pytest.mark.parametrize("form", ONE_QUBIT)
+def test_single_qubit_is_zero(form):
+    rho = ONE_QUBIT[form]()
+    if form == "kept":
+        assert rho.spectrum is not None
+    report = ccm(rho)
+    assert report.to_dict() == {"value": 0.0, "unit": "normalized", "tree": None}
+    assert ccm_many([rho, rho])[1].to_dict() == report.to_dict()
 
 
 def test_bell_pair():
@@ -192,24 +204,13 @@ def test_tree_is_consistent(rng):
     assert len(seen) >= 3  # root plus at least one split per side on 4 qubits
 
 
-def test_stats_counts():
-    for n in (2, 3, 4):
-        stats = ccm(random_density(n, np.random.default_rng(5))).stats
-        assert stats.subsets_evaluated == (1 << n) - 1
-        assert stats.entropies_computed == (1 << n) - 1
-        pairs = sum(
-            math.comb(n, m) * ((1 << (m - 1)) - 1) for m in range(2, n + 1)
-        )
-        assert stats.cache_hits == 3 * pairs
-
-
 def test_report_serializes(rng):
     report = ccm(random_density(2, rng))
     payload = json.loads(report.to_json())
     assert payload["unit"] == "normalized"
     assert payload["value"] == report.value
     assert payload["tree"]["subset"] == 0b11
-    assert set(payload["stats"]) == {"subsets_evaluated", "entropies_computed", "cache_hits"}
+    assert set(payload) == {"value", "unit", "tree"}
 
 
 # --- units and pieces --------------------------------------------------------

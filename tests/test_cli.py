@@ -1,5 +1,4 @@
 import json
-import math
 import pathlib
 import shutil
 import subprocess
@@ -87,7 +86,7 @@ def test_ccm_report_json(capsys, ghz3_file):
     assert payload["value"] == pytest.approx(2.5, abs=1e-9)
     assert payload["unit"] == "normalized"
     assert payload["tree"]["subset"] == 0b111
-    assert payload["stats"]["subsets_evaluated"] == 7
+    assert set(payload) == {"value", "unit", "tree"}
 
 
 def test_ccm_report_on_an_11_qubit_pure_file(capsys, tmp_path):
@@ -100,9 +99,6 @@ def test_ccm_report_on_an_11_qubit_pure_file(capsys, tmp_path):
     root = payload["tree"]
     assert root["subset"] == 0b11111111111
     assert bin(root["mask_a"]).count("1") in (5, 6)  # the most even split
-    pairs = sum(math.comb(11, m) * ((1 << (m - 1)) - 1) for m in range(2, 12))
-    assert payload["stats"] == {"subsets_evaluated": 2047, "entropies_computed": 2047,
-                                "cache_hits": 3 * pairs}
 
 
 def test_ccm_mixed_file(capsys, tmp_path):
@@ -125,10 +121,15 @@ def test_missing_file_is_an_input_error(capsys, tmp_path):
     assert run(capsys, "ccm", str(tmp_path / "absent.qs1"))[0] == 2
 
 
-def test_malformed_file_is_an_input_error(capsys, tmp_path):
+@pytest.mark.parametrize("text", [b"qs1 pure 1\nnot a number\n0 0\n", b"qs1 pure 1\n1 0\n0 \xc3\xa9\n"],
+                         ids=["not-a-number", "non-ascii"])
+def test_malformed_file_is_an_input_error(capsys, tmp_path, text):
     path = tmp_path / "bad.qs1"
-    path.write_text("qs1 pure 1\nnot a number\n0 0\n")
-    assert run(capsys, "ccm", str(path))[0] == 2
+    path.write_bytes(text)
+    for command in ("ccm", "tv"):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_naive_size_guard_exit(capsys, tmp_path):

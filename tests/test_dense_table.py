@@ -82,7 +82,6 @@ def assert_table_agrees(state, tol=TABLE_TOL):
         return
     got, want = ccm(state), reference_ccm(state)
     assert got.value == pytest.approx(want.value, abs=CCM_TOL)
-    assert got.stats == want.stats
     if gap <= ROUNDOFF_BITS:
         assert tree_shape(got.tree) == tree_shape(want.tree)
 

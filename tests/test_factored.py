@@ -62,7 +62,6 @@ def assert_paths_agree(state):
         gap = max(gap, diff)
     factored_report, dense_report = ccm(state), ccm(dense)
     assert factored_report.value == pytest.approx(dense_report.value, abs=CCM_TOL)
-    assert factored_report.stats == dense_report.stats
     if gap > ROUNDOFF_BITS:
         return False
     assert tree_shape(factored_report.tree) == tree_shape(dense_report.tree)

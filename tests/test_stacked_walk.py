@@ -36,7 +36,7 @@ from qcorr import (
 )
 from qcorr.cli import main
 from qcorr.entropy import orbit_representatives, subset_entropies, subset_entropies_many
-from qcorr.sampling import random_density
+from qcorr.sampling import random_density, random_pure_state
 
 from dense_reference import block_state, one_block
 
@@ -54,8 +54,17 @@ def bit_flip_channel(p):
 def make_state(kind, n, seed):
     """One state of `kind`: blocks (real or complex) or one block, with or
     without a kept spectrum, of the ring's group or the trivial or
-    symmetric one, or a factor."""
+    symmetric one, or a factor.  One qubit has no ring: its states are
+    dense, kept, pure or a factor."""
     rng = np.random.default_rng(seed)
+    if n == 1:
+        if kind == "kept":
+            return one_block(random_density(1, rng).matrix, check_psd=True)
+        if kind == "ghz":
+            return random_pure_state(1, rng)
+        if kind == "factor":
+            return random_pure_state(1, rng).to_density()
+        return random_density(1, rng)
     delta, p = rng.uniform(-2.0, 2.0), rng.uniform(0.05, 0.95)
     ground = ground_state(chain_terms(xxz_ring(n, delta)))
     if kind in ("phase", "complex", "uniform-phase", "kept-blocks"):
@@ -95,10 +104,10 @@ def assert_same_as_alone(states):
 @st.composite
 def state_lists(draw):
     """Mostly one register size, so that stacks form; some rows mix in a
-    size one larger."""
+    size one larger, or one qubit."""
     n = draw(st.integers(2, 4))
     kinds = st.sampled_from(KINDS + ("phase", "amplitude") * 2)  # damped rings stack most
-    specs = st.tuples(kinds, st.sampled_from([n, n, n, n + 1]), st.integers(0, 2**16))
+    specs = st.tuples(kinds, st.sampled_from([n, n, n, n + 1, 1]), st.integers(0, 2**16))
     return [make_state(*spec) for spec in draw(st.lists(specs, min_size=1, max_size=6))]
 
 

@@ -297,10 +297,12 @@ def test_qs1_bytes_match_the_per_scalar_format(tmp_path, rng):
     ("qs1 pure 0\n", ParseError),
     ("qs1 mixed 13\n", TooLarge),
     ("qs1 pure 15\n", TooLarge),
+    ("\ufeffqs1 pure 1\n1 0\n0 0\n", ParseError),          # a UTF-8 byte order mark
+    ("qs1 pure 1\n1 0\n0 \u00e9\n", ParseError),             # a non-ASCII body line
 ])
 def test_qs1_rejects_malformed_files(tmp_path, text, error):
     path = tmp_path / "bad.qs1"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(error):
         read_qs1(path)
 
@@ -311,10 +313,11 @@ def test_qs1_rejects_malformed_files(tmp_path, text, error):
     ("1 0\n0 0 0\n", "line 3: expected '<re> <im>', got '0 0 0'"),
     ("1e999 0\n0 0\n", "line 2: non-finite entry '1e999 0'"),
     ("1 0\n0 -1e400\n", "line 3: non-finite entry '0 -1e400'"),
+    ("1 0\r0 \u00e9\r", "line 3: non-ASCII byte 0xc3"),
 ])
 def test_qs1_errors_name_the_line(tmp_path, body, message):
     path = tmp_path / "bad.qs1"
-    path.write_text("qs1 pure 1\n" + body)
+    path.write_text("qs1 pure 1\n" + body, encoding="utf-8")
     with pytest.raises(ParseError) as exc:
         read_qs1(path)
     assert str(exc.value) == message
@@ -326,6 +329,8 @@ def test_qs1_errors_name_the_line(tmp_path, body, message):
     "6_0e-2 0\r\n0.8 0\r\n",        # an underscore, CRLF line ends
     "+.6 0E0\n8e-1 -0\n",           # signs and exponents
     "0.6 0\n0.8 0",                  # no final newline
+    "0.6 0\r0.8 0\r",               # lone '\r' line ends
+    "0.6 0\r\n0.8 0\r",             # both kinds
 ])
 def test_qs1_body_values_match_float(tmp_path, body):
     path = tmp_path / "odd.qs1"
