@@ -1,25 +1,25 @@
 """Single-qubit Kraus channels and their local application to registers.
 
-A channel acts on each chosen qubit through its 4x4 superoperator
-S = sum_k E_k (x) E_k^* (`linalg.superoperator`), applied by
-`states.apply_local_superoperators`.  A state in popcount-block form (a ring
-ground state, say, whose factor columns each lie in one popcount sector)
-stays in it, and its 2^n x 2^n matrix is never formed, under every channel
-whose S keeps row and column popcounts together.  The two built-in
+A channel acts on each chosen qubit through its 4x4 superoperator S = sum_k
+E_k (x) E_k^* (`linalg.superoperator`, built once with the channel), applied
+by `states.apply_local_superoperators`.  A state in popcount-block form (a
+ring ground state, say, whose factor columns each lie in one popcount
+sector) stays in it, and its 2^n x 2^n matrix is never formed, under every
+channel whose S keeps row and column popcounts together.  The two built-in
 channels do: phase damping scales the entries of each block, and amplitude
 damping also feeds block k + 1 into block k.  A `KrausChannel` built by hand
 takes the same route when its S qualifies (depolarizing noise, which is not
 built in, does and feeds both ways).  A Kraus set whose S moves them apart
 (a bit flip, say), or a state without blocks, goes through the dense kernel
-`linalg.apply_superoperators`.  The output is not validated again:
-S maps Hermitian matrices to Hermitian ones, and construction certified
-that the channel keeps the trace.
+`linalg.apply_superoperators`.  The output is not validated again: S maps
+Hermitian matrices to Hermitian ones, and construction certified that the
+channel keeps the trace.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,10 +35,11 @@ class KrausChannel:
     """A qubit channel rho -> sum_i E_i rho E_i^dagger.
 
     Construction certifies trace preservation: sum_i E_i^dagger E_i = I
-    within 1e-10.
+    within 1e-10, and builds the channel's superoperator once, read-only.
     """
 
     operators: tuple[np.ndarray, ...]
+    _superoperator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(np.asarray(e, dtype=complex) for e in self.operators)
@@ -53,6 +54,9 @@ class KrausChannel:
         if np.abs(total - np.eye(2)).max() > TP_ATOL:
             raise InvariantViolation("channel is not trace preserving within 1e-10")
         object.__setattr__(self, "operators", ops)
+        s = superoperator(ops)
+        s.flags.writeable = False
+        object.__setattr__(self, "_superoperator", s)
 
 
 def phase_damping_channel(p: float) -> KrausChannel:
@@ -80,15 +84,16 @@ def amplitude_damping_channel(p: float) -> KrausChannel:
 def apply_channel_local(rho: DensityOperator, channel: KrausChannel, qubits: int) -> DensityOperator:
     """Apply `channel` independently to every qubit in the mask `qubits`.
 
-    The channel acts through its superoperator (see `linalg.superoperator`),
-    which stays real for real Kraus operators, so a real state stays real,
-    and block by block on a state with popcount blocks when it keeps them
-    (see the module docstring).  An exact identity channel (damping
-    strength 0) returns `rho` itself, factor included.
+    The channel acts through the superoperator built with it (see
+    `linalg.superoperator`), which stays real for real Kraus operators, so a
+    real state stays real, and block by block on a state with popcount
+    blocks when it keeps them (see the module docstring).  An exact
+    identity channel (damping strength 0) returns `rho` itself, factor
+    included.
     """
     n = rho.num_qubits
     check_subset(qubits, n, allow_empty=True)
-    s = superoperator(channel.operators)
+    s = channel._superoperator
     if qubits == 0 or np.array_equal(s, np.eye(4)):
         return rho
     return apply_local_superoperators(rho, [(q, s) for q in subset_qubits(qubits)])

@@ -26,14 +26,24 @@ every component onto itself, each component is split further into momentum
 blocks k = 2 pi m / N, built on the representatives of its shift orbits;
 otherwise the trivial group leaves each component whole.  No 2^N x 2^N
 matrix is formed on the way to a ground state.
+
+The points of a sweep share their pattern: only the coupling values move.
+So everything that depends on the pattern alone is built once and kept:
+`chain_terms` keeps the bit tables of each ring layout, and the ground-state
+path keeps, for the last pattern it saw, the components, the shift orbits
+and where each term enters its momentum block, with which phase.  Each call
+still forms the values, decides the group, and builds, checks and
+diagonalizes the momentum blocks, in the same order as a first call, so a
+kept structure changes no result, bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -97,6 +107,51 @@ def ising_ring(num_spins: int, lam: float) -> SpinChainSpec:
     return SpinChainSpec(num_spins, jx=1.0, h=lam)
 
 
+class _ChainLayout(NamedTuple):
+    """What `chain_terms` takes from the ring sizes and from which rings flip
+    alone, read-only.  `rings` holds, ring by ring, the row sums of z z and
+    of z (see `chain_terms`) and the z z table itself if the ring flips.
+    `keys` holds the distinct row * dim + column keys, ascending, and
+    `where` each term's place among them, in term order: the diagonal, then
+    each state's flips, bond by bond."""
+
+    rings: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]
+    keys: np.ndarray
+    where: np.ndarray
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=4)  # an N = 14 layout holds 6 MB
+def _chain_layout(rings: tuple[tuple[int, bool], ...]) -> _ChainLayout:
+    """`chain_terms`' layout for rings of the given (size, flips) pairs,
+    the first ring on the most significant qubits."""
+    n = sum(size for size, _ in rings)
+    dim = 1 << n
+    basis = np.arange(dim)
+    tables, flips = [], []
+    first = 0
+    for size, flip in rings:
+        shifts = n - 1 - np.arange(first, first + size)
+        first += size
+        z = 1 - 2 * ((basis[:, None] >> shifts) & 1)   # z[s, i]: Z eigenvalue of site i
+        zz = z * np.roll(z, -1, axis=1)                 # z_i z_{i+1} on bond i
+        tables.append((zz.sum(axis=1), z.sum(axis=1), zz if flip else None))
+        if flip:
+            flips.append((1 << shifts) | (1 << np.roll(shifts, -1)))
+    rows, cols = [basis], [basis]
+    if flips:
+        masks = np.concatenate(flips)
+        rows.append((basis[:, None] ^ masks).reshape(-1))  # term (s, bond) flips bond in s
+        cols.append(np.repeat(basis, masks.size))
+    keys, where = np.unique(np.concatenate(rows) * dim + np.concatenate(cols), return_inverse=True)
+    _read_only(*(a for ring in tables for a in ring if a is not None), keys, where)
+    return _ChainLayout(tables, keys, where)
+
+
 def chain_terms(*rings: SpinChainSpec) -> HamiltonianTerms:
     """Terms of decoupled rings side by side on one register, the first ring
     on the most significant qubits.
@@ -108,64 +163,101 @@ def chain_terms(*rings: SpinChainSpec) -> HamiltonianTerms:
     of a 2-spin ring flip the same pair) is their sum, added in bond order,
     and an entry that sums to exactly zero is left out, so the pattern of an
     XXZ ring holds its magnetization sectors apart.  Every value is real.
+
+    The bit tables and the places of the terms depend only on the ring sizes
+    and on which rings flip, and are built once for each (`_chain_layout`);
+    the values, their sums and the zero filter are worked out on every call.
     """
     n = sum(ring.num_spins for ring in rings)
     if n > MAX_CHAIN_SPINS:
         raise TooLarge(f"chains support at most {MAX_CHAIN_SPINS} spins, got {n}")
+    layout = _chain_layout(tuple((ring.num_spins, bool(ring.jx != 0.0 or ring.jy != 0.0))
+                                 for ring in rings))
     dim = 1 << n
-    basis = np.arange(dim)
     diag = np.zeros(dim)
-    flips, amplitudes = [], []
-    first = 0
-    for ring in rings:
-        shifts = n - 1 - np.arange(first, first + ring.num_spins)
-        first += ring.num_spins
-        z = 1 - 2 * ((basis[:, None] >> shifts) & 1)   # z[s, i]: Z eigenvalue of site i
-        zz = z * np.roll(z, -1, axis=1)                 # z_i z_{i+1} on bond i
-        diag += -(ring.jz * zz.sum(axis=1) + ring.h * z.sum(axis=1))
-        if ring.jx != 0.0 or ring.jy != 0.0:
-            flips.append((1 << shifts) | (1 << np.roll(shifts, -1)))
+    amplitudes = []
+    for ring, (zz_sum, z_sum, zz) in zip(rings, layout.rings):
+        diag += -(ring.jz * zz_sum + ring.h * z_sum)
+        if zz is not None:
             amplitudes.append(-ring.jx + ring.jy * zz)
-    rows, cols, values = [basis], [basis], [diag]
-    if flips:
-        masks = np.concatenate(flips)
-        rows.append((basis[:, None] ^ masks).reshape(-1))  # term (s, bond) flips bond in s
-        cols.append(np.repeat(basis, masks.size))
+    values = [diag]
+    if amplitudes:
         values.append(np.hstack(amplitudes).reshape(-1))
-    keys, where = np.unique(np.concatenate(rows) * dim + np.concatenate(cols), return_inverse=True)
-    sums = np.zeros(keys.size)
-    np.add.at(sums, where, np.concatenate(values))  # in term order, as a dense add.at would
+    sums = np.zeros(layout.keys.size)
+    np.add.at(sums, layout.where, np.concatenate(values))  # in term order, as a dense add.at would
     kept = sums != 0.0
-    keys = keys[kept]
+    keys = layout.keys[kept]
     return HamiltonianTerms(dim, keys >> n, keys & (dim - 1), sums[kept])
 
 
-class _Orbits(NamedTuple):
-    """The shift orbits of a Hamiltonian's basis states and the terms that
-    build its momentum blocks (see `_spectra`).
+@dataclass(eq=False)
+class _Pattern:
+    """What the ground-state path works out from the pattern (dim, rows,
+    cols) of a Hamiltonian's terms alone (see `_pattern`), its arrays
+    read-only.
 
-    `pattern` holds the blocks of `_blocks` and `roots` the order-th roots of
-    unity e^{2 pi i q / order}.  State s is T^shift[s] applied to rep[s], the
-    representative (smallest index) of its orbit, and period[s] is the
-    orbit's size.  The representatives are ranked block by block, ascending
-    within a block, and rank[r] is the rank of representative r.
+    `parts` holds (basis indices, term indices) of each block of `_blocks`,
+    and local[s] is the position of basis index s within its block.  When T
+    maps the pattern onto itself, term turn[k] is the one T takes to term
+    k; otherwise `turn` is None.  `momenta` holds the tables of the last
+    group `_spectra` used on this pattern.
+    """
+
+    dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    parts: list[tuple[np.ndarray, np.ndarray]]
+    local: np.ndarray
+    turn: np.ndarray | None
+    momenta: _Momenta | None = None
+
+
+class _Assembly(NamedTuple):
+    """How a stack of momentum blocks is summed from the links of
+    `_Momenta`: link number link[j] enters the flat stack at entry[j] with
+    the phase phases[j] (see `_momentum_blocks`)."""
+
+    link: np.ndarray
+    entry: np.ndarray
+    phases: np.ndarray
+
+
+class _Momenta(NamedTuple):
+    """The momentum blocks of one pattern under one group, as far as they do
+    not depend on the values of the terms (see `_spectra`), read-only.
+
+    `group` is the (order, rep, shift, period) of `_translations` they were
+    built for, and `real` says whether the terms were real.  State s is
+    T^shift[s] applied to rep[s], the representative (smallest index) of its
+    orbit, and period[s] is the orbit's size.  `blocks` holds the basis
+    indices of each pattern block and `roots` the order-th roots of unity
+    e^{2 pi i q / order}.  The representatives are ranked block by block,
+    ascending within a block, and rank[r] is the rank of representative r.
     fits[m, j] says whether the representative of rank j is compatible with
     the momentum k = 2 pi m / order (m p = 0 mod order), and position[m, j]
     is then its number among the compatible representatives of its block.
-    `links` are the terms whose column is a representative a, as (block,
-    rank of a, rank of b, H[r, a] sqrt(p_a / p_b), l_r) with r = T^{l_r} b:
-    the momentum blocks are sums of them.
+    The links are the terms whose column is a representative a, listed by
+    `linked`; `links` gives each as (block, rank of a, rank of b, l_r) with
+    r = T^{l_r} b, and `ratio` its sqrt(p_a / p_b).  `labels` holds
+    (block, m) of every momentum block, block by block, and `stacks` the
+    momentum blocks built and diagonalized together, as (size, numbers in
+    `labels`, assembly).  `embeddings` gathers, on first use, each
+    (block, m)'s one-block assembly and embedding (see `_embedded`).
     """
 
-    pattern: list[tuple[np.ndarray, HamiltonianTerms]]
+    group: tuple[int, np.ndarray, np.ndarray, np.ndarray]
+    real: bool
+    blocks: list[np.ndarray]
     roots: np.ndarray
-    rep: np.ndarray
-    shift: np.ndarray
-    period: np.ndarray
     rank: np.ndarray
     fits: np.ndarray
     position: np.ndarray
-    links: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    linked: np.ndarray
+    links: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    ratio: np.ndarray
+    labels: list[tuple[int, int]]
+    stacks: list[tuple[int, list[int], _Assembly]]
+    embeddings: dict[tuple[int, int], tuple[_Assembly, np.ndarray, np.ndarray, np.ndarray]]
 
 
 class _Sector(NamedTuple):
@@ -177,18 +269,25 @@ class _Sector(NamedTuple):
     values: np.ndarray
 
 
-def _blocks(terms: HamiltonianTerms) -> list[tuple[np.ndarray, HamiltonianTerms]]:
-    """(basis indices, the block's terms in its own indices) per connected
-    component of the pattern of the terms and their transposes.  The indices
-    of a block ascend, and blocks are ordered by smallest index.
+_kept: _Pattern | None = None  # the pattern `_pattern` saw last
 
-    The matrix is block diagonal on these index sets: they are the
-    magnetization sectors of an XXZ ring, the parity sectors of an Ising
-    ring, and so on, found from the pattern alone.  A term whose transpose
-    is missing still joins both its indices into one block, where the
-    block's Hermiticity check catches it.
-    """
-    dim, rows, cols, values = terms
+
+def _pattern(terms: HamiltonianTerms) -> _Pattern:
+    """The `_Pattern` of the terms: the kept one when its dim, rows and
+    columns equal theirs entry for entry, otherwise a new one, kept in its
+    place.  Only the last pattern is kept; the points of a sweep share it."""
+    global _kept
+    dim, rows, cols, _ = terms
+    kept = _kept
+    if kept is None or kept.dim != dim or not (np.array_equal(kept.rows, rows)
+                                               and np.array_equal(kept.cols, cols)):
+        kept = _kept = _new_pattern(dim, np.array(rows), np.array(cols))
+    return kept
+
+
+def _new_pattern(dim: int, rows: np.ndarray, cols: np.ndarray) -> _Pattern:
+    """The connected components of the pattern and of its transpose (see
+    `_blocks`), and the terms' order under T."""
     every = np.arange(dim)
     source = np.concatenate([rows, cols, every])  # every index links to itself
     order = np.argsort(source, kind="stable")
@@ -212,8 +311,35 @@ def _blocks(terms: HamiltonianTerms) -> list[tuple[np.ndarray, HamiltonianTerms]
     term_block = block_of[rows]
     by_block = np.argsort(term_block, kind="stable")
     groups = np.split(by_block, np.searchsorted(term_block[by_block], np.arange(1, starts.size)))
-    return [(idx, HamiltonianTerms(idx.size, local[rows[t]], local[cols[t]], values[t]))
-            for idx, t in zip(np.split(order, starts[1:]), groups)]
+    parts = list(zip(np.split(order, starts[1:]), groups))
+    turn = None
+    n = dim.bit_length() - 1
+    if n >= 2 and dim == 1 << n:
+        moved = _shift(rows, n) * dim + _shift(cols, n)
+        moved_order = np.argsort(moved)
+        # Terms list their keys ascending, so a pattern that T maps onto
+        # itself lists its images in this order.
+        if np.array_equal(rows * dim + cols, moved[moved_order]):
+            turn = moved_order
+    _read_only(rows, cols, local, *(a for part in parts for a in part), *([] if turn is None else [turn]))
+    return _Pattern(dim, rows, cols, parts, local, turn)
+
+
+def _blocks(terms: HamiltonianTerms) -> list[tuple[np.ndarray, HamiltonianTerms]]:
+    """(basis indices, the block's terms in its own indices) per connected
+    component of the pattern of the terms and their transposes.  The indices
+    of a block ascend, and blocks are ordered by smallest index.
+
+    The matrix is block diagonal on these index sets: they are the
+    magnetization sectors of an XXZ ring, the parity sectors of an Ising
+    ring, and so on, found from the pattern alone (`_pattern`).  A term
+    whose transpose is missing still joins both its indices into one block,
+    where the block's Hermiticity check catches it.
+    """
+    pattern = _pattern(terms)
+    _, rows, cols, values = terms
+    return [(idx, HamiltonianTerms(idx.size, pattern.local[rows[t]], pattern.local[cols[t]], values[t]))
+            for idx, t in pattern.parts]
 
 
 def _shift(states: np.ndarray, num_qubits: int) -> np.ndarray:
@@ -228,42 +354,28 @@ def _trivial_group(dim: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     return 1, np.arange(dim), np.zeros(dim, dtype=np.intp), np.ones(dim, dtype=np.intp)
 
 
-def _shift_invariant(terms: HamiltonianTerms, blocks: list[tuple[np.ndarray, HamiltonianTerms]]) -> bool:
+def _shift_invariant(terms: HamiltonianTerms, blocks: Sequence[tuple[np.ndarray, object]]) -> bool:
     """Whether the register has at least 2 qubits, the terms are invariant
     under the shift T, entry for entry and value for value, and T maps every
-    block onto itself."""
-    dim, rows, cols, values = terms
-    n = dim.bit_length() - 1
-    if n < 2 or dim != 1 << n:
-        return False
-    moved = _shift(rows, n) * dim + _shift(cols, n)
-    order = np.argsort(moved)
-    # Terms list their keys ascending, so invariant terms move onto themselves.
-    if not (np.array_equal(rows * dim + cols, moved[order]) and np.array_equal(values, values[order])):
+    block onto itself.  Whether T maps the pattern onto itself is kept with
+    the pattern (`_pattern`); the values are compared on every call."""
+    dim, _, _, values = terms
+    turn = _pattern(terms).turn
+    if turn is None or not np.array_equal(values, values[turn]):
         return False
     block_of = np.empty(dim, dtype=np.intp)
     for b, (idx, _) in enumerate(blocks):
         block_of[idx] = b
-    return np.array_equal(block_of[_shift(np.arange(dim), n)], block_of)
+    return np.array_equal(block_of[_shift(np.arange(dim), dim.bit_length() - 1)], block_of)
 
 
-def _translations(terms: HamiltonianTerms, blocks: list[tuple[np.ndarray, HamiltonianTerms]]
-                  ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """(order, rep, shift, period) of the cyclic group the terms are taken
-    to commute with, for every basis index s: rep[s] is the smallest index
-    of s's orbit, s = T^shift[s] rep[s], and period[s] is the orbit's size.
-
-    The group is generated by the qubit shift T when `_shift_invariant`
-    holds and every value is a normal float, and is otherwise the trivial
-    group.  (The phases and orbit weights of the momentum blocks would round
-    a subnormal value to a few bits, or to zero.)
-    """
-    normal = np.all(np.abs(terms.values) >= np.finfo(float).tiny)
-    if not (normal and _shift_invariant(terms, blocks)):
-        return _trivial_group(terms.dim)
-    n = terms.dim.bit_length() - 1
-    every = np.arange(terms.dim)
-    rep, shift, period = every, np.zeros(terms.dim, dtype=np.intp), np.zeros(terms.dim, dtype=np.intp)
+@functools.lru_cache(maxsize=None)
+def _shift_orbits(num_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rep, shift, period) of the shift T on n-qubit basis indices (see
+    `_translations`), read-only."""
+    n = num_qubits
+    every = np.arange(1 << n)
+    rep, shift, period = every, np.zeros(every.size, dtype=np.intp), np.zeros(every.size, dtype=np.intp)
     image = every
     for j in range(1, n + 1):  # image = T^j s; where it is smaller than rep, s = T^(n-j) image
         image = _shift(image, n)
@@ -271,41 +383,116 @@ def _translations(terms: HamiltonianTerms, blocks: list[tuple[np.ndarray, Hamilt
         rep = np.where(smaller, image, rep)
         shift = np.where(smaller, n - j, shift)
         period = np.where((period == 0) & (image == every), j, period)
-    return n, rep, shift, period
+    _read_only(rep, shift, period)
+    return rep, shift, period
 
 
-def _momentum_blocks(orbits: _Orbits, parts: list[tuple[int, int]], size: int,
-                     real: bool) -> np.ndarray:
-    """H_k for the (pattern block, m) pairs `parts`, k = 2 pi m / order, on
-    the representatives compatible with k, of which each part has `size`,
-    stacked as (len(parts), size, size), real if `real`:
+def _translations(terms: HamiltonianTerms, blocks: Sequence[tuple[np.ndarray, object]]
+                  ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(order, rep, shift, period) of the cyclic group the terms are taken
+    to commute with, for every basis index s: rep[s] is the smallest index
+    of s's orbit, s = T^shift[s] rep[s], and period[s] is the orbit's size.
+    `blocks` are the pattern blocks, as (basis indices, anything) pairs.
+
+    The group is generated by the qubit shift T when `_shift_invariant`
+    holds and every value is a normal float, and is otherwise the trivial
+    group.  (The phases and orbit weights of the momentum blocks would round
+    a subnormal value to a few bits, or to zero.)  Both conditions are
+    checked on every call; the orbits of T depend on the register size
+    alone and are built once for each (`_shift_orbits`).
+    """
+    normal = np.all(np.abs(terms.values) >= np.finfo(float).tiny)
+    if not (normal and _shift_invariant(terms, blocks)):
+        return _trivial_group(terms.dim)
+    n = terms.dim.bit_length() - 1
+    return n, *_shift_orbits(n)
+
+
+def _momenta(pattern: _Pattern, group: tuple[int, np.ndarray, np.ndarray, np.ndarray],
+             real: bool) -> _Momenta:
+    """The `_Momenta` of the pattern under the group, for real terms if
+    `real` (see `_spectra`)."""
+    order, rep, shift, period = group
+    blocks = [idx for idx, _ in pattern.parts]
+    momenta = np.arange(order // 2 + 1 if real else order)
+    states = np.concatenate(blocks)  # block by block
+    block_of = np.empty(pattern.dim, dtype=np.intp)
+    block_of[states] = np.repeat(np.arange(len(blocks)), [idx.size for idx in blocks])
+    reps = states[rep[states] == states]
+    rank = np.empty(pattern.dim, dtype=np.intp)
+    rank[reps] = np.arange(reps.size)
+    first = np.searchsorted(block_of[reps], np.arange(len(blocks) + 1))
+    fits = np.multiply.outer(momenta, period[reps]) % order == 0
+    counts = np.cumsum(fits, axis=1)
+    before = np.hstack([np.zeros((momenta.size, 1), dtype=counts.dtype), counts])[:, first]
+    position = counts - 1 - before[:, block_of[reps]]
+    linked = np.flatnonzero(rep[pattern.cols] == pattern.cols)
+    rows, cols = pattern.rows[linked], pattern.cols[linked]
+    links = (block_of[cols], rank[cols], rank[rep[rows]], shift[rows])
+    tables = _Momenta(group, real, blocks, np.exp(2j * np.pi * np.arange(order) / order), rank, fits,
+                      position, linked, links, np.sqrt(period[cols] / period[rows]), [], [], {})
+    sizes = np.diff(before, axis=1).tolist()  # [m][block]
+    labels, stacks = tables.labels, {}  # labels: (block, m) of each momentum block, in block order
+    for number in range(len(blocks)):
+        groups: dict[bytes, list[int]] = {}
+        for m, fit in enumerate(fits[:, first[number]:first[number + 1]]):
+            if sizes[m][number]:
+                groups.setdefault(fit.tobytes(), []).append(m)
+        for ms in groups.values():
+            key = (sizes[ms[0]][number], real and all(2 * m % order == 0 for m in ms))
+            stacks.setdefault(key, []).extend(range(len(labels), len(labels) + len(ms)))
+            labels.extend((number, m) for m in ms)
+    tables.stacks.extend((size, where, _momentum_assembly(tables, [labels[i] for i in where], size, flat))
+                         for (size, flat), where in stacks.items())
+    _read_only(tables.roots, rank, fits, position, linked, *links, tables.ratio,
+               *(a for _, _, assembly in tables.stacks for a in assembly))
+    return tables
+
+
+def _momentum_assembly(tables: _Momenta, parts: list[tuple[int, int]], size: int,
+                       real: bool) -> _Assembly:
+    """The `_Assembly` of the momentum blocks of the (pattern block, m)
+    pairs `parts` (see `_momentum_blocks`), each of `size` representatives,
+    with real phases if `real`."""
+    block, cols, rows, turns = tables.links
+    blocks, momenta = (np.array(column)[:, None] for column in zip(*parts))
+    near = np.flatnonzero(np.isin(block, blocks))  # the links of the parts' blocks
+    part, link = np.nonzero((block[near] == blocks) & tables.fits[momenta, cols[near]]
+                            & tables.fits[momenta, rows[near]])
+    link = near[link]
+    m = momenta[part, 0]
+    phases = tables.roots[m * turns[link] % tables.roots.size]
+    if real:  # the real part of a real root is exactly +-1
+        phases = phases.real.copy()
+    entry = (part * size + tables.position[m, rows[link]]) * size + tables.position[m, cols[link]]
+    return _Assembly(link, entry, phases)
+
+
+def _momentum_blocks(assembly: _Assembly, amplitudes: np.ndarray, count: int, size: int) -> np.ndarray:
+    """The `count` momentum blocks of `assembly`, stacked as
+    (count, size, size), from the links' amplitudes H[r, a] sqrt(p_a / p_b):
 
         H_k[b, a] = sum over terms H[r, a] e^{i k l_r} sqrt(p_a / p_b),  r = T^{l_r} b,
 
-    with p the orbit sizes.  The basis vector of representative b is
-    |b, k> = p_b^{-1/2} sum_{l < p_b} e^{-i k l} T^l |b>, so only the
-    representatives with m p = 0 mod order take part.
+    with p the orbit sizes and k = 2 pi m / order.  The basis vector of
+    representative b is |b, k> = p_b^{-1/2} sum_{l < p_b} e^{-i k l} T^l |b>,
+    so only the representatives with m p = 0 mod order take part.  The
+    stack is real when the amplitudes and phases are.
     """
-    block, cols, rows, amplitudes, turns = orbits.links
-    blocks, momenta = (np.array(column)[:, None] for column in zip(*parts))
-    wanted = np.zeros(len(orbits.pattern), dtype=bool)
-    wanted[blocks] = True
-    near = np.flatnonzero(wanted[block])  # the links of the parts' blocks
-    part, link = np.nonzero((block[near] == blocks) & orbits.fits[momenta, cols[near]]
-                            & orbits.fits[momenta, rows[near]])
-    link = near[link]
-    m = momenta[part, 0]
-    phases = orbits.roots[m * turns[link] % orbits.roots.size]
-    if real:  # the real part of a real root is exactly +-1
-        phases = phases.real
-    stack = np.zeros((len(parts), size, size), dtype=np.result_type(amplitudes, phases))
-    entry = (part * size + orbits.position[m, rows[link]]) * size + orbits.position[m, cols[link]]
+    link, entry, phases = assembly
+    stack = np.zeros((count, size, size), dtype=np.result_type(amplitudes, phases))
     np.add.at(stack.reshape(-1), entry, amplitudes[link] * phases)
     return stack
 
 
-def _spectra(terms: HamiltonianTerms) -> tuple[_Orbits, list[_Sector]]:
-    """(the orbit tables, the momentum blocks with their eigenvalues).
+def _same_group(a: tuple[int, np.ndarray, np.ndarray, np.ndarray],
+                b: tuple[int, np.ndarray, np.ndarray, np.ndarray]) -> bool:
+    return a[0] == b[0] and all(np.array_equal(x, y) for x, y in zip(a[1:], b[1:]))
+
+
+def _spectra(terms: HamiltonianTerms) -> tuple[_Momenta, np.ndarray, list[_Sector]]:
+    """(the momentum tables, the links' amplitudes, the momentum blocks with
+    their eigenvalues).
 
     Each block of `_blocks` is split by the momenta k = 2 pi m / order of
     the group `_translations` finds.  Real terms take m = 0 .. order // 2
@@ -318,50 +505,31 @@ def _spectra(terms: HamiltonianTerms) -> tuple[_Orbits, list[_Sector]]:
     eigenvalues in one batched `eigvalsh`.  The trivial group leaves one
     momentum, m = 0, whose block is the pattern block itself.
 
+    All of this but the values is worked out once per pattern, group and
+    realness, and kept with the pattern (`_pattern`, `_momenta`): the
+    blocks, the orbit tables, where each link enters its stack and with
+    which phase.  Every call takes the group from `_translations` again,
+    and then only sums its amplitudes into the stacks, checks them and
+    diagonalizes them, in the same order as a first call does.
+
     The terms are exactly invariant under T when the group is not trivial,
     so the matrix is unitarily the direct sum of its momentum blocks, and
     checking every block for Hermiticity checks the whole matrix (for real
     terms the unbuilt blocks are conjugates of built ones).
     """
-    pattern = _blocks(terms)
-    order, rep, shift, period = _translations(terms, pattern)
-    dim, rows, cols, values = terms
-    real = not np.iscomplexobj(values)
-    momenta = np.arange(order // 2 + 1 if real else order)
-    states = np.concatenate([idx for idx, _ in pattern])  # block by block
-    block_of = np.empty(dim, dtype=np.intp)
-    block_of[states] = np.repeat(np.arange(len(pattern)), [idx.size for idx, _ in pattern])
-    reps = states[rep[states] == states]
-    rank = np.empty(dim, dtype=np.intp)
-    rank[reps] = np.arange(reps.size)
-    first = np.searchsorted(block_of[reps], np.arange(len(pattern) + 1))
-    fits = np.multiply.outer(momenta, period[reps]) % order == 0
-    counts = np.cumsum(fits, axis=1)
-    before = np.hstack([np.zeros((momenta.size, 1), dtype=counts.dtype), counts])[:, first]
-    position = counts - 1 - before[:, block_of[reps]]
-    linked = rep[cols] == cols
-    rows, cols = rows[linked], cols[linked]
-    links = (block_of[cols], rank[cols], rank[rep[rows]],
-             values[linked] * np.sqrt(period[cols] / period[rows]), shift[rows])
-    orbits = _Orbits(pattern, np.exp(2j * np.pi * np.arange(order) / order), rep, shift, period,
-                     rank, fits, position, links)
-    sizes = np.diff(before, axis=1).tolist()  # [m][block]
-    labels, stacks = [], {}  # labels: (block, m) of each momentum block, in block order
-    for number in range(len(pattern)):
-        groups: dict[bytes, list[int]] = {}
-        for m, fit in enumerate(fits[:, first[number]:first[number + 1]]):
-            if sizes[m][number]:
-                groups.setdefault(fit.tobytes(), []).append(m)
-        for ms in groups.values():
-            key = (sizes[ms[0]][number], real and all(2 * m % order == 0 for m in ms))
-            stacks.setdefault(key, []).extend(range(len(labels), len(labels) + len(ms)))
-            labels.extend((number, m) for m in ms)
-    spectra = [None] * len(labels)
-    for (size, flat), where in stacks.items():
-        stack = _momentum_blocks(orbits, [labels[i] for i in where], size, flat)
+    pattern = _pattern(terms)
+    group = _translations(terms, pattern.parts)
+    real = not np.iscomplexobj(terms.values)
+    tables = pattern.momenta
+    if tables is None or tables.real != real or not _same_group(tables.group, group):
+        tables = pattern.momenta = _momenta(pattern, group, real)
+    amplitudes = terms.values[tables.linked] * tables.ratio
+    spectra = [None] * len(tables.labels)
+    for size, where, assembly in tables.stacks:
+        stack = _momentum_blocks(assembly, amplitudes, len(where), size)
         for i, vals in zip(where, hermitian_eigenvalues(checked_hermitian(stack))):
             spectra[i] = vals
-    return orbits, [_Sector(*label, vals) for label, vals in zip(labels, spectra)]
+    return tables, amplitudes, [_Sector(*label, vals) for label, vals in zip(tables.labels, spectra)]
 
 
 def _checked_terms(hamiltonian: HamiltonianTerms) -> HamiltonianTerms:
@@ -372,8 +540,27 @@ def _checked_terms(hamiltonian: HamiltonianTerms) -> HamiltonianTerms:
     return hamiltonian
 
 
-def _embedded(orbits: _Orbits, sector: _Sector, count: int, real: bool, fix_phase: bool
-              ) -> tuple[np.ndarray, np.ndarray]:
+def _embedding(tables: _Momenta, block: int, m: int, size: int, real: bool
+               ) -> tuple[_Assembly, np.ndarray, np.ndarray, np.ndarray]:
+    """(the assembly of the momentum block k = 2 pi m / order of pattern
+    block `block` alone, the block's states in the orbits compatible with k,
+    their representatives' positions in the momentum block, e^{-ikl} /
+    sqrt(p) of each), real if `real`."""
+    _, rep, shift, period = tables.group
+    roots, idx = tables.roots, tables.blocks[block]
+    ranks = tables.rank[rep[idx]]  # each state's representative
+    fits = tables.fits[m, ranks]
+    rows, ranks = idx[fits], ranks[fits]
+    weights = (roots[-m * shift[rows] % roots.size] / np.sqrt(period[rows]))[:, None]  # e^{-ikl} / sqrt(p)
+    if real:
+        weights = weights.real.copy()
+    assembly, at = _momentum_assembly(tables, [(block, m)], size, real), tables.position[m, ranks]
+    _read_only(*assembly, rows, at, weights)
+    return assembly, rows, at, weights
+
+
+def _embedded(tables: _Momenta, amplitudes: np.ndarray, sector: _Sector, count: int,
+              fix_phase: bool) -> tuple[np.ndarray, np.ndarray]:
     """(basis indices, columns there) of the lowest `count` eigenvectors of
     `sector`'s momentum block, each v embedded as sum_b v[b] |b, k>.
 
@@ -382,23 +569,21 @@ def _embedded(orbits: _Orbits, sector: _Sector, count: int, real: bool, fix_phas
     sqrt(2) Re and sqrt(2) Im of its embedding, the Re columns first.  With
     `fix_phase` (for one vector) its largest-magnitude entry is first made
     real and positive, so that its sqrt(2) Re column does not depend on the
-    phase the eigensolver returns.
+    phase the eigensolver returns.  The block's assembly and embedding are
+    worked out on its first use and kept in `tables`.
     """
-    roots, m = orbits.roots, sector.m
-    pair = real and 0 < 2 * m < roots.size  # 0 < k < pi
-    real_block = real and not pair
-    stack = _momentum_blocks(orbits, [(sector.block, m)], sector.values.size, real_block)
+    m, size = sector.m, sector.values.size
+    pair = tables.real and 0 < 2 * m < tables.roots.size  # 0 < k < pi
+    key = (sector.block, m)
+    if key not in tables.embeddings:
+        tables.embeddings[key] = _embedding(tables, sector.block, m, size, tables.real and not pair)
+    assembly, rows, at, weights = tables.embeddings[key]
+    stack = _momentum_blocks(assembly, amplitudes, 1, size)
     vecs = hermitian_eigensystem(stack[0])[1][:, :count]
     if fix_phase:
         j = int(np.argmax(np.abs(vecs[:, 0])))
         vecs = vecs * (vecs[j, 0] / abs(vecs[j, 0])).conjugate()
-    idx = orbits.pattern[sector.block][0]
-    ranks = orbits.rank[orbits.rep[idx]]  # each state's representative
-    fits = orbits.fits[m, ranks]
-    rows, ranks = idx[fits], ranks[fits]  # the block's states in these orbits
-    amplitudes = (roots[-m * orbits.shift[rows] % roots.size]
-                  / np.sqrt(orbits.period[rows]))[:, None]  # e^{-ikl} / sqrt(p)
-    w = vecs[orbits.position[m, ranks]] * (amplitudes.real if real_block else amplitudes)
+    w = vecs[at] * weights
     if pair:
         w = math.sqrt(2.0) * np.hstack([w.real, w.imag])
     return rows, w
@@ -426,18 +611,17 @@ def ground_state(hamiltonian: HamiltonianTerms,
     decided by `eigh`.
     """
     terms = _checked_terms(hamiltonian)
-    orbits, sectors = _spectra(terms)
+    tables, amplitudes, sectors = _spectra(terms)
     lowest = min(s.values[0] for s in sectors)
     span = max(s.values[-1] for s in sectors) - lowest
     top = lowest + DEGENERACY_RTOL * span
     level = [(s, int(np.count_nonzero(s.values <= top))) for s in sectors if s.values[0] <= top]
-    real = not np.iscomplexobj(terms.values)
     if mode is GroundStateMode.FIRST_VECTOR:
         sector = min((s for s, _ in level), key=lambda s: (s.block, s.m))
-        rows, w = _embedded(orbits, sector, 1, real, fix_phase=True)
+        rows, w = _embedded(tables, amplitudes, sector, 1, fix_phase=True)
         parts = [(rows, w[:, :1])]
     else:
-        parts = [_embedded(orbits, s, k, real, fix_phase=False) for s, k in level]
+        parts = [_embedded(tables, amplitudes, s, k, fix_phase=False) for s, k in level]
     width = sum(w.shape[1] for _, w in parts)
     factor = np.zeros((terms.dim, width), dtype=terms.values.dtype)
     column = 0
@@ -452,7 +636,7 @@ def ground_gap(hamiltonian: HamiltonianTerms) -> float:
     terms, and the first one above its degeneracy window; +inf if no level
     lies above the window.  Every momentum block gets its eigenvalues only
     (a block of real terms and its conjugate partner share them)."""
-    vals = np.sort(np.concatenate([s.values for s in _spectra(_checked_terms(hamiltonian))[1]]))
+    vals = np.sort(np.concatenate([s.values for s in _spectra(_checked_terms(hamiltonian))[2]]))
     span = float(vals[-1] - vals[0])
     above = vals[vals > vals[0] + DEGENERACY_RTOL * span]
     if above.size == 0:
