@@ -18,12 +18,12 @@ permutation leaving the state unchanged maps onto each other share one
 entropy and one value: the table diagonalizes, and the DP minimizes over, the
 smallest mask of each orbit only; each other mask on the reported tree has
 its cut searched for again.  With no such permutation every mask is its own
-orbit.  `ccm_many` takes a list of states and reduces those of the same
-register size, symmetry and form as one stack (the damped states of one row
-of a noise sweep, say); `ccm` is its one-state case.  `ccm_naive` is an
-intentionally independent re-implementation by literal recursion (fresh
-dense reduced matrices at every level, no caching) kept as a cross-check
-oracle.
+orbit.  `ccm_many` reads any iterable of states once and reduces those of
+the same register size, symmetry, form and dtype in shared stacks (the
+damped states of a whole noise sweep, say); `ccm` is its one-state case.
+`ccm_naive` is an intentionally independent re-implementation by literal
+recursion (fresh dense reduced matrices at every level, no caching) kept as
+a cross-check oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable
 
 from .entropy import DistanceUnit, subset_entropies_many, von_neumann_entropy
 from .errors import BadArity, OutOfRange, TooLarge
@@ -108,19 +108,26 @@ def ccm(rho: PureState | DensityOperator,
     return ccm_many([rho], unit)[0]
 
 
-def ccm_many(states: Sequence[PureState | DensityOperator],
+def ccm_many(states: Iterable[PureState | DensityOperator],
              unit: DistanceUnit = DistanceUnit.NORMALIZED) -> list[CcmReport]:
     """`ccm` of each state, in order.
 
-    The entropy tables of all states come from one `subset_entropies_many`
-    call, which walks states of the same register size, symmetry and form
-    as one stack; each state's dynamic program then runs on its own
-    table.  Every report is the one `ccm` gives the state alone.
+    `states` may be any iterable, and is read once: the entropy tables of
+    all states come from one `subset_entropies_many` call, which reduces
+    each state as it arrives and holds none of them after, and walks states
+    of the same register size, symmetry, form and dtype in shared stacks.
+    Each state's dynamic program then runs on its own table.  Every report
+    is the one `ccm` gives the state alone.  A state past MAX_QUBITS_DP
+    raises TooLarge when it arrives, before it is reduced.
     """
-    for rho in states:
-        if rho.num_qubits > MAX_QUBITS_DP:
-            raise TooLarge(f"ccm supports at most {MAX_QUBITS_DP} qubits, got {rho.num_qubits}")
-    return [_report(t, rho.num_qubits, unit) for t, rho in zip(subset_entropies_many(states), states)]
+    def within_cap():
+        for rho in states:
+            if rho.num_qubits > MAX_QUBITS_DP:
+                raise TooLarge(f"ccm supports at most {MAX_QUBITS_DP} qubits, got {rho.num_qubits}")
+            yield rho
+
+    # A table of 2^n entries belongs to an n-qubit state.
+    return [_report(t, len(t).bit_length() - 1, unit) for t in subset_entropies_many(within_cap())]
 
 
 def _report(entropy_bits: list[float], n: int, unit: DistanceUnit) -> CcmReport:

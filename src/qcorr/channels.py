@@ -13,7 +13,8 @@ built in, does and feeds both ways).  A Kraus set whose S moves them apart
 (a bit flip, say), or a state without blocks, goes through the dense kernel
 `linalg.apply_superoperators`.  The output is not validated again: S maps
 Hermitian matrices to Hermitian ones, and construction certified that the
-channel keeps the trace.
+channel keeps the trace.  Nor is its qubit symmetry tested again when the
+channel acts on every qubit: it takes the input's generators.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .entropy import qubit_symmetry
 from .errors import InvariantViolation, OutOfRange
 from .linalg import superoperator
-from .states import DensityOperator, apply_local_superoperators, check_subset, subset_qubits
+from .states import DensityOperator, apply_local_superoperators, check_subset, full_mask, subset_qubits
 
 TP_ATOL = 1e-10
 
@@ -87,8 +89,9 @@ def apply_channel_local(rho: DensityOperator, channel: KrausChannel, qubits: int
     The channel acts through the superoperator built with it (see
     `linalg.superoperator`), which stays real for real Kraus operators, so a
     real state stays real, and block by block on a state with popcount
-    blocks when it keeps them (see the module docstring).  An exact
-    identity channel (damping strength 0) returns `rho` itself, factor
+    blocks when it keeps them (see the module docstring).  On the whole
+    register the output carries `rho`'s `qubit_symmetry` generators.  An
+    exact identity channel (damping strength 0) returns `rho` itself, factor
     included.
     """
     n = rho.num_qubits
@@ -96,4 +99,11 @@ def apply_channel_local(rho: DensityOperator, channel: KrausChannel, qubits: int
     s = channel._superoperator
     if qubits == 0 or np.array_equal(s, np.eye(4)):
         return rho
-    return apply_local_superoperators(rho, [(q, s) for q in subset_qubits(qubits)])
+    out = apply_local_superoperators(rho, [(q, s) for q in subset_qubits(qubits)])
+    if qubits == full_mask(n):
+        # The same channel on every qubit commutes with qubit permutations
+        # and contracts the trace norm, so every permutation moves the
+        # output by at most what it moves `rho`: the output keeps `rho`'s
+        # generators within their budget, and `rho` is tested at most once.
+        out._qubit_symmetry = qubit_symmetry(rho)
+    return out

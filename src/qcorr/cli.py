@@ -8,6 +8,7 @@ failed checks), 130 interrupted (Ctrl-C).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .ccm import ccm, ccm_naive, ghz_closed_form
@@ -132,7 +133,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 4
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The `qcorr` parser, built once per process: parsing does not change
+    it, and each parse fills a fresh namespace from its defaults."""
     parser = argparse.ArgumentParser(prog="qcorr",
                                      description="Cumulative correlation measure toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -141,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ghz.add_argument("n", type=int, help="number of qubits")
     p_ghz.add_argument("--mode", choices=["closed", "direct", "both"], default="both")
     _add_unit(p_ghz)
-    p_ghz.set_defaults(func=cmd_ghz)
 
     p_ccm = sub.add_parser("ccm", help="measure of a state loaded from a qs1 file")
     p_ccm.add_argument("state_file")
@@ -150,12 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ccm.add_argument("--report", action="store_true",
                        help="dump the full minimizing-bipartition tree as JSON")
     _add_unit(p_ccm)
-    p_ccm.set_defaults(func=cmd_ccm)
 
     p_tv = sub.add_parser("tv", help="total correlations of a state loaded from a qs1 file")
     p_tv.add_argument("state_file")
     _add_unit(p_tv)
-    p_tv.set_defaults(func=cmd_tv)
 
     p_sweep = sub.add_parser("sweep", help="ground-state sweep over a parameter grid")
     p_sweep.add_argument("--model", choices=["xxz", "dxxz", "ising"], required=True)
@@ -166,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--tv", action="store_true", help="add a total-correlations column")
     p_sweep.add_argument("--derivative", action="store_true",
                          help="add a finite-difference derivative column")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_noise = sub.add_parser("noise", help="xxz sweep under per-qubit damping noise")
     _add_sweep_common(p_noise)
@@ -176,20 +176,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_noise.add_argument("--channel", choices=["paper", "standard"], default="paper",
                          help="damping operator pair: 'paper' = diagonal/dephasing, "
                               "'standard' = dissipative amplitude damping")
-    p_noise.set_defaults(func=cmd_noise)
 
     p_check = sub.add_parser("check", help="run the property suites on random ensembles")
     p_check.add_argument("--seed", type=int, default=7)
     p_check.add_argument("--count", type=int, default=25, help="states per property")
-    p_check.set_defaults(func=cmd_check)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Looked up per call, not bound into the parser that is built once.
+    commands = {"ghz": cmd_ghz, "ccm": cmd_ccm, "tv": cmd_tv, "sweep": cmd_sweep, "noise": cmd_noise,
+                "check": cmd_check}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

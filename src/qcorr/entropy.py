@@ -8,22 +8,26 @@ matrix of V reshaped to 2^|A| x (2^(n-|A|) r), with no partial trace.  Any
 other state is reduced and its reduced data diagonalized: one subset at a
 time by `partial_trace`, or, for the whole table that `ccm` needs, by
 `subset_entropies`, which walks a tree of subsets, tracing one qubit at a
-time out of a parent subset (`_walk_tree`).  The whole register's entropy
+time out of a parent subset (`_Walk`).  The whole register's entropy
 comes from the spectrum that the positivity check kept, when there is one.
 The table diagonalizes one subset per orbit of the qubit permutations that
 leave the state unchanged (`qubit_symmetry` finds generators of that group,
 and `orbit_representatives` closes the masks under any generator list).
 
 One walk serves every state without a factor, and carries a leading stack
-axis: `subset_entropies_many` walks the states of a list that share register
-size, qubit group, form and dtype together (`_walk_tree`).  A state with
+axis: `subset_entropies_many` reads its states once, visits each root as it
+arrives, and walks the children of the states that share register size,
+qubit group, form, dtype and spin flip together (`_Walk`).  A state with
 popcount blocks (`DensityOperator.blocks`: damped XXZ and double-XXZ ground
 states) is carried as blocks all the way down, since a partial trace keeps
-the zeros between popcounts; any other state is the one-block case.  A block that is 0.0 in every stacked state is
-not diagonalized, and the others wait with the equal blocks of every subset
-of their size for one stacked `hermitian_eigenvalues` call.  A phase-damped
-N = 8 ring's largest eigensolve is 70 instead of 256, and its 29 subsets
-take 10 calls.
+the zeros between popcounts; any other state is the one-block case.  A
+block that is 0.0 in every stacked state is not diagonalized, and the
+others wait with the equal blocks of every subset of their size for one
+stacked `hermitian_eigenvalues` call.  When the spin flip X^n leaves the
+state unchanged (`_flips_by_at_most_cutoff`), block m - k takes block k's
+spectrum and the middle block is solved as two halves.  A phase-damped
+N = 8 ring's largest eigensolve is 35 instead of 256, and its 29 subsets
+take 9 calls.
 
 All entropies use log base 2 internally.  Results can be reported either in
 bits or in "normalized" units (bits / 2), the scale on which one Bell pair
@@ -36,7 +40,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -79,14 +83,15 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     vals = rho.spectrum
     if vals is None and rho.factor is not None:
         return subset_entropy(rho, full_mask(rho.num_qubits))
-    return _entropy_bits(hermitian_eigenvalues(rho.matrix) if vals is None else vals)
+    return float(_entropy_bits(hermitian_eigenvalues(rho.matrix) if vals is None else vals))
 
 
-def _entropy_bits(vals: np.ndarray) -> float:
-    vals = vals[vals > SUPPORT_CUTOFF]
-    if vals.size == 0:
-        return 0.0
-    return max(float(-(vals * np.log2(vals)).sum()), 0.0)
+def _entropy_bits(vals: np.ndarray) -> np.ndarray:
+    """-sum_i lam_i log2 lam_i over the last axis of `vals` (one spectrum, or
+    one per row), in bits, with the eigenvalues at or below SUPPORT_CUTOFF
+    taken as 1 (1 log2 1 = 0)."""
+    kept = np.where(vals > SUPPORT_CUTOFF, vals, 1.0)
+    return np.maximum(-(kept * np.log2(kept)).sum(axis=-1), 0.0)
 
 
 def subset_entropy(state: PureState | DensityOperator, mask: int) -> float:
@@ -106,7 +111,7 @@ def subset_entropy(state: PureState | DensityOperator, mask: int) -> float:
     m = v.reshape((2,) * n + (v.shape[1],)).transpose(kept + traced + [n])
     m = m.reshape(1 << len(kept), -1)
     gram = m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m
-    return _entropy_bits(hermitian_eigenvalues(gram))
+    return float(_entropy_bits(hermitian_eigenvalues(gram)))
 
 
 def qubit_symmetry(state: PureState | DensityOperator) -> tuple[tuple[int, ...], ...]:
@@ -124,9 +129,21 @@ def qubit_symmetry(state: PureState | DensityOperator) -> tuple[tuple[int, ...],
     (`states._certified_factor`), so by the Fannes-Audenaert bound it moves no
     subset entropy by more than about 3e-11 bits; a permutation that takes
     L generators moves them by at most L times that (L <= 9 in D_7 x D_7
-    with the swap).  Ring ground states, damped or not, pass with trace
-    norms below 1e-13.
+    with the swap), and the walk's spin flip adds one more.  Ring ground
+    states, damped or not, pass with trace norms below 1e-13.
+
+    The result is kept on the state, so each state is tested at most once;
+    `apply_channel_local` on the whole register gives its output the
+    generators of its input instead of a test.
     """
+    found = state._qubit_symmetry
+    if found is None:
+        found = state._qubit_symmetry = _tested_symmetry(state)
+    return found
+
+
+def _tested_symmetry(state: PureState | DensityOperator) -> tuple[tuple[int, ...], ...]:
+    """The generators `qubit_symmetry` returns, found by testing `state`."""
     n = state.num_qubits
     if n < 2:
         return ()
@@ -205,6 +222,33 @@ def _moves_by_at_most_cutoff(state: PureState | DensityOperator, perm: tuple[int
     return True
 
 
+def _flips_by_at_most_cutoff(state: DensityOperator) -> bool:
+    """Whether the spin flip X^n (every qubit's X) changes `state`, which
+    has popcount blocks, by at most SUPPORT_CUTOFF in trace norm: the test
+    and budget of `_moves_by_at_most_cutoff`.
+
+    X^n maps basis index i to d - 1 - i, so popcount k to n - k in reversed
+    order: the flipped state's block k is block n - k with its rows and
+    columns reversed, and its flat block array is the state's, reversed.
+    The reversed diagonal is compared first; then sqrt(d) ||D||_F, where
+    D = reversed - blocks is odd under reversal, so its first half holds
+    half of ||D||_F^2.
+    """
+    n, blocks = state.num_qubits, state.blocks
+    diag = blocks[block_layout(n).diagonal].real
+    if float(np.abs(diag[::-1] - diag).sum()) > SUPPORT_CUTOFF:
+        return False
+    limit = SUPPORT_CUTOFF ** 2 / (2 << n)  # on the first half's share of ||D||_F^2
+    flipped, half, total = blocks[::-1], blocks.size // 2, 0.0
+    for start in range(0, half, BLOCK_ENTRIES):
+        stop = min(start + BLOCK_ENTRIES, half)
+        piece = flipped[start:stop] - blocks[start:stop]
+        total += float(np.vdot(piece, piece).real)
+        if total > limit:
+            return False
+    return True
+
+
 @functools.lru_cache(maxsize=None)
 def orbit_representatives(num_qubits: int, generators: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """The smallest mask of each mask's orbit under the group of `generators`
@@ -237,8 +281,9 @@ class SubsetTable(list):
     __slots__ = ("representatives",)
 
 
-# Root entries, summed over its states, of one stack of `_walk_tree`; past
-# it a list is walked in several stacks (a larger state alone).
+# Child entries (the representative children of the roots) that wait, summed
+# over every stack, to be walked together; a state whose own children pass it
+# is walked alone, depth first.
 STACK_ENTRIES = 1 << 18
 
 
@@ -256,41 +301,41 @@ def subset_entropies(state: PureState | DensityOperator) -> SubsetTable:
     representative; when the factor is one column (a pure state), S(A) =
     S(rest of A), so a representative whose complement's orbit comes earlier
     copies that entry, and the whole register gets 0.  Any other state is
-    reduced along a tree by `_walk_tree`, as a stack of one.
+    reduced along a tree by `_Walk`, as a stack of one.
     """
     return subset_entropies_many([state])[0]
 
 
-def subset_entropies_many(states: Sequence[PureState | DensityOperator]) -> list[SubsetTable]:
-    """`subset_entropies` of each state, bit for bit, in order.  States
-    without a factor of one register size, qubit group, form (blocks or one
-    block), dtype and kept spectrum or none take the same gathers, so they
-    are walked as one stack of up to STACK_ENTRIES root entries."""
-    tables: list = [None] * len(states)
-    stacks: dict[tuple, list[int]] = {}
-    for i, state in enumerate(states):
+def subset_entropies_many(states: Iterable[PureState | DensityOperator]) -> list[SubsetTable]:
+    """`subset_entropies` of each state, bit for bit, in order.
+
+    `states` is read once, and each state is reduced as it arrives: a factor
+    by the Gram path, any other state by `_Walk.add`, which visits its root
+    alone and lets its representative children wait with those of the
+    states before it of the same register size, qubit group, form (blocks or
+    one block), dtype and spin flip, to be walked as one stack.  No state is
+    held once it has been reduced, so a generator of states is reduced in the
+    memory of one state, the waiting children and the matrices waiting for
+    their eigensolve.
+    """
+    walk = _Walk()
+    tables, reps = [], []
+    for state in states:
         n, generators = state.num_qubits, qubit_symmetry(state)
-        if state.factor is None:
-            data = state.matrix if state.blocks is None else state.blocks
-            key = (n, generators, state.blocks is not None, data.dtype, state.spectrum is not None)
-            stacks.setdefault(key, []).append(i)
-            continue
         rep = orbit_representatives(n, generators).tolist()
-        full, pure = full_mask(n), state.factor.shape[1] == 1
         table = [0.0] * (1 << n)
-        for mask in range(1, 1 << n):
-            if rep[mask] == mask:
-                twin = rep[full ^ mask]
-                table[mask] = table[twin] if pure and twin < mask else subset_entropy(state, mask)
-        tables[i] = _subset_table(table, rep)
-    for (n, generators, charged, _, _), members in stacks.items():
-        rep = orbit_representatives(n, generators).tolist()
-        per = max(1, STACK_ENTRIES // (math.comb(2 * n, n) if charged else 1 << 2 * n))
-        for start in range(0, len(members), per):
-            chunk = members[start:start + per]
-            for i, table in zip(chunk, _walk_tree([states[i] for i in chunk], charged, rep)):
-                tables[i] = _subset_table(table, rep)
-    return tables
+        if state.factor is None:
+            walk.add(state, generators, rep, table)
+        else:
+            full, pure = full_mask(n), state.factor.shape[1] == 1
+            for mask in range(1, 1 << n):
+                if rep[mask] == mask:
+                    twin = rep[full ^ mask]
+                    table[mask] = table[twin] if pure and twin < mask else subset_entropy(state, mask)
+        tables.append(table)
+        reps.append(rep)
+    walk.finish()
+    return [_subset_table(table, rep) for table, rep in zip(tables, reps)]
 
 
 def _subset_table(table: list[float], rep: list[int]) -> SubsetTable:
@@ -299,98 +344,181 @@ def _subset_table(table: list[float], rep: list[int]) -> SubsetTable:
     return out
 
 
-def _walk_tree(states: list[DensityOperator], charged: bool, rep: list[int]) -> list[list[float]]:
-    """The entropy of every representative of `rep` for each of `states`, a
-    stack of one key of `subset_entropies_many` (blocks when `charged`).
+class _Stack:
+    """States walked together, each with the table its entropies go to, and
+    the spectrum pieces of every mask they have reached: one holder per
+    piece, a one-item list filled when its eigensolve is made (a block and
+    its spin-flip twin share one)."""
 
-    Every array of the walk has a leading axis over the states.  The parent
-    of a subset is the subset plus its lowest missing qubit, and a child's
-    data are its parent's with that qubit traced out.  The parent of a
-    representative is a representative too (a smallest mask stays smallest
+    __slots__ = ("charged", "flip", "rep", "tables", "spectra", "children")
+
+    def __init__(self, charged: bool, flip: bool, rep: list[int]):
+        self.charged, self.flip, self.rep = charged, flip, rep
+        self.tables: list[list[float]] = []
+        self.spectra: dict[int, list[list]] = {}
+        self.children: dict[int, list[np.ndarray]] = {}  # traced qubit -> one (1, entries) array per state
+
+
+class _Walk:
+    """The reduction of the states without a factor of one
+    `subset_entropies_many` call.
+
+    Every array of the walk has a leading axis over the states of a stack.
+    The parent of a subset is the subset plus its lowest missing qubit, and a
+    child's data are its parent's with that qubit traced out.  The parent of
+    a representative is a representative too (a smallest mask stays smallest
     in its orbit when its lowest missing qubit is added, as tests check for
     every generator list `qubit_symmetry` returns up to n = 14), so only
-    representatives are reduced.  The
-    walk is depth first: only the data on the current path and those
-    waiting for their eigensolve are alive.
+    representatives are reduced.
+
+    A state's root is visited when it arrives, and only its representative
+    children are kept: they wait with those of the earlier states of its
+    key, and at most STACK_ENTRIES child entries wait in all.  Before a
+    state's children would pass that, every waiting stack is walked, depth
+    first from its children; a state whose children alone pass it is walked
+    alone, depth first from its root, without waiting.
 
     Blocks are reduced by two index gathers (`trace_entries`), one block by
     a reshape and the sum of two slices.  The 1 x 1 blocks are read off; a
-    block that is 0.0 in every state is not diagonalized (its eigenvalues
-    are 0, outside the support); every other matrix waits for one
-    `hermitian_eigenvalues` call per (subset size, block size), made before
-    more than BLOCK_ENTRIES entries would wait.  The root takes the spectra
+    block that is 0.0 in every state of a stack is not diagonalized (its
+    eigenvalues are 0, outside the support).  A stack that is invariant
+    under the spin flip X^n (`_flips_by_at_most_cutoff`) stays so under
+    every partial trace: at each node block m - k takes block k's spectrum,
+    and the middle block B of width c is solved as its two c/2-wide halves
+    T +- F, T = B[:h, :h] and F = B[:h, h:] with its columns reversed.
+    Every other matrix waits for one `hermitian_eigenvalues` call per
+    (subset size, matrix size, dtype), shared by every stack, made before
+    more than BLOCK_ENTRIES entries would wait.  A root takes the spectrum
     the positivity check kept, if any.  Each spectrum is in the order 1 x 1
     blocks, then blocks 1, m - 1, 2, m - 2, ...
     """
-    n, size = states[0].num_qubits, len(states)
-    waiting: dict[tuple[int, int], list] = {}  # (m, c) -> [(stack (size, c, c), mask, slot)]
-    entries = 0
-    spectra: dict[int, list] = {}
 
-    def flush() -> None:
-        nonlocal entries
-        for items in waiting.values():
-            stack = items[0][0] if len(items) == 1 else np.concatenate([a for a, _, _ in items])
-            solved = hermitian_eigenvalues(stack).reshape(len(items), size, -1)
-            for vals, (_, mask, slot) in zip(solved, items):
-                spectra[mask][slot] = vals
-        waiting.clear()
-        entries = 0
+    def __init__(self):
+        self.waiting: dict[tuple, list] = {}  # (m, c, dtype) -> [(matrices (s, c, c), holder)]
+        self.waiting_entries = 0
+        self.stacks: dict[tuple, _Stack] = {}
+        self.stacked_entries = 0
+        self.queued: list[_Stack] = []  # walked; their last eigensolves wait
 
-    def wait(m: int, stack: np.ndarray, mask: int, slot: int) -> None:
-        nonlocal entries
-        if entries + stack.size > BLOCK_ENTRIES:
-            flush()
-        waiting.setdefault((m, stack.shape[-1]), []).append((stack, mask, slot))
-        entries += stack.size
+    def add(self, state: DensityOperator, generators: tuple, rep: list[int], table: list[float]) -> None:
+        n, charged = state.num_qubits, state.blocks is not None
+        data = (state.blocks if charged else state.matrix.reshape(-1))[None]
+        flip = charged and _flips_by_at_most_cutoff(state)
+        known = None if state.spectrum is None else state.spectrum[None]
+        full = full_mask(n)
+        children = [q for q in range(n) if n > 1 and rep[full ^ (1 << q)] == full ^ (1 << q)]
+        entries = len(children) * (math.comb(2 * n - 2, n - 1) if charged else 1 << (2 * n - 2))
+        alone = entries > STACK_ENTRIES
+        root = _Stack(charged, flip, rep)
+        root.tables.append(table)
+        self.visit(root, data, full, n, n, known, descend=alone)
+        self.queued.append(root)
+        if alone or not children:
+            return
+        if self.stacked_entries + entries > STACK_ENTRIES:
+            self.walk_stacks()
+        stack = self.stacks.setdefault((n, generators, charged, data.dtype, flip), _Stack(charged, flip, rep))
+        stack.tables.append(table)
+        for q in children:
+            stack.children.setdefault(q, []).append(_reduced(data, n, q, charged))
+        self.stacked_entries += entries
 
-    def visit(data: np.ndarray, mask: int, m: int, low: int, known: np.ndarray | None = None) -> None:
+    def walk_stacks(self) -> None:
+        for (n, *_), stack in self.stacks.items():
+            full = full_mask(n)
+            for q in list(stack.children):
+                # Passed unbound, and each state's own child dropped once
+                # stacked: only the data on the path being walked stay alive.
+                self.visit(stack, np.concatenate(stack.children.pop(q)), full ^ (1 << q), n - 1, q)
+            self.queued.append(stack)
+        self.stacks.clear()
+        self.stacked_entries = 0
+
+    def finish(self) -> None:
+        self.walk_stacks()
+        self.flush()
+
+    def visit(self, stack: _Stack, data: np.ndarray, mask: int, m: int, low: int,
+              known: np.ndarray | None = None, descend: bool = True) -> None:
         if known is not None:
-            spectra[mask] = [known]
-        elif charged:
-            lay, order = block_layout(m), _block_order(m)
-            spectra[mask] = [data[:, [0, lay.offsets[m]]].real] + [None] * len(order)
-            for slot, k in enumerate(order, 1):
-                block = data[:, lay.offsets[k]:lay.offsets[k + 1]]
-                if block.any():  # else the slot stays None
-                    c = lay.sizes[k]
-                    wait(m, block.reshape(size, c, c), mask, slot)
+            stack.spectra[mask] = [[known]]
+        elif stack.charged:
+            stack.spectra[mask] = self.block_pieces(data, m, stack.flip)
         else:
             d = 1 << m
-            spectra[mask] = [None]
-            wait(m, data.reshape(size, d, d), mask, 0)
-        if m == 1:
+            stack.spectra[mask] = [self.solve(m, data.reshape(-1, d, d))]
+        if not descend or m == 1:
             return
         for q in range(low):  # leg q of the data is qubit q: qubits 0..low-1 are all in `mask`
             child = mask & ~(1 << q)
-            if rep[child] != child:
+            if stack.rep[child] == child:
+                self.visit(stack, _reduced(data, m, q, stack.charged), child, m - 1, q)
+
+    def block_pieces(self, data: np.ndarray, m: int, flip: bool) -> list[list]:
+        """The holders of the spectrum of each state of `data`, blocks of an
+        m-qubit state, in spectrum order."""
+        lay = block_layout(m)
+        pieces, twin = [[data[:, [0, lay.offsets[m]]].real]], None
+        for k in _block_order(m):
+            if flip and 2 * k > m:  # block m - k, just before, is its flip
+                if twin is not None:
+                    pieces.append(twin)
                 continue
-            if charged:
-                zero, one = trace_entries(m, q)
-                reduced = data.take(zero, axis=1)
-                reduced += data.take(one, axis=1)
-            else:
-                outer, inner = 1 << q, 1 << (m - q - 1)
-                t = data.reshape(size, outer, 2, inner, outer, 2, inner)
-                reduced = (t[:, :, 0, :, :, 0, :] + t[:, :, 1, :, :, 1, :]).reshape(size, -1)
-            # The child is passed unbound: once its subtree is queued, only the
-            # stacks still waiting for their eigensolve keep it alive.
-            visit(reduced, child, m - 1, q)
+            c = lay.sizes[k]
+            block = data[:, lay.offsets[k]:lay.offsets[k + 1]].reshape(-1, c, c)
+            twin = None
+            if not block.any():
+                continue
+            if flip and 2 * k == m:  # X^m maps the middle block onto itself
+                h = c // 2
+                t, f = block[:, :h, :h], block[:, :h, h:][:, :, ::-1]
+                pieces.extend(self.solve(m, half) for half in (t + f, t - f) if half.any())
+            else:  # a copy: the waiting matrix does not keep `data` alive
+                twin = self.solve(m, block.copy())
+                pieces.append(twin)
+        return pieces
 
-    def stacked(arrays: list[np.ndarray]) -> np.ndarray:
-        return arrays[0][None] if size == 1 else np.stack(arrays)  # one state is not copied
+    def solve(self, m: int, matrices: np.ndarray) -> list:
+        """A holder whose item is, or becomes when the waiting matrices are
+        solved, the eigenvalues of each of `matrices` (s, c, c)."""
+        if matrices.shape[-1] == 1:
+            return [matrices[:, 0].real]
+        if self.waiting_entries + matrices.size > BLOCK_ENTRIES:
+            self.flush()
+        holder = [None]
+        self.waiting.setdefault((m, matrices.shape[-1], matrices.dtype), []).append((matrices, holder))
+        self.waiting_entries += matrices.size
+        return holder
 
-    kept = None if states[0].spectrum is None else stacked([s.spectrum for s in states])
-    visit(stacked([s.blocks if charged else s.matrix.reshape(-1) for s in states]),
-          full_mask(n), n, n, kept)
-    flush()
-    tables = [[0.0] * (1 << n) for _ in states]
-    for mask, spectrum in spectra.items():
-        pieces = [p for p in spectrum if p is not None]
-        vals = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
-        for table, row in zip(tables, vals):
-            table[mask] = _entropy_bits(row)
-    return tables
+    def flush(self) -> None:
+        """Solve every waiting matrix, then write the entropies of every
+        stack that has been walked, whose holders are now all filled."""
+        for items in self.waiting.values():
+            together = items[0][0] if len(items) == 1 else np.concatenate([a for a, _ in items])
+            solved, start = hermitian_eigenvalues(together), 0
+            for matrices, holder in items:
+                holder[0] = solved[start:start + len(matrices)]
+                start += len(matrices)
+        self.waiting.clear()
+        self.waiting_entries = 0
+        for stack in self.queued:
+            for mask, pieces in stack.spectra.items():
+                vals = pieces[0][0] if len(pieces) == 1 else np.concatenate([p[0] for p in pieces], axis=1)
+                for table, bits in zip(stack.tables, _entropy_bits(vals).tolist()):
+                    table[mask] = bits
+        self.queued.clear()
+
+
+def _reduced(data: np.ndarray, m: int, q: int, charged: bool) -> np.ndarray:
+    """`data`, a stack of m-qubit states (blocks when `charged`), with qubit q traced out."""
+    if charged:
+        zero, one = trace_entries(m, q)
+        reduced = data.take(zero, axis=1)
+        reduced += data.take(one, axis=1)
+        return reduced
+    outer, inner = 1 << q, 1 << (m - q - 1)
+    t = data.reshape(len(data), outer, 2, inner, outer, 2, inner)
+    return (t[:, :, 0, :, :, 0, :] + t[:, :, 1, :, :, 1, :]).reshape(len(data), -1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -416,7 +544,7 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator,
     outside = sig_vals <= SUPPORT_CUTOFF
     if float(weights[outside].sum()) > SUPPORT_CUTOFF:
         return math.inf
-    tr_rho_log_rho = -_entropy_bits(rho_vals)
+    tr_rho_log_rho = -float(_entropy_bits(rho_vals))
     inside = ~outside
     tr_rho_log_sig = float((weights[inside] * np.log2(sig_vals[inside])).sum())
     bits = tr_rho_log_rho - tr_rho_log_sig

@@ -111,7 +111,7 @@ class PureState:
     Schmidt spectra without ever forming the 2^n x 2^n density matrix.
     """
 
-    __slots__ = ("amplitudes", "num_qubits")
+    __slots__ = ("amplitudes", "num_qubits", "_qubit_symmetry")
 
     def __init__(self, amplitudes: np.ndarray | Sequence[complex]):
         a = np.asarray(amplitudes, dtype=complex).reshape(-1)
@@ -122,6 +122,7 @@ class PureState:
         if abs(norm_sq - 1.0) > NORM_SQ_ATOL:
             raise InvariantViolation(f"squared norm {norm_sq!r} differs from 1 by more than {NORM_SQ_ATOL}")
         self.amplitudes = a
+        self._qubit_symmetry = None  # found by `entropy.qubit_symmetry`, once
 
     @property
     def factor(self) -> np.ndarray:
@@ -170,7 +171,8 @@ class DensityOperator:
     from blocks forms `matrix` from them on its first read.
     """
 
-    __slots__ = ("_matrix", "_blocks", "_charged", "num_qubits", "factor", "spectrum")
+    __slots__ = ("_matrix", "_blocks", "_charged", "num_qubits", "factor", "spectrum", "_qubit_symmetry",
+                 "__weakref__")
 
     def __init__(self, matrix: np.ndarray, *, check_psd: bool = False):
         m = real_or_complex(matrix)
@@ -191,6 +193,7 @@ class DensityOperator:
         self._charged = False
         self.factor = None
         self.spectrum = None
+        self._qubit_symmetry = None  # found by `entropy.qubit_symmetry`, or given by a channel
         if check_psd:
             self.factor = _certified_factor(m)
             if self.factor is not None:
@@ -237,6 +240,7 @@ class DensityOperator:
         self._charged = blocks is not None
         self.factor = None
         self.spectrum = None
+        self._qubit_symmetry = None
         return self
 
     @property

@@ -175,7 +175,12 @@ def sweep_rows(config: SweepConfig) -> tuple[list[str], list[tuple[float, ...]]]
 
 
 def noise_sweep_rows(config: SweepConfig) -> tuple[list[str], list[tuple[float, ...]], list[str]]:
-    """(param, p, ccm) rows plus one peak-prominence summary line per p."""
+    """(param, p, ccm) rows plus one peak-prominence summary line per p.
+
+    The whole grid is evaluated by one `ccm_many` call over a generator, so
+    the damped states of every row share stacks, and none is held once it
+    has been reduced.
+    """
     if config.noise is None:
         raise OutOfRange("noise sweep requires a damping grid")
     grid = _grid_for(config, config.param)
@@ -184,14 +189,17 @@ def noise_sweep_rows(config: SweepConfig) -> tuple[list[str], list[tuple[float, 
     channels = {p: make_channel(p) for p in p_values}
     everything = full_mask(config.spins)
 
-    def evaluate(x):
-        # One call for the row: its damped states are walked as one stack,
-        # and p = 0 (the state itself) keeps its factor.
-        state = _state_at(config, (x,))
-        noisy = [apply_channel_local(state, channels[p], everything) for p in p_values]
-        return [report.value for report in ccm_many(noisy, config.unit)]
+    def damped():
+        # One pass over the grid, state by state: the damped states of every
+        # row are walked in shared stacks, and p = 0 (the state itself)
+        # keeps its factor.
+        for x in grid:
+            state = _state_at(config, (float(x),))
+            for p in p_values:
+                yield apply_channel_local(state, channels[p], everything)
 
-    per_delta = [evaluate(float(x)) for x in grid]
+    values = [report.value for report in ccm_many(damped(), config.unit)]
+    per_delta = [values[i:i + len(p_values)] for i in range(0, len(values), len(p_values))]
     rows = []
     for x, values in zip(grid, per_delta):
         for p, v in zip(p_values, values):

@@ -171,13 +171,19 @@ def test_subnormal_entry_takes_the_unsplit_path(eigvalsh_sizes):
     assert max(eigvalsh_sizes) == 1 << n
 
 
-@pytest.mark.parametrize("n, largest", [(8, 70), (10, 252)])
-def test_largest_eigensolve_is_the_half_filled_sector(eigvalsh_sizes, without_charge, n, largest):
+@pytest.mark.parametrize("n, sector", [(8, 70), (10, 252)])
+def test_largest_eigensolve_is_the_half_filled_sector(eigvalsh_sizes, without_charge, monkeypatch, n, sector):
+    # The spin flip splits the half-filled sector into two halves; without
+    # it the sector is solved whole, and without blocks the whole matrix.
     state = damped_ring(n, -0.7, "phase", 0.4)
-    assert largest == math.comb(n, n // 2)
+    assert sector == math.comb(n, n // 2)
     eigvalsh_sizes.clear()
     ccm(state)
-    assert max(eigvalsh_sizes) == largest
+    assert max(eigvalsh_sizes) == sector // 2
+    monkeypatch.setattr(qcorr.entropy, "_flips_by_at_most_cutoff", lambda state: False)
+    eigvalsh_sizes.clear()
+    ccm(state)
+    assert max(eigvalsh_sizes) == sector
     without_charge()
     eigvalsh_sizes.clear()
     ccm(state)
@@ -185,11 +191,14 @@ def test_largest_eigensolve_is_the_half_filled_sector(eigvalsh_sizes, without_ch
 
 
 def block_eigensolves(monkeypatch, channel):
-    """(stacked calls, blocks diagonalized, share of sum c^3 saved) for one
+    """(stacked calls, matrices diagonalized, share of sum c^3 saved) for one
     `ccm` of the damped N = 8 ring, whose 29 orbit representatives under D_8
     (test_symmetry.py) have 91 blocks larger than 1 x 1.  Each such block
     is diagonalized once if any entry is nonzero and never if it is exactly
-    0.0, in one stacked call per (subset size, block size)."""
+    0.0, in one stacked call per (subset size, matrix size).  A state that
+    the spin flip leaves unchanged has block m - k take block k's spectrum,
+    and its middle block solved as its two halves T +- F, each if nonzero
+    (halves of 1 x 1 are read off)."""
     stacks = []
     solve = qcorr.entropy.hermitian_eigenvalues
 
@@ -201,27 +210,38 @@ def block_eigensolves(monkeypatch, channel):
     state = damped_ring(n, -0.4, channel, 0.4)
     dihedral = ((*range(1, n), 0), tuple(range(n - 1, -1, -1)))
     assert qubit_symmetry(state) == dihedral
+    flip = qcorr.entropy._flips_by_at_most_cutoff(state)
     monkeypatch.setattr(qcorr.entropy, "hermitian_eigenvalues", record)
     ccm(state)
-    nonzero, every = Counter(), Counter()
+    solved, every = Counter(), Counter()
     for mask in set(orbit_representatives(n, dihedral).tolist()) - {0}:
         reduced = qcorr.states.partial_trace(state, mask).matrix
-        for idx in block_layout(bin(mask).count("1")).sectors:
-            if idx.size > 1:
-                every[idx.size] += 1
-                nonzero[idx.size] += bool(reduced[np.ix_(idx, idx)].any())
-    assert all(m.ndim == 3 and m.any(axis=(1, 2)).all() for m in stacks)  # no zero block
-    assert Counter({c: k for c, k in nonzero.items() if k}) == Counter(
-        c for m in stacks for c in [m.shape[-1]] * m.shape[0])
+        m = bin(mask).count("1")
+        for k, idx in enumerate(block_layout(m).sectors):
+            c = idx.size
+            if c == 1:
+                continue
+            every[c] += 1
+            block = reduced[np.ix_(idx, idx)]
+            if not block.any() or (flip and 2 * k > m):
+                continue
+            if flip and 2 * k == m:
+                t, f = block[:c // 2, :c // 2], block[:c // 2, c // 2:][:, ::-1]
+                solved.update(c // 2 for half in (t + f, t - f) if c > 2 and half.any())
+            else:
+                solved[c] += 1
+    assert all(m.ndim == 3 and m.any(axis=(1, 2)).all() for m in stacks)  # no zero matrix
+    assert solved == Counter(c for m in stacks for c in [m.shape[-1]] * m.shape[0])
     assert sum(every.values()) == 91
-    cubes = sum(k * c ** 3 for c, k in nonzero.items()) / sum(k * c ** 3 for c, k in every.items())
-    return len(stacks), sum(nonzero.values()), 1 - cubes
+    cubes = sum(k * c ** 3 for c, k in solved.items()) / sum(k * c ** 3 for c, k in every.items())
+    return len(stacks), sum(solved.values()), 1 - cubes
 
 
 def test_eigensolve_calls_of_the_damped_ring(monkeypatch):
-    # Phase damping keeps the ground state's popcount-4 sector alone.
+    # Phase damping keeps the ground state's popcount-4 sector alone, and
+    # the spin flip: of the 73 nonzero blocks, 54 matrices are solved.
     calls, solved, saved = block_eigensolves(monkeypatch, "phase")
-    assert (calls, solved) == (10, 73) and saved == pytest.approx(0.45, abs=0.01)
+    assert (calls, solved) == (9, 54) and saved == pytest.approx(0.83, abs=0.01)
 
 
 def test_eigensolve_calls_of_the_amplitude_damped_ring(monkeypatch):

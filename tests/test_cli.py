@@ -1,7 +1,9 @@
 import json
+import os
 import pathlib
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -319,3 +321,46 @@ def test_console_script_roundtrip():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout == "3 2.500000000\n"
+
+
+# --- one parser per process -------------------------------------------------------
+
+
+def test_consecutive_commands_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    # The parser is built once per process: each command, run after others
+    # with different subcommands and flags, must print and write what it
+    # does in a process of its own, so no default leaks between parses.
+    write_qs1(tmp_path / "mixed.qs1", random_density(3, np.random.default_rng(4)))
+    sweep = ["--spins", "4", "--param-start", "-1.5", "--param-stop", "0.5", "--param-steps", "3"]
+    noise = ["noise", *sweep, "--p-start", "0", "--p-stop", "0.8", "--p-steps", "3"]
+    commands = [
+        ["ghz", "4", "--mode", "closed", "--unit", "bits"],
+        ["ghz", "4"],
+        ["ccm", "mixed.qs1", "--report", "--unit", "bits"],
+        ["ccm", "mixed.qs1"],
+        ["tv", "mixed.qs1"],
+        ["sweep", "--model", "xxz", *sweep, "--tv", "--derivative", "--unit", "bits",
+         "--degeneracy", "first", "--out", "out.csv"],
+        ["sweep", "--model", "xxz", *sweep, "--out", "out.csv"],
+        [*noise, "--channel", "standard", "--out", "out.csv"],
+        [*noise, "--out", "out.csv"],
+        ["ghz", "9"],  # out of range: exit 2
+        ["ccm", "mixed.qs1", "--naive"],
+    ]
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    csv = tmp_path / "out.csv"
+
+    def written():
+        data = csv.read_bytes() if csv.exists() else None
+        csv.unlink(missing_ok=True)
+        return data
+
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code = main(argv)
+        here = (code, capsys.readouterr().out, written())
+        fresh = subprocess.run([sys.executable, "-m", "qcorr.cli", *argv], cwd=tmp_path, env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert here == (fresh.returncode, fresh.stdout, written()), argv

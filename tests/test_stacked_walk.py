@@ -1,17 +1,21 @@
 """Lists of states walked as one stack.
 
-`subset_entropies_many` walks the states without a factor that share a
+`subset_entropies_many` reads its states once and reduces each as it
+arrives: a state without a factor has its root visited alone, and its
+representative children wait with those of the earlier states that share a
 register size, qubit group, form (popcount blocks or one block), dtype and
-kept spectrum or none as one stack, with a leading axis over the states,
-and skips every popcount block that is 0.0 in all of them.  Each table must
-be the one the state gets alone, bit for bit, whatever the list mixes and
+spin flip, to be walked as one stack with a leading axis over the states; a
+popcount block that is 0.0 in all of them is skipped.  Each table must be
+the one the state gets alone, bit for bit, whatever the list mixes and
 however the stack budget splits it; `ccm_many` must give each state the
 report `ccm` gives it, tree included, and `ccm_naive` checks the values for
-n <= 6.  The noise sweep walks each row's damped states as one stack, and
-its output is recorded from the one-state walk.
+n <= 6.  The noise sweep streams its whole grid through one `ccm_many`
+call, and its output is recorded from the one-state walk.
 """
 
 import pathlib
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -115,7 +119,7 @@ def state_lists(draw):
 @settings(deadline=None, max_examples=40)
 def test_stacked_tables_are_the_tables_alone(states, budget):
     with pytest.MonkeyPatch.context() as mp:
-        if budget is not None:  # root entries per stack: 1 splits every stack
+        if budget is not None:  # child entries that wait: 1 walks every state alone
             mp.setattr(qcorr.entropy, "STACK_ENTRIES", budget)
         reports = assert_same_as_alone(states)
     for state, report in zip(states, reports):
@@ -133,36 +137,61 @@ def test_mixed_list_n6(seed):
 
 
 def walks(monkeypatch):
-    """The number of states of each `_walk_tree` call."""
-    sizes = []
-    walk = qcorr.entropy._walk_tree
+    """The number of states of each stack walked below the roots, in the
+    order the walks begin (a state walked alone is a stack of one)."""
+    sizes = {}
+    visit = qcorr.entropy._Walk.visit
 
-    def record(states, *args):
-        sizes.append(len(states))
-        return walk(states, *args)
+    def record(self, stack, data, mask, m, *args, **kwargs):
+        if 2 << m == len(stack.rep):  # a root's child
+            sizes.setdefault(stack, len(data))
+        return visit(self, stack, data, mask, m, *args, **kwargs)
 
-    monkeypatch.setattr(qcorr.entropy, "_walk_tree", record)
+    monkeypatch.setattr(qcorr.entropy._Walk, "visit", record)
     return sizes
 
 
 def test_budget_splits_the_stack(monkeypatch):
+    # Under D_6 a root has one representative child, of C(10, 5) = 252
+    # entries.  Phase damping keeps the spin flip and amplitude damping
+    # breaks it, so they stack apart; at most STACK_ENTRIES child entries
+    # wait in all, and a state whose children alone pass it walks alone.
     n = 6
     states = [make_state(kind, n, seed) for seed in range(3) for kind in ("phase", "amplitude")]
-    assert len({s.blocks.size for s in states}) == 1  # C(12, 6) = 924 entries each
-    sizes = walks(monkeypatch)
-    subset_entropies_many(states)
-    monkeypatch.setattr(qcorr.entropy, "STACK_ENTRIES", 2 * 924)
-    subset_entropies_many(states)
-    assert sizes == [6, 2, 2, 2]
+    assert len({s.blocks.size for s in states}) == 1
+    for budget, want in ((None, [3, 3]), (4 * 252, [2, 2, 1, 1]), (251, [1] * 6)):
+        with monkeypatch.context() as mp:
+            if budget is not None:
+                mp.setattr(qcorr.entropy, "STACK_ENTRIES", budget)
+            sizes = walks(mp)
+            subset_entropies_many(states)
+        assert list(sizes.values()) == want
     assert_same_as_alone(states)
+
+
+def test_state_past_the_budget_is_walked_depth_first():
+    # A dense 9-qubit state with no symmetry has 9 children of 4^8 entries,
+    # more than STACK_ENTRIES together: it is walked alone from its root,
+    # one child at a time, never holding all of them (which would take
+    # 9 MiB beside its 4 MiB matrix).
+    state = random_density(9, np.random.default_rng(0))
+    assert qcorr.entropy.qubit_symmetry(state) == () and state.matrix.dtype == complex
+    tracemalloc.start()
+    try:
+        subset_entropies(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= state.matrix.nbytes
 
 
 DIHEDRAL_6 = ((1, 2, 3, 4, 5, 0), (5, 4, 3, 2, 1, 0))  # the shift and the reflection
 
 
 def test_stacks_follow_the_key(monkeypatch):
-    # Real and complex blocks of one group, blocks and one block, D_6 and
-    # the trivial group, and a factor never share a walk.
+    # Real and complex blocks of one group, blocks with and without the
+    # spin flip, blocks and one block, D_6 and the trivial group, and a
+    # factor never share a walk.
     kinds = ("phase", "amplitude", "complex", "uniform-phase", "bit-flip", "random", "factor", "phase",
              "uniform-phase")
     states = [make_state(kind, 6, 7) for kind in kinds]
@@ -170,7 +199,8 @@ def test_stacks_follow_the_key(monkeypatch):
     assert groups == [DIHEDRAL_6] * 5 + [()] + [DIHEDRAL_6] * 3
     sizes = walks(monkeypatch)
     subset_entropies_many(states)
-    assert sorted(sizes) == [1, 1, 3, 3]  # bit flip, random, real blocks, complex blocks
+    # amplitude, bit flip, random; phase; complex blocks
+    assert sorted(sizes.values()) == [1, 1, 1, 2, 3]
     assert_same_as_alone(states)
 
 
@@ -182,11 +212,39 @@ def test_representatives_are_kept_read_only():
         reps[1] = 0
 
 
-def test_noise_sweep_walks_each_row_once(monkeypatch, tmp_path):
+def test_noise_sweep_walks_the_grid_once(monkeypatch, tmp_path):
     sizes = walks(monkeypatch)
     main(["noise", "--spins", "6", "--param-start", "-1.5", "--param-stop", "0.5", "--param-steps", "3",
           "--p-start", "0", "--p-stop", "0.8", "--p-steps", "5", "--out", str(tmp_path / "n.csv")])
-    assert sizes == [4, 4, 4]  # p = 0 keeps the factor
+    assert list(sizes.values()) == [12]  # p = 0 keeps the factor
+
+
+def damped_grid(n, channel, deltas, ps):
+    """The states of a noise sweep's grid, row by row, as `noise_sweep_rows` makes them."""
+    for delta in deltas:
+        ground = ground_state(chain_terms(xxz_ring(n, delta)))
+        for p in ps:
+            yield apply_channel_local(ground, channel(p), full_mask(n))
+
+
+def watched(states, alive, counts):
+    """`states`, counting the damped states still alive as each arrives."""
+    for state in states:
+        counts.append(len(alive))
+        if state.factor is None:
+            alive.add(state)
+        yield state
+
+
+@pytest.mark.parametrize("channel", [phase_damping_channel, amplitude_damping_channel])
+def test_generator_holds_at_most_one_row(channel):
+    deltas, ps = (-1.5, -0.5, 0.5, 1.5), (0.0, 0.2, 0.4, 0.6, 0.8)
+    alive, counts = weakref.WeakSet(), []
+    reports = ccm_many(watched(damped_grid(6, channel, deltas, ps), alive, counts))
+    assert len(counts) == len(deltas) * len(ps)
+    assert max(counts) <= len(ps) - 1  # the damped states of one row
+    want = ccm_many(list(damped_grid(6, channel, deltas, ps)))
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in want]  # bit for bit
 
 
 @pytest.mark.parametrize("channel", ["paper", "standard"])
@@ -198,3 +256,15 @@ def test_noise_sweep_n8_is_unchanged(channel, tmp_path, capsys):
                  "--p-steps", "5", "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"xxz_n8_{channel}.csv").read_bytes()
     assert capsys.readouterr().out == (DATA / f"xxz_n8_{channel}.stdout").read_text()
+
+
+@pytest.mark.parametrize("channel", ["paper", "standard"])
+def test_noise_sweep_n10_is_unchanged(channel, tmp_path, capsys):
+    # Written by the walk that took each N = 10 root alone, before the grid
+    # was streamed and the spin flip split the blocks.
+    out = tmp_path / "noise.csv"
+    assert main(["noise", "--spins", "10", "--channel", channel, "--param-start", "-1.5",
+                 "--param-stop", "0.5", "--param-steps", "5", "--p-start", "0", "--p-stop", "0.8",
+                 "--p-steps", "5", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"xxz_n10_{channel}.csv").read_bytes()
+    assert capsys.readouterr().out == (DATA / f"xxz_n10_{channel}.stdout").read_text()
