@@ -41,7 +41,6 @@ from .spin_models import (
 )
 from .states import (
     DensityOperator,
-    PureState,
     apply_local_unitary,
     full_mask,
     make_ghz,
@@ -71,7 +70,6 @@ __all__ = [
     "HamiltonianTerms",
     "KrausChannel",
     "ParamRange",
-    "PureState",
     "SpinChainSpec",
     "SweepConfig",
     "amplitude_damping_channel",

@@ -10,20 +10,20 @@ product of a state's own marginals reduces to the mutual information
 S(rho_A) + S(rho_B) - S(rho); the engine always evaluates it in that form.
 
 `ccm` runs a dynamic program over all subsets of the register: the reduced
-entropies come in one table (from the state's factor when it has one,
-otherwise by tracing one qubit at a time out of a larger subset; see
-`subset_entropies`), and subset values are combined in ascending mask order,
-so every bipartition term costs three table lookups.  Subsets that a qubit
-permutation leaving the state unchanged maps onto each other share one
-entropy and one value: the table diagonalizes, and the DP minimizes over, the
-smallest mask of each orbit only; each other mask on the reported tree has
-its cut searched for again.  With no such permutation every mask is its own
-orbit.  `ccm_many` reads any iterable of states once and reduces those of
-the same register size, symmetry, form and dtype in shared stacks (the
-damped states of a whole noise sweep, say); `ccm` is its one-state case.
-`ccm_naive` is an intentionally independent re-implementation by literal
-recursion (fresh dense reduced matrices at every level, no caching) kept as
-a cross-check oracle.
+entropies come in one table (from the state's factor when it has one, as
+every pure state does, otherwise by tracing one qubit at a time out of a
+larger subset; see `subset_entropies`), and subset values are combined in
+ascending mask order, so every bipartition term costs three table lookups.
+Subsets that a qubit permutation leaving the state unchanged maps onto each
+other share one entropy and one value: the table diagonalizes, and the DP
+minimizes over, the smallest mask of each orbit only; each other mask on the
+reported tree has its cut searched for again.  With no such permutation every
+mask is its own orbit.  `ccm_many` reads any iterable of states once and
+reduces those of the same register size, symmetry, form and dtype in shared
+stacks (the damped states of a whole noise sweep, say); `ccm` is its
+one-state case.  `ccm_naive` is an intentionally independent
+re-implementation by literal recursion (fresh dense reduced matrices at every
+level, no caching) kept as a cross-check oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Iterable
 
 from .entropy import DistanceUnit, subset_entropies_many, von_neumann_entropy
 from .errors import BadArity, OutOfRange, TooLarge
-from .states import DensityOperator, PureState, full_mask, partial_trace
+from .states import DensityOperator, full_mask, partial_trace
 
 MAX_QUBITS_DP = 14
 MAX_QUBITS_NAIVE = 6
@@ -91,7 +91,7 @@ def _ascending_submasks(rest: int):
         sub = (sub - rest) & rest
 
 
-def ccm(rho: PureState | DensityOperator,
+def ccm(rho: DensityOperator,
         unit: DistanceUnit = DistanceUnit.NORMALIZED) -> CcmReport:
     """Cumulative correlation measure of `rho`, with the minimizing tree.
 
@@ -108,7 +108,7 @@ def ccm(rho: PureState | DensityOperator,
     return ccm_many([rho], unit)[0]
 
 
-def ccm_many(states: Iterable[PureState | DensityOperator],
+def ccm_many(states: Iterable[DensityOperator],
              unit: DistanceUnit = DistanceUnit.NORMALIZED) -> list[CcmReport]:
     """`ccm` of each state, in order.
 
@@ -182,7 +182,7 @@ def _report(entropy_bits: list[float], n: int, unit: DistanceUnit) -> CcmReport:
     return CcmReport(value_bits[full] * scale, unit, build(full))
 
 
-def ccm_naive(rho: PureState | DensityOperator,
+def ccm_naive(rho: DensityOperator,
               unit: DistanceUnit = DistanceUnit.NORMALIZED) -> float:
     """Reference evaluation of the measure by direct recursion.
 
@@ -192,8 +192,6 @@ def ccm_naive(rho: PureState | DensityOperator,
     """
     if rho.num_qubits > MAX_QUBITS_NAIVE:
         raise TooLarge(f"ccm_naive supports at most {MAX_QUBITS_NAIVE} qubits")
-    if isinstance(rho, PureState):
-        rho = rho.to_density()
 
     def rec(r: DensityOperator) -> float:
         n = r.num_qubits

@@ -1,12 +1,12 @@
 """Entropy kernels: von Neumann entropy, relative entropy, mutual information.
 
 Subset entropies S(rho_A) come from one of two spectra.  A state that carries
-a factor V (rho = V V^dagger: a `PureState`, a `DensityOperator` built by
-`from_factor`, or one certified of low rank when its positivity was
+a factor V (rho = V V^dagger: a pure state's amplitude column, a state built
+by `from_factor`, or one certified of low rank when its positivity was
 checked) gives rho_A's nonzero spectrum as that of the smaller Gram
 matrix of V reshaped to 2^|A| x (2^(n-|A|) r), with no partial trace.  Any
 other state is reduced and its reduced data diagonalized: one subset at a
-time by `partial_trace`, or, for the whole table that `ccm` needs, by
+time by `subset_entropy`, or, for the whole table that `ccm` needs, by
 `subset_entropies`, which walks a tree of subsets, tracing one qubit at a
 time out of a parent subset (`_Walk`).  The whole register's entropy
 comes from the spectrum that the positivity check kept, when there is one.
@@ -50,7 +50,6 @@ from .states import (
     BLOCK_ENTRIES,
     SUPPORT_CUTOFF,
     DensityOperator,
-    PureState,
     block_layout,
     check_subset,
     full_mask,
@@ -72,18 +71,10 @@ class DistanceUnit(enum.Enum):
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
-    """S(rho) = -sum_i lam_i log2 lam_i, in bits.
-
-    Eigenvalues <= 1e-12 (including round-off negatives) contribute zero.
-    The spectrum kept by the positivity check is used when there is one;
-    otherwise a state with a factor V takes the spectrum of the smaller Gram
-    matrix of V (r x r for r columns, see `subset_entropy`), so its
-    2^n x 2^n matrix is neither formed nor diagonalized.
-    """
-    vals = rho.spectrum
-    if vals is None and rho.factor is not None:
-        return subset_entropy(rho, full_mask(rho.num_qubits))
-    return float(_entropy_bits(hermitian_eigenvalues(rho.matrix) if vals is None else vals))
+    """S(rho) = -sum_i lam_i log2 lam_i, in bits: `subset_entropy` of the
+    whole register.  Eigenvalues <= 1e-12 (including round-off negatives)
+    contribute zero."""
+    return subset_entropy(rho, full_mask(rho.num_qubits))
 
 
 def _entropy_bits(vals: np.ndarray) -> np.ndarray:
@@ -94,16 +85,19 @@ def _entropy_bits(vals: np.ndarray) -> np.ndarray:
     return np.maximum(-(kept * np.log2(kept)).sum(axis=-1), 0.0)
 
 
-def subset_entropy(state: PureState | DensityOperator, mask: int) -> float:
+def subset_entropy(state: DensityOperator, mask: int) -> float:
     """S(rho_A) in bits for the qubits A in `mask` (non-empty).
 
-    Uses the state's factor when it has one, otherwise the partial trace;
-    the whole register of a dense state uses its kept spectrum, if any.
+    Uses the state's factor when it has one, so its 2^n x 2^n matrix is
+    neither formed nor diagonalized, otherwise the partial trace; the whole
+    register of a dense state uses its kept spectrum, if any.
     """
     n = state.num_qubits
     v = state.factor
     if v is None:
-        return von_neumann_entropy(state if mask == full_mask(n) else partial_trace(state, mask))
+        if mask == full_mask(n) and state.spectrum is not None:
+            return float(_entropy_bits(state.spectrum))
+        return float(_entropy_bits(hermitian_eigenvalues(partial_trace(state, mask).matrix)))
     check_subset(mask, n)
     kept = subset_qubits(mask)
     traced = [q for q in range(n) if not (mask >> q) & 1]
@@ -114,7 +108,7 @@ def subset_entropy(state: PureState | DensityOperator, mask: int) -> float:
     return float(_entropy_bits(hermitian_eigenvalues(gram)))
 
 
-def qubit_symmetry(state: PureState | DensityOperator) -> tuple[tuple[int, ...], ...]:
+def qubit_symmetry(state: DensityOperator) -> tuple[tuple[int, ...], ...]:
     """Generators (axis orders, as for `np.transpose`) of the qubit
     permutations found to leave `state` unchanged; () is the trivial group.
 
@@ -142,7 +136,7 @@ def qubit_symmetry(state: PureState | DensityOperator) -> tuple[tuple[int, ...],
     return found
 
 
-def _tested_symmetry(state: PureState | DensityOperator) -> tuple[tuple[int, ...], ...]:
+def _tested_symmetry(state: DensityOperator) -> tuple[tuple[int, ...], ...]:
     """The generators `qubit_symmetry` returns, found by testing `state`."""
     n = state.num_qubits
     if n < 2:
@@ -165,7 +159,7 @@ def _candidates(n: int) -> tuple:
     return (*range(1, n), 0), (1, 0, *range(2, n)), tuple(range(n - 1, -1, -1)), halves
 
 
-def _moves_by_at_most_cutoff(state: PureState | DensityOperator, perm: tuple[int, ...]) -> bool:
+def _moves_by_at_most_cutoff(state: DensityOperator, perm: tuple[int, ...]) -> bool:
     """Whether permuting the qubits of `state` by `perm` (an axis order, as
     for `np.transpose`) changes it by at most SUPPORT_CUTOFF in trace norm
     ||D||_1, where D is the permuted state minus the state.
@@ -287,7 +281,7 @@ class SubsetTable(list):
 STACK_ENTRIES = 1 << 18
 
 
-def subset_entropies(state: PureState | DensityOperator) -> SubsetTable:
+def subset_entropies(state: DensityOperator) -> SubsetTable:
     """S(rho_A) in bits for every mask A of the register, indexed by mask
     (entry 0, the empty set, is 0).
 
@@ -306,7 +300,7 @@ def subset_entropies(state: PureState | DensityOperator) -> SubsetTable:
     return subset_entropies_many([state])[0]
 
 
-def subset_entropies_many(states: Iterable[PureState | DensityOperator]) -> list[SubsetTable]:
+def subset_entropies_many(states: Iterable[DensityOperator]) -> list[SubsetTable]:
     """`subset_entropies` of each state, bit for bit, in order.
 
     `states` is read once, and each state is reduced as it arrives: a factor
@@ -552,7 +546,7 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator,
     return max(bits, 0.0) * unit.factor
 
 
-def mutual_information(rho: PureState | DensityOperator, part_a: int,
+def mutual_information(rho: DensityOperator, part_a: int,
                        unit: DistanceUnit = DistanceUnit.NORMALIZED) -> float:
     """I(A:B) = S(rho_A) + S(rho_B) - S(rho) across the bipartition (A, rest).
 
@@ -570,7 +564,7 @@ def mutual_information(rho: PureState | DensityOperator, part_a: int,
     return max(bits, 0.0) * unit.factor
 
 
-def multi_information(rho: PureState | DensityOperator,
+def multi_information(rho: DensityOperator,
                       unit: DistanceUnit = DistanceUnit.NORMALIZED) -> float:
     """Total correlations T_V = sum_i S(rho_i) - S(rho) over single qubits."""
     n = rho.num_qubits

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import KrausChannel
-from .states import DensityOperator, PureState, tensor_product
+from .states import DensityOperator, tensor_product
 
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -19,9 +19,10 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_pure_state(num_qubits: int, rng: np.random.Generator) -> PureState:
-    v = _ginibre(rng, 1 << num_qubits, 1).reshape(-1)
-    return PureState(v / np.linalg.norm(v))
+def random_pure_state(num_qubits: int, rng: np.random.Generator) -> DensityOperator:
+    """A Haar-random state vector, as a one-column complex factor."""
+    v = _ginibre(rng, 1 << num_qubits, 1)
+    return DensityOperator.from_factor(v / np.linalg.norm(v))
 
 
 def random_density(num_qubits: int, rng: np.random.Generator,

@@ -611,6 +611,8 @@ def ground_state(hamiltonian: HamiltonianTerms,
     decided by `eigh`.
     """
     terms = _checked_terms(hamiltonian)
+    if not isinstance(mode, GroundStateMode):
+        raise TypeError(f"expected a GroundStateMode, got {type(mode).__name__}")
     tables, amplitudes, sectors = _spectra(terms)
     lowest = min(s.values[0] for s in sectors)
     span = max(s.values[-1] for s in sectors) - lowest

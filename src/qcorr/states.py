@@ -1,4 +1,4 @@
-"""Multi-qubit state carriers, register algebra, and the qs1 state-file format.
+"""The multi-qubit state, register algebra, and the qs1 state-file format.
 
 Conventions used throughout the package:
 
@@ -7,11 +7,12 @@ Conventions used throughout the package:
 * Subsets of qubits are plain ``int`` bitmasks with bit ``i`` standing for
   qubit ``i``.  A mask is only meaningful together with the register size.
 
-A `DensityOperator` is held in one of three forms, and forms its 2^n x 2^n
-`matrix` only when something reads it:
+Every state, pure or mixed, is a `DensityOperator`.  It is held in one of
+three forms, and forms its 2^n x 2^n `matrix` only when something reads it:
 
-* a factor V with rho = V V^dagger (`from_factor`, ground states, and
-  mixed state files that `_certified_factor` certifies as of low rank);
+* a factor V with rho = V V^dagger (`from_factor`, ground states, pure
+  states as their amplitude column, and mixed state files that
+  `_certified_factor` certifies as of low rank);
 * popcount blocks (`blocks`, laid out by `sector_views`): a state whose
   entries between basis states of different popcount (a spin ring's
   magnetization) are exactly 0.0 is the direct sum of one
@@ -102,38 +103,6 @@ def _register_size(dim: int, what: str) -> int:
     if n < 1 or (1 << n) != dim:
         raise DimensionMismatch(f"{what} dimension {dim} is not a power of two >= 2")
     return n
-
-
-class PureState:
-    """A normalized state vector on an n-qubit register.
-
-    Its `factor` is the amplitude column, so subset entropies come from
-    Schmidt spectra without ever forming the 2^n x 2^n density matrix.
-    """
-
-    __slots__ = ("amplitudes", "num_qubits", "_qubit_symmetry")
-
-    def __init__(self, amplitudes: np.ndarray | Sequence[complex]):
-        a = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        self.num_qubits = _register_size(a.shape[0], "state vector")
-        if not np.all(np.isfinite(a.view(float))):
-            raise InvariantViolation("state vector has non-finite entries")
-        norm_sq = float(np.vdot(a, a).real)
-        if abs(norm_sq - 1.0) > NORM_SQ_ATOL:
-            raise InvariantViolation(f"squared norm {norm_sq!r} differs from 1 by more than {NORM_SQ_ATOL}")
-        self.amplitudes = a
-        self._qubit_symmetry = None  # found by `entropy.qubit_symmetry`, once
-
-    @property
-    def factor(self) -> np.ndarray:
-        """The 2^n x 1 column V with rho = V V^dagger."""
-        return self.amplitudes.reshape(-1, 1)
-
-    def to_density(self) -> "DensityOperator":
-        return DensityOperator.from_factor(self.factor)
-
-    def __repr__(self) -> str:
-        return f"PureState(num_qubits={self.num_qubits})"
 
 
 class DensityOperator:
@@ -548,17 +517,17 @@ def apply_local_unitary(rho: DensityOperator, factors: Sequence[np.ndarray]) -> 
     return apply_local_superoperators(rho, [(q, superoperator([m])) for q, m in enumerate(mats)])
 
 
-def make_ghz(num_qubits: int) -> PureState:
-    """(|00...0> + |11...1>)/sqrt(2)."""
+def make_ghz(num_qubits: int) -> DensityOperator:
+    """(|00...0> + |11...1>)/sqrt(2), as a one-column complex factor."""
     if num_qubits < 1:
         raise OutOfRange("need at least one qubit")
     amp = np.zeros(1 << num_qubits, dtype=complex)
     amp[0] = amp[-1] = math.sqrt(0.5)
-    return PureState(amp)
+    return DensityOperator.from_factor(amp.reshape(-1, 1))
 
 
-def make_state_from_kets(terms: Sequence[tuple[int, complex]], num_qubits: int) -> PureState:
-    """Normalized superposition of computational-basis kets.
+def make_state_from_kets(terms: Sequence[tuple[int, complex]], num_qubits: int) -> DensityOperator:
+    """Normalized superposition of computational-basis kets, as a one-column factor.
 
     `terms` is a list of (basis index, amplitude) pairs; repeated indices
     accumulate.
@@ -574,7 +543,7 @@ def make_state_from_kets(terms: Sequence[tuple[int, complex]], num_qubits: int) 
     norm = float(np.linalg.norm(amp))
     if norm <= 1e-12:
         raise ZeroVector("superposition has (near-)zero norm")
-    return PureState(amp / norm)
+    return DensityOperator.from_factor((amp / norm).reshape(-1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -585,13 +554,14 @@ def make_state_from_kets(terms: Sequence[tuple[int, complex]], num_qubits: int) 
 #           density matrix row by row.
 
 
-def write_qs1(path: str | os.PathLike, state: PureState | DensityOperator) -> None:
-    if isinstance(state, PureState):
-        kind, values = "pure", state.amplitudes
-    elif isinstance(state, DensityOperator):
-        kind, values = "mixed", state.matrix.reshape(-1)
+def write_qs1(path: str | os.PathLike, state: DensityOperator) -> None:
+    """Write a pure file for a one-column factor of squared norm 1 within NORM_SQ_ATOL, else a mixed file."""
+    v = state.factor
+    col = v[:, 0].astype(complex, copy=False) if v is not None and v.shape[1] == 1 else None
+    if col is not None and abs(float(np.vdot(col, col).real) - 1.0) <= NORM_SQ_ATOL:  # as read_qs1 sums
+        kind, values = "pure", col
     else:
-        raise TypeError(f"cannot serialize {type(state).__name__}")
+        kind, values = "mixed", state.matrix.reshape(-1)
     lines = [f"qs1 {kind} {state.num_qubits}"]
     lines.extend(map("{!r} {!r}".format, values.real.tolist(), values.imag.tolist()))
     with open(path, "w", encoding="ascii") as fh:
@@ -603,8 +573,9 @@ def write_qs1(path: str | os.PathLike, state: PureState | DensityOperator) -> No
 _ENTRY_BYTES = b"0123456789.eE+- \n"
 
 
-def read_qs1(path: str | os.PathLike) -> PureState | DensityOperator:
-    """Parse a qs1 state file; returns a PureState or a validated DensityOperator."""
+def read_qs1(path: str | os.PathLike) -> DensityOperator:
+    """Parse a qs1 state file into a validated DensityOperator; a pure file
+    (squared norm 1 within NORM_SQ_ATOL) gives a one-column complex factor."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if b"\r" in raw:  # '\r\n' and a lone '\r' end a line, as '\n' does
@@ -640,9 +611,12 @@ def read_qs1(path: str | os.PathLike) -> PureState | DensityOperator:
     values = _parse_entries(raw, newline + 1, expected)
     del raw  # the text is no longer needed while the state is validated
     try:
-        if header[1] == "pure":
-            return PureState(values)
-        return DensityOperator(values.reshape(1 << n, 1 << n), check_psd=True)
+        if header[1] == "mixed":
+            return DensityOperator(values.reshape(1 << n, 1 << n), check_psd=True)
+        norm_sq = float(np.vdot(values, values).real)
+        if abs(norm_sq - 1.0) > NORM_SQ_ATOL:
+            raise InvariantViolation(f"squared norm {norm_sq!r} differs from 1 by more than {NORM_SQ_ATOL}")
+        return DensityOperator.from_factor(values.reshape(-1, 1))
     except InvariantViolation as exc:
         raise ParseError(f"state file violates state invariants: {exc}") from exc
 

@@ -96,6 +96,9 @@ class SweepConfig:
     derivative: bool = False
 
     def __post_init__(self):
+        for value, kind in ((self.unit, DistanceUnit), (self.mode, GroundStateMode)):
+            if not isinstance(value, kind):
+                raise TypeError(f"expected a {kind.__name__}, got {type(value).__name__}")
         if self.model not in MODELS:
             raise OutOfRange(f"unknown model {self.model!r}, expected one of {MODELS}")
         total = self.total_qubits

@@ -40,21 +40,21 @@ def classical_ghz_mixture(n: int) -> DensityOperator:
 def corpus():
     """Named states on <= 4 qubits used by cross-check suites."""
     rng = np.random.default_rng(424242)
-    bell = make_ghz(2).to_density()
+    bell = make_ghz(2)
     states = [
-        ("zero3", make_state_from_kets([(0, 1)], 3).to_density()),
+        ("zero3", make_state_from_kets([(0, 1)], 3)),
         ("bell", bell),
-        ("ghz3", make_ghz(3).to_density()),
-        ("ghz4", make_ghz(4).to_density()),
+        ("ghz3", make_ghz(3)),
+        ("ghz4", make_ghz(4)),
         ("ghz2xghz2", tensor_product(bell, bell)),
-        ("ghz3x0", make_state_from_kets([(0, 1), (14, 1)], 4).to_density()),
-        ("w3", make_state_from_kets([(1, 1), (2, 1), (4, 1)], 3).to_density()),
+        ("ghz3x0", make_state_from_kets([(0, 1), (14, 1)], 4)),
+        ("w3", make_state_from_kets([(1, 1), (2, 1), (4, 1)], 3)),
         ("ghz2_dephased", classical_ghz_mixture(2)),
         ("ghz3_dephased", classical_ghz_mixture(3)),
         ("ghz4_dephased", classical_ghz_mixture(4)),
         ("product3", random_product_density(3, rng)),
         ("bell_damped", apply_channel_local(bell, phase_damping_channel(0.3), full_mask(2))),
-        ("pure3", random_pure_state(3, rng).to_density()),
+        ("pure3", random_pure_state(3, rng)),
         ("lowrank3", random_density(3, rng, rank=2)),
     ]
     for n in (2, 3, 4):

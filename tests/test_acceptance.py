@@ -76,18 +76,18 @@ def test_criterion_01_ghz_table_exact_and_fast():
 def test_criterion_02_dp_reproduces_closed_form():
     worst = 0.0
     for n in range(2, 9):
-        direct = ccm(make_ghz(n).to_density()).value
+        direct = ccm(make_ghz(n)).value
         worst = max(worst, abs(direct - ghz_closed_form(n)))
     _line(2, worst <= 1e-9, f"max |dp - closed| over n=2..8 = {worst:.3e} (tol 1e-9)")
     assert worst <= 1e-9
 
 
 def test_criterion_03_worked_examples():
-    bell = make_ghz(2).to_density()
+    bell = make_ghz(2)
     cases = [
         ("two independent pairs", tensor_product(bell, bell), 2.0),
-        ("(|0000>+|1110>)/sqrt2", make_state_from_kets([(0, 1), (14, 1)], 4).to_density(), 2.5),
-        ("4-qubit GHZ", make_ghz(4).to_density(), 5.0),
+        ("(|0000>+|1110>)/sqrt2", make_state_from_kets([(0, 1), (14, 1)], 4), 2.5),
+        ("4-qubit GHZ", make_ghz(4), 5.0),
     ]
     worst = max(abs(ccm(rho).value - want) for _, rho, want in cases)
     _line(3, worst <= 1e-9, f"worst deviation {worst:.3e} (tol 1e-9)")

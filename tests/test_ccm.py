@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from qcorr import (
     DensityOperator,
     DistanceUnit,
-    PureState,
     ccm,
     ccm_many,
     ccm_naive,
@@ -73,11 +72,11 @@ def test_closed_form_affine_in_subblock_distance(n, numer, denom_pow):
 # --- engine on known states --------------------------------------------------
 
 
-ONE_QUBIT = {  # the four forms a one-qubit state takes
+ONE_QUBIT = {  # the three forms a one-qubit state takes, and a pure state from kets
     "dense": lambda: DensityOperator(np.diag([0.7, 0.3])),
     "kept": lambda: DensityOperator(np.diag([0.7, 0.3]), check_psd=True),
     "factor": lambda: DensityOperator.from_factor(np.array([[0.6], [0.8j]])),
-    "pure": lambda: PureState(np.array([0.6, 0.8j])),
+    "pure": lambda: make_state_from_kets([(0, 0.6), (1, 0.8j)], 1),
 }
 
 
@@ -92,7 +91,7 @@ def test_single_qubit_is_zero(form):
 
 
 def test_bell_pair():
-    bell = make_ghz(2).to_density()
+    bell = make_ghz(2)
     assert ccm(bell).value == pytest.approx(1.0, abs=1e-12)
     assert ccm(bell, BITS).value == pytest.approx(2.0, abs=1e-12)
     root = ccm(bell).tree
@@ -102,16 +101,16 @@ def test_bell_pair():
 
 
 def test_worked_pure_states():
-    bell = make_ghz(2).to_density()
+    bell = make_ghz(2)
     two_pairs = tensor_product(bell, bell)
     assert ccm(two_pairs).value == pytest.approx(2.0, abs=1e-9)
-    half_lit = make_state_from_kets([(0, 1), (14, 1)], 4).to_density()  # (|0000>+|1110>)/sqrt2
+    half_lit = make_state_from_kets([(0, 1), (14, 1)], 4)  # (|0000>+|1110>)/sqrt2
     assert ccm(half_lit).value == pytest.approx(2.5, abs=1e-9)
-    assert ccm(make_ghz(4).to_density()).value == pytest.approx(5.0, abs=1e-9)
+    assert ccm(make_ghz(4)).value == pytest.approx(5.0, abs=1e-9)
 
 
 def test_ghz4_minimizing_tree():
-    root = ccm(make_ghz(4).to_density()).tree
+    root = ccm(make_ghz(4)).tree
     assert root.subset == 0b1111
     # the even split wins; the tie over which pair joins qubit 0 resolves low
     assert (root.mask_a, root.mask_b) == (0b0011, 0b1100)
@@ -140,7 +139,7 @@ def test_value_is_the_minimum_within_a_tie(monkeypatch):
 
 def test_dp_matches_closed_form():
     for n in range(2, 7):
-        got = ccm(make_ghz(n).to_density()).value
+        got = ccm(make_ghz(n)).value
         assert got == pytest.approx(GHZ_TABLE[n], abs=1e-9)
 
 

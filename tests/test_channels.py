@@ -61,7 +61,7 @@ def test_amplitude_damping_moves_population():
 
 
 def test_apply_respects_mask():
-    ghz = make_ghz(3).to_density()
+    ghz = make_ghz(3)
     channel = phase_damping_channel(0.5)
     noop = apply_channel_local(ghz, channel, 0)
     assert noop is ghz
@@ -86,7 +86,7 @@ def test_apply_preserves_trace_and_positivity(rng):
 
 def test_damping_commutes_across_qubits():
     # channels acting on different qubits commute
-    bell = make_ghz(2).to_density()
+    bell = make_ghz(2)
     ch_a = phase_damping_channel(0.3)
     ch_b = amplitude_damping_channel(0.6)
     ab = apply_channel_local(apply_channel_local(bell, ch_a, 0b01), ch_b, 0b10)

@@ -88,7 +88,7 @@ def _uncharged():
     for n, lam in ((4, 0.7), (8, 0.5)):
         yield f"ising{lam}-{n}", lambda n=n, lam=lam: ground_state(chain_terms(ising_ring(n, lam)))
     for n in (2, 5, 8):
-        yield f"ghz{n}", lambda n=n: make_ghz(n).to_density()
+        yield f"ghz{n}", lambda n=n: make_ghz(n)
     for n in (3, 6):
         yield f"random{n}", lambda n=n: one_block(random_density(n, np.random.default_rng(n)).matrix)
 

@@ -242,7 +242,7 @@ def test_real_states_stay_real(monkeypatch):
 
 
 def test_complex_states_stay_complex(monkeypatch, rng):
-    assert make_ghz(3).to_density().matrix.dtype == np.complex128  # PureState is complex
+    assert make_ghz(3).matrix.dtype == np.complex128  # a pure maker's factor is complex
     assert DensityOperator(np.eye(2, dtype=complex) / 2).matrix.dtype == np.complex128
     rho = random_density(4, rng)
     assert rho.matrix.dtype == np.complex128

@@ -36,7 +36,7 @@ def test_von_neumann_known_values():
 
 def test_von_neumann_pure_states_clamp_to_zero(rng):
     for n in (1, 2, 3):
-        s = von_neumann_entropy(random_pure_state(n, rng).to_density())
+        s = von_neumann_entropy(random_pure_state(n, rng))
         assert 0.0 <= s < 1e-10
 
 
@@ -77,7 +77,7 @@ def test_relative_entropy_nonnegative(rng):
 
 
 def test_mutual_information_bell():
-    bell = make_ghz(2).to_density()
+    bell = make_ghz(2)
     assert mutual_information(bell, 0b01, BITS) == pytest.approx(2.0, abs=1e-12)
     assert mutual_information(bell, 0b01) == pytest.approx(1.0, abs=1e-12)
     # symmetric in the two blocks
@@ -106,7 +106,7 @@ def test_mutual_information_matches_relative_entropy(rng):
 
 
 def test_mutual_information_rejects_trivial_blocks():
-    bell = make_ghz(2).to_density()
+    bell = make_ghz(2)
     with pytest.raises(InvalidBipartition):
         mutual_information(bell, 0)
     with pytest.raises(InvalidBipartition):
@@ -115,7 +115,7 @@ def test_mutual_information_rejects_trivial_blocks():
 
 def test_multi_information_ghz_and_classical():
     for n in (2, 3, 4):
-        ghz = make_ghz(n).to_density()
+        ghz = make_ghz(n)
         assert multi_information(ghz, BITS) == pytest.approx(float(n), abs=1e-12)
     # dephasing the GHZ coherence removes exactly one bit of correlation
     dephased = np.zeros((8, 8))

@@ -18,7 +18,6 @@ import qcorr.entropy
 import qcorr.states
 from qcorr import (
     DensityOperator,
-    PureState,
     ccm,
     full_mask,
     ghz_closed_form,
@@ -41,7 +40,7 @@ ROUNDOFF_BITS = 1e-13
 
 
 def dense_copy(state):
-    return one_block(state.to_density().matrix if isinstance(state, PureState) else state.matrix)
+    return one_block(state.matrix)
 
 
 def tree_shape(node):
@@ -77,7 +76,7 @@ def product_state(n, rng):
     for _ in range(n):
         q = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         v = np.kron(v, q / np.linalg.norm(q))
-    return PureState(v)
+    return DensityOperator.from_factor(v.reshape(-1, 1))
 
 
 def random_factor(n, rank, rng):
@@ -91,7 +90,7 @@ def near_cutoff(n, eps, rng):
     v[0], v[-1] = math.sqrt(1.0 - eps), math.sqrt(eps)
     u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     v = np.tensordot(u, v.reshape(2, -1), axes=([1], [0])).reshape(-1)
-    return PureState(v / np.linalg.norm(v))
+    return DensityOperator.from_factor((v / np.linalg.norm(v)).reshape(-1, 1))
 
 
 def build(kind, n, seed, eps):
@@ -107,7 +106,7 @@ def build(kind, n, seed, eps):
     if kind == "near_cutoff":
         return near_cutoff(n, eps, rng)
     if kind == "pure":
-        return PureState(random_factor(n, 1, rng).reshape(-1))
+        return DensityOperator.from_factor(random_factor(n, 1, rng))
     if kind == "rank2":
         return DensityOperator.from_factor(random_factor(n, 2, rng))
     # a rank-2 mixture of two GHZ-like branches, one of them near the cutoff
@@ -122,7 +121,7 @@ KINDS = ["ghz", "w", "product", "basis", "near_cutoff", "pure", "rank2", "rank2_
 
 def test_corpus_paths_agree(corpus):
     factored = [(name, s) for name, s in corpus if s.factor is not None]
-    assert len(factored) >= 6  # every pure corpus entry comes from `to_density`
+    assert len(factored) >= 6  # every pure corpus entry carries its amplitude column
     for name, state in factored:
         assert assert_paths_agree(state), name
 
@@ -148,11 +147,10 @@ def test_schmidt_weight_on_the_cutoff(rng):
 
 
 def test_pure_state_and_its_density_agree(rng):
-    pure = PureState(random_factor(4, 1, rng).reshape(-1))
-    rho = pure.to_density()
-    assert rho.factor is not None
-    assert np.allclose(rho.matrix, np.outer(pure.amplitudes, pure.amplitudes.conj()))
-    assert ccm(pure).value == ccm(rho).value
+    pure = DensityOperator.from_factor(random_factor(4, 1, rng))
+    amplitudes = pure.factor[:, 0]
+    assert np.allclose(pure.matrix, np.outer(amplitudes, amplitudes.conj()))
+    assert ccm(pure).value == pytest.approx(ccm(dense_copy(pure)).value, abs=CCM_TOL)
     for part_a in (0b0001, 0b0110):
         assert mutual_information(pure, part_a) == pytest.approx(
             mutual_information(dense_copy(pure), part_a), abs=ENTROPY_TOL)
@@ -177,5 +175,5 @@ def test_ghz12_never_forms_a_dense_matrix(monkeypatch):
     # `qcorr.ccm` is the re-exported function, so the module comes from sys.modules.
     for module in (qcorr.states, qcorr.entropy, sys.modules["qcorr.ccm"]):
         monkeypatch.setattr(module, "partial_trace", refuse)
-    monkeypatch.setattr(PureState, "to_density", refuse)
+    monkeypatch.setattr(DensityOperator, "matrix", property(refuse))
     assert ccm(make_ghz(12)).value == pytest.approx(ghz_closed_form(12), abs=CCM_TOL)

@@ -108,6 +108,16 @@ def test_ground_states_take_terms_only():
             call(np.eye(4))
 
 
+def test_ground_state_takes_a_mode_only():
+    # The 3-spin ring's ground level is degenerate, so the two modes differ
+    # and a string taken for the default would show.
+    terms = chain_terms(xxz_ring(3, 0.5))
+    assert ground_state(terms, GroundStateMode.FIRST_VECTOR).factor.shape[1] == 1
+    assert ground_state(terms).factor.shape[1] == 2
+    with pytest.raises(TypeError):
+        ground_state(terms, "first-vector")
+
+
 # --- ground states -----------------------------------------------------------
 
 

@@ -67,7 +67,7 @@ def make_state(kind, n, seed):
         if kind == "ghz":
             return random_pure_state(1, rng)
         if kind == "factor":
-            return random_pure_state(1, rng).to_density()
+            return random_pure_state(1, rng)
         return random_density(1, rng)
     delta, p = rng.uniform(-2.0, 2.0), rng.uniform(0.05, 0.95)
     ground = ground_state(chain_terms(xxz_ring(n, delta)))
@@ -90,7 +90,7 @@ def make_state(kind, n, seed):
     if kind == "kept":
         return one_block(random_density(n, rng).matrix, check_psd=True)
     if kind == "ghz":
-        return one_block(make_ghz(n).to_density().matrix)
+        return one_block(make_ghz(n).matrix)
     return ground
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qcorr import (
     DensityOperator,
-    PureState,
     apply_local_unitary,
     full_mask,
     hermitian_eigensystem,
@@ -38,7 +37,7 @@ I2 = np.eye(2) / 2
 
 
 def ket_density(index, n):
-    return make_state_from_kets([(index, 1)], n).to_density()
+    return make_state_from_kets([(index, 1)], n)
 
 
 # --- eigensystem -----------------------------------------------------------
@@ -76,10 +75,15 @@ def test_eigensystem_rejects_non_hermitian():
 
 
 def test_pure_state_requires_unit_norm():
+    # A state vector built in the library is held to the factor's trace
+    # tolerance; `test_pure_file_norm_boundary` pins the file's.
     with pytest.raises(InvariantViolation):
-        PureState([1.0, 1.0])
+        DensityOperator.from_factor(np.array([[1.0], [1.0]]))
     with pytest.raises(InvariantViolation):
-        PureState([np.nan, 0.0])
+        DensityOperator.from_factor(np.array([[np.nan], [0.0]]))
+    with pytest.raises(InvariantViolation):
+        DensityOperator.from_factor(np.array([[math.sqrt(1 + 5e-10)], [0.0]]))
+    assert DensityOperator.from_factor(np.array([[math.sqrt(1 + 5e-11)], [0.0]])).num_qubits == 1
 
 
 def test_density_operator_invariants():
@@ -114,7 +118,7 @@ def test_tensor_product_trace_multiplicative(rng):
 
 
 def test_partial_trace_bell_marginals():
-    bell = make_ghz(2).to_density()
+    bell = make_ghz(2)
     for mask in (0b01, 0b10):
         assert np.allclose(partial_trace(bell, mask).matrix, I2)
 
@@ -127,7 +131,7 @@ def test_partial_trace_recovers_product_factors(rng):
 
 
 def test_partial_trace_ghz_pair_is_dephased():
-    ghz = make_ghz(4).to_density()
+    ghz = make_ghz(4)
     pair = partial_trace(ghz, 0b0011)
     expect = np.zeros((4, 4))
     expect[0, 0] = expect[3, 3] = 0.5
@@ -135,7 +139,7 @@ def test_partial_trace_ghz_pair_is_dephased():
 
 
 def test_partial_trace_errors():
-    bell = make_ghz(2).to_density()
+    bell = make_ghz(2)
     with pytest.raises(EmptySubset):
         partial_trace(bell, 0)
     with pytest.raises(InvalidSubset):
@@ -177,7 +181,7 @@ def test_local_unitary_preserves_spectrum(rng):
 
 
 def test_local_unitary_errors():
-    bell = make_ghz(2).to_density()
+    bell = make_ghz(2)
     with pytest.raises(NotUnitary):
         apply_local_unitary(bell, [np.eye(2), np.ones((2, 2))])
     with pytest.raises(DimensionMismatch):
@@ -197,14 +201,15 @@ def test_qubit_zero_is_most_significant():
 
 def test_make_ghz_amplitudes():
     s = make_ghz(2)
-    assert np.allclose(s.amplitudes, [math.sqrt(0.5), 0.0, 0.0, math.sqrt(0.5)])
+    assert s.factor.shape == (4, 1) and s.factor.dtype == np.complex128
+    assert np.allclose(s.factor[:, 0], [math.sqrt(0.5), 0.0, 0.0, math.sqrt(0.5)])
     with pytest.raises(OutOfRange):
         make_ghz(0)
 
 
 def test_make_state_from_kets_accumulates_and_normalizes():
     s = make_state_from_kets([(0, 1), (0, 1), (3, 2)], 2)
-    assert np.allclose(s.amplitudes, [2 / math.sqrt(8), 0, 0, 2 / math.sqrt(8)])
+    assert np.allclose(s.factor[:, 0], [2 / math.sqrt(8), 0, 0, 2 / math.sqrt(8)])
 
 
 def test_make_state_from_kets_errors():
@@ -221,8 +226,8 @@ def test_qs1_roundtrip_pure(tmp_path):
     path = tmp_path / "ghz.qs1"
     write_qs1(path, make_ghz(3))
     back = read_qs1(path)
-    assert isinstance(back, PureState)
-    assert np.array_equal(back.amplitudes, make_ghz(3).amplitudes)
+    assert back.factor.shape == (8, 1)
+    assert np.array_equal(back.factor, make_ghz(3).factor)
 
 
 def test_qs1_roundtrip_mixed(tmp_path, rng):
@@ -241,10 +246,10 @@ def test_qs1_roundtrip_arbitrary_amplitudes(tmp_path_factory, raw):
     v = np.array(raw[:4]) + 1j * np.array(raw[4:])
     norm = np.linalg.norm(v)
     assume(norm > 1e-3)
-    state = PureState(v / norm)
+    state = DensityOperator.from_factor((v / norm).reshape(-1, 1))
     path = tmp_path_factory.mktemp("qs1") / "state.qs1"
     write_qs1(path, state)
-    assert np.array_equal(read_qs1(path).amplitudes, state.amplitudes)
+    assert np.array_equal(read_qs1(path).factor, state.factor)
 
 
 def per_scalar_qs1(kind, n, values):
@@ -259,7 +264,7 @@ def edge_case_states(rng):
     parts = rng.standard_normal((8, 2))
     parts[0, 0], parts[1] = -0.0, (1e-310, -0.0)
     parts /= np.linalg.norm(parts)  # in real arithmetic, which keeps the signs of zeros
-    pure = PureState(parts.view(complex).reshape(-1))
+    pure = DensityOperator.from_factor(parts.view(complex))
     m = random_density(2, rng).matrix.copy()
     m[0, 1], m[1, 0] = complex(5e-324, -0.0), complex(5e-324, 0.0)
     real = np.diag([0.1, 0.2, 0.3, 0.4]) * (1.0 + 2.0 ** -52)
@@ -272,8 +277,8 @@ def test_qs1_bytes_match_the_per_scalar_format(tmp_path, rng):
     for state in edge_case_states(rng):
         path = tmp_path / "state.qs1"
         write_qs1(path, state)
-        if isinstance(state, PureState):
-            want = per_scalar_qs1("pure", state.num_qubits, state.amplitudes)
+        if state.factor is not None:
+            want = per_scalar_qs1("pure", state.num_qubits, state.factor[:, 0])
         else:
             want = per_scalar_qs1("mixed", state.num_qubits, state.matrix)
         assert path.read_bytes() == want
@@ -336,7 +341,7 @@ def test_qs1_body_values_match_float(tmp_path, body):
     path = tmp_path / "odd.qs1"
     path.write_bytes(("qs1 pure 1\n" + body).encode("ascii"))
     want = [complex(*map(float, line.split())) for line in body.splitlines()]
-    got = read_qs1(path).amplitudes
+    got = read_qs1(path).factor[:, 0]
     assert got.tobytes() == np.array(want, dtype=complex).tobytes()
 
 
@@ -348,7 +353,7 @@ def test_from_factor_keeps_the_factor(rng):
     assert np.array_equal(rho.factor, v)
     assert np.allclose(rho.matrix, v @ v.conj().T)
     assert DensityOperator(rho.matrix).factor is None
-    assert make_ghz(2).to_density().factor.shape == (4, 1)
+    assert make_ghz(2).factor.shape == (4, 1)
 
 
 def test_from_factor_rejects_bad_factors():

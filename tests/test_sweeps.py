@@ -91,6 +91,13 @@ def test_config_validation():
     assert SweepConfig(model="dxxz", spins=2, param=grid, param2=grid).total_qubits == 4
 
 
+@pytest.mark.parametrize("field", [{"mode": "first"}, {"unit": "bits"}])
+def test_config_takes_enums_only(field):
+    # A string mode would run the mixture; a string unit would fail at the first point.
+    with pytest.raises(TypeError):
+        SweepConfig(model="xxz", spins=3, param=ParamRange(0.0, 0.5, 2), **field)
+
+
 def test_xxz_sweep_shape_and_order():
     config = SweepConfig(model="xxz", spins=3, param=ParamRange(0.0, 2.0, 5), include_tv=True)
     header, rows = sweep_rows(config)

@@ -21,7 +21,6 @@ import qcorr.entropy
 from qcorr import (
     DensityOperator,
     GroundStateMode,
-    PureState,
     SpinChainSpec,
     amplitude_damping_channel,
     apply_channel_local,
@@ -99,13 +98,9 @@ def index_permutation(n, perm):
     return np.arange(1 << n).reshape((2,) * n).transpose(perm).reshape(-1)
 
 
-def density(state):
-    return state.to_density().matrix if isinstance(state, PureState) else state.matrix
-
-
 def permuted_distance(state, perm):
     """Trace norm of the permuted state minus the state, from the full matrix."""
-    m = density(state)
+    m = state.matrix
     p = index_permutation(state.num_qubits, perm)
     return float(np.abs(np.linalg.eigvalsh(m[np.ix_(p, p)] - m)).sum())
 
@@ -152,7 +147,7 @@ def momentum_w_state(n):
 
 
 def dense_copy(state):
-    return one_block(density(state))
+    return one_block(state.matrix)
 
 
 # --- orbits -------------------------------------------------------------------
@@ -251,7 +246,7 @@ def test_ghz_and_w_are_symmetric(n):
         assert qubit_symmetry(state) == symmetric(n)
         assert qubit_symmetry(dense_copy(state)) == symmetric(n)
     # W lies in the popcount-1 sector, so it also has a block form.
-    assert qubit_symmetry(block_state(density(w_state(n)))) == symmetric(n)
+    assert qubit_symmetry(block_state(w_state(n).matrix)) == symmetric(n)
 
 
 def test_momentum_state_is_cyclic():
@@ -396,7 +391,7 @@ def perturbed_pure(eps):
     n = 6
     v = ground_state(chain_terms(xxz_ring(n, 0.5))).factor[:, 0].astype(complex)
     v[0b000111] += eps
-    return PureState(v / np.linalg.norm(v))
+    return DensityOperator.from_factor((v / np.linalg.norm(v)).reshape(-1, 1))
 
 
 SHIFT, REFLECT = [*range(1, 6), 0], list(range(5, -1, -1))  # generators of D_6
