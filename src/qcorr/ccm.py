@@ -12,16 +12,18 @@ S(rho_A) + S(rho_B) - S(rho); the engine always evaluates it in that form.
 `ccm` runs a dynamic program over all subsets of the register: the reduced
 entropies come in one table (from the state's factor when it has one, as
 every pure state does, otherwise by tracing one qubit at a time out of a
-larger subset; see `subset_entropies`), and subset values are combined in
-ascending mask order, so every bipartition term costs three table lookups.
+larger subset; see `subset_entropies`), and subset values are combined level
+by level, subsets of 2, 3, ..., n qubits, every cut of a level costed by a
+few numpy gathers for all the tables that share their orbits (`_values`).
 Subsets that a qubit permutation leaving the state unchanged maps onto each
 other share one entropy and one value: the table diagonalizes, and the DP
 minimizes over, the smallest mask of each orbit only; each other mask on the
 reported tree has its cut searched for again.  With no such permutation every
 mask is its own orbit.  `ccm_many` reads any iterable of states once and
 reduces those of the same register size, symmetry, form and dtype in shared
-stacks (the damped states of a whole noise sweep, say); `ccm` is its
-one-state case.  `ccm_naive` is an intentionally independent
+stacks (the states of a whole sweep, say); `ccm` is its one-state case.  The
+scalar loop the DP replaces is kept in the tests as its reference.
+`ccm_naive` is an intentionally independent
 re-implementation by literal recursion (fresh dense reduced matrices at every
 level, no caching) kept as a cross-check oracle.
 """
@@ -29,15 +31,23 @@ level, no caching) kept as a cross-check oracle.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .entropy import DistanceUnit, subset_entropies_many, von_neumann_entropy
+import numpy as np
+
+from .entropy import (
+    STACK_ENTRIES,
+    DistanceUnit,
+    _representative_masks,
+    orbit_representatives,
+    subset_entropies_many,
+    von_neumann_entropy,
+)
 from .errors import BadArity, OutOfRange, TooLarge
-from .states import DensityOperator, full_mask, partial_trace
+from .states import DensityOperator, _kept_when_small, full_mask, partial_trace
 
 MAX_QUBITS_DP = 14
 MAX_QUBITS_NAIVE = 6
@@ -116,9 +126,10 @@ def ccm_many(states: Iterable[DensityOperator],
     all states come from one `subset_entropies_many` call, which reduces
     each state as it arrives and holds none of them after, and walks states
     of the same register size, symmetry, form and dtype in shared stacks.
-    Each state's dynamic program then runs on its own table.  Every report
-    is the one `ccm` gives the state alone.  A state past MAX_QUBITS_DP
-    raises TooLarge when it arrives, before it is reduced.
+    The dynamic program then runs once for each group of tables that share
+    their orbits (`_values`), and each state's tree is read off its own
+    table.  Every report is the one `ccm` gives the state alone.  A state
+    past MAX_QUBITS_DP raises TooLarge when it arrives, before it is reduced.
     """
     def within_cap():
         for rho in states:
@@ -126,60 +137,120 @@ def ccm_many(states: Iterable[DensityOperator],
                 raise TooLarge(f"ccm supports at most {MAX_QUBITS_DP} qubits, got {rho.num_qubits}")
             yield rho
 
-    # A table of 2^n entries belongs to an n-qubit state.
-    return [_report(t, len(t).bit_length() - 1, unit) for t in subset_entropies_many(within_cap())]
+    tables = subset_entropies_many(within_cap())
+    groups: dict[bytes, list[int]] = {}
+    for i, table in enumerate(tables):
+        groups.setdefault(_representatives(table).tobytes(), []).append(i)
+    values: list = [None] * len(tables)
+    for key, members in groups.items():
+        for i, row in zip(members, _values([tables[i] for i in members], key).tolist()):
+            values[i] = row
+    return [_report(table, row, unit) for table, row in zip(tables, values)]
 
 
-def _report(entropy_bits: list[float], n: int, unit: DistanceUnit) -> CcmReport:
-    """The dynamic program and its tree over one state's entropy table."""
-    full = full_mask(n)
-    # A plain list (a per-subset oracle) shares nothing between masks.
-    rep = getattr(entropy_bits, "representatives", range(full + 1))
-    value_bits = [0.0] * (full + 1)
-    for mask in range(1, full + 1):  # ascending, so every proper submask comes first
-        if rep[mask] != mask:
-            value_bits[mask] = value_bits[rep[mask]]
-        elif mask & (mask - 1):  # a single qubit has value 0
-            weight = float(1 << (bin(mask).count("1") - 2))
-            low, h_s, best, sub = mask & -mask, entropy_bits[mask], math.inf, 0
-            rest = mask ^ low
-            while sub != rest:  # the submasks of rest in ascending order; block B may not be empty
-                a, b = low | sub, rest ^ sub
-                dist = entropy_bits[a] + entropy_bits[b] - h_s
-                if dist < 0.0:
-                    dist = 0.0  # mutual information is non-negative; round-off only
-                cost = weight * dist + value_bits[a] + value_bits[b]
-                if cost < best:
-                    best = cost
-                sub = (sub - rest) & rest
-            value_bits[mask] = best
+def _representatives(table) -> np.ndarray:
+    """The orbit representatives of a table's masks; a plain list (a
+    per-subset oracle) shares nothing between masks."""
+    reps = getattr(table, "representatives", None)
+    return orbit_representatives(len(table).bit_length() - 1, ()) if reps is None else reps
 
-    scale = unit.factor
 
-    def build(mask: int) -> CcmTreeNode | None:
-        if mask & (mask - 1) == 0:  # single qubit
-            return None
-        weight = float(1 << (bin(mask).count("1") - 2))
-        low = mask & -mask
-        limit = value_bits[mask] + TIE_BITS * weight
-        for sub in _ascending_submasks(mask ^ low):  # the smallest A within the tie of the value
-            a = low | sub
-            dist = weight * max(entropy_bits[a] + entropy_bits[mask ^ a] - entropy_bits[mask], 0.0)
-            if a != mask and dist + value_bits[a] + value_bits[mask ^ a] <= limit:
-                break
-        else:
-            raise AssertionError(f"no cut of subset {mask:#x} is within the tie of its value")
-        return CcmTreeNode(
-            subset=mask,
-            mask_a=a,
-            mask_b=mask ^ a,
-            distance_term=dist * scale,
-            value=value_bits[mask] * scale,
-            left=build(a),
-            right=build(mask ^ a),
-        )
+def _values(tables: list, reps: bytes) -> np.ndarray:
+    """The value of every mask of each of `tables` (one row per table), all
+    with the representatives whose bytes are `reps` (the bytes key the cut
+    arrays kept for reuse).
 
-    return CcmReport(value_bits[full] * scale, unit, build(full))
+    Level m = 2..n at a time, the cuts of the level's representatives are
+    costed together for all tables, in chunks of whole masks and of tables
+    in which each of a, b, the costs and one gathered term holds at most a
+    quarter of STACK_ENTRIES entries: d = max((S[a] + S[b]) - S[M], 0) and
+    cost = ((w d) + V[a]) + V[b], w = 2^(m-2), the scalar recursion's
+    arithmetic, so every value is the one it gives.  The value of a
+    representative is the minimum over its cuts; every other mask copies
+    its representative's at the end, so the cuts read representatives only.
+    """
+    entropies = np.array(tables, dtype=float)
+    values = np.zeros_like(entropies)
+    rep = np.frombuffer(reps, dtype=np.intp)
+    n = rep.size.bit_length() - 1
+    sizes = np.bincount(_popcount(_representative_masks(rep), n), minlength=n + 1)
+    piece = STACK_ENTRIES // 4  # entries of each of a, b, the costs and one gathered term
+    for m in range(2, n + 1):
+        width = (1 << (m - 1)) - 1  # cuts of a subset of m qubits
+        step = max(1, piece // width)
+        for start in range(0, sizes[m], step):
+            masks, a, b = _cuts(n, reps, m, start, start + step)
+            rows = max(1, piece // a.size)
+            for lo in range(0, len(entropies), rows):
+                s, v = entropies[lo:lo + rows], values[lo:lo + rows]
+                cost = s.take(a, axis=1)
+                cost += s.take(b, axis=1)
+                cost = cost.reshape(len(s), masks.size, width)
+                cost -= s.take(masks, axis=1)[:, :, None]
+                np.maximum(cost, 0.0, out=cost)  # mutual information is non-negative; round-off only
+                cost *= float(1 << (m - 2))
+                cost += v.take(a, axis=1).reshape(cost.shape)
+                cost += v.take(b, axis=1).reshape(cost.shape)
+                v[:, masks] = cost.min(axis=2)
+    return values[:, rep]
+
+
+def _popcount(masks: np.ndarray, n: int) -> np.ndarray:
+    return sum((masks >> q) & 1 for q in range(n))
+
+
+@_kept_when_small
+def _cuts(num_qubits: int, reps: bytes, m: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
+    """(masks, a, b): the representatives of m qubits from the start-th to
+    before the stop-th, and each one's cuts, mask by mask: block A holds
+    the mask's lowest qubit and any proper submask of the others, in
+    ascending order, and a and b give A and B each by its representative,
+    whose entropy and value it shares."""
+    rep = np.frombuffer(reps, dtype=np.intp)
+    masks = _representative_masks(rep)
+    masks = masks[_popcount(masks, num_qubits) == m][start:stop]
+    low = masks & -masks
+    subs, rest = np.zeros((masks.size, 1), dtype=np.intp), masks ^ low
+    for _ in range(m - 1):  # add each qubit of rest, lowest first: the submasks stay ascending
+        bit = rest & -rest
+        rest = rest ^ bit
+        subs = np.concatenate([subs, subs | bit[:, None]], axis=1)
+    a = subs[:, :-1] | low[:, None]  # block B may not be empty
+    return masks, rep[a.reshape(-1)], rep[(masks[:, None] ^ a).reshape(-1)]
+
+
+def _report(entropy_bits: list[float], value_bits: list[float], unit: DistanceUnit) -> CcmReport:
+    """One state's report from its entropy table and values, in bits."""
+    full = len(entropy_bits) - 1
+    return CcmReport(value_bits[full] * unit.factor, unit, _tree(entropy_bits, value_bits, full, unit.factor))
+
+
+def _tree(entropy_bits: list[float], value_bits: list[float], mask: int, scale: float) -> CcmTreeNode | None:
+    """The reported tree below `mask`: the smallest A whose cost is within
+    the tie of the mask's value, and the same below each block.  (A module
+    function, not a closure over the tables, so that no reference cycle
+    keeps a state's lists alive after its report is made.)"""
+    if mask & (mask - 1) == 0:  # single qubit
+        return None
+    weight = float(1 << (bin(mask).count("1") - 2))
+    low = mask & -mask
+    limit = value_bits[mask] + TIE_BITS * weight
+    for sub in _ascending_submasks(mask ^ low):
+        a = low | sub
+        dist = weight * max(entropy_bits[a] + entropy_bits[mask ^ a] - entropy_bits[mask], 0.0)
+        if a != mask and dist + value_bits[a] + value_bits[mask ^ a] <= limit:
+            break
+    else:
+        raise AssertionError(f"no cut of subset {mask:#x} is within the tie of its value")
+    return CcmTreeNode(
+        subset=mask,
+        mask_a=a,
+        mask_b=mask ^ a,
+        distance_term=dist * scale,
+        value=value_bits[mask] * scale,
+        left=_tree(entropy_bits, value_bits, a, scale),
+        right=_tree(entropy_bits, value_bits, mask ^ a, scale),
+    )
 
 
 def ccm_naive(rho: DensityOperator,

@@ -5,29 +5,34 @@ a factor V (rho = V V^dagger: a pure state's amplitude column, a state built
 by `from_factor`, or one certified of low rank when its positivity was
 checked) gives rho_A's nonzero spectrum as that of the smaller Gram
 matrix of V reshaped to 2^|A| x (2^(n-|A|) r), with no partial trace.  Any
-other state is reduced and its reduced data diagonalized: one subset at a
-time by `subset_entropy`, or, for the whole table that `ccm` needs, by
-`subset_entropies`, which walks a tree of subsets, tracing one qubit at a
-time out of a parent subset (`_Walk`).  The whole register's entropy
-comes from the spectrum that the positivity check kept, when there is one.
+other state is reduced and its reduced data diagonalized.  `subset_entropy`
+gives one subset (by `partial_trace` when there is no factor);
+`subset_entropies`, the whole table that `ccm` needs, takes either path for
+every subset in one walk (`_Walk`), which reduces a state without a factor
+by tracing one qubit at a time out of a parent subset.  The whole
+register's entropy comes from the spectrum that the positivity check kept,
+when there is one.
 The table diagonalizes one subset per orbit of the qubit permutations that
 leave the state unchanged (`qubit_symmetry` finds generators of that group,
 and `orbit_representatives` closes the masks under any generator list).
 
-One walk serves every state without a factor, and carries a leading stack
-axis: `subset_entropies_many` reads its states once, visits each root as it
-arrives, and walks the children of the states that share register size,
-qubit group, form, dtype and spin flip together (`_Walk`).  A state with
-popcount blocks (`DensityOperator.blocks`: damped XXZ and double-XXZ ground
-states) is carried as blocks all the way down, since a partial trace keeps
-the zeros between popcounts; any other state is the one-block case.  A
-block that is 0.0 in every stacked state is not diagonalized, and the
-others wait with the equal blocks of every subset of their size for one
-stacked `hermitian_eigenvalues` call.  When the spin flip X^n leaves the
-state unchanged (`_flips_by_at_most_cutoff`), block m - k takes block k's
-spectrum and the middle block is solved as two halves.  A phase-damped
-N = 8 ring's largest eigensolve is 35 instead of 256, and its 29 subsets
-take 9 calls.
+One walk serves every state, and carries a leading stack axis:
+`subset_entropies_many` reads its states once; factors wait in stacks of
+the same register size, qubit group, rank and dtype, each reduced by one
+transpose and one stacked Gram product per representative subset; any
+other state has its root visited as it arrives, and its children walked
+with those of the states that share register size, qubit group, form,
+dtype and spin flip (`_Walk`).  A state with popcount blocks
+(`DensityOperator.blocks`: damped XXZ and double-XXZ ground states) is
+carried as blocks all the way down, since a partial trace keeps the zeros
+between popcounts; any other state is the one-block case.  A block that is
+0.0 in every stacked state is not diagonalized, and the others, and the
+Gram matrices, wait with the equal matrices of every subset of their size
+for one stacked `hermitian_eigenvalues` call.  When the spin flip X^n
+leaves the state unchanged (`_flips_by_at_most_cutoff`), block m - k takes
+block k's spectrum and the middle block is solved as two halves.  A
+phase-damped N = 8 ring's largest eigensolve is 35 instead of 256, and its
+29 subsets take 9 calls.
 
 All entropies use log base 2 internally.  Results can be reported either in
 bits or in "normalized" units (bits / 2), the scale on which one Bell pair
@@ -99,13 +104,23 @@ def subset_entropy(state: DensityOperator, mask: int) -> float:
             return float(_entropy_bits(state.spectrum))
         return float(_entropy_bits(hermitian_eigenvalues(partial_trace(state, mask).matrix)))
     check_subset(mask, n)
+    return float(_entropy_bits(hermitian_eigenvalues(_grams(v[None], mask)[0])))
+
+
+def _grams(factors: np.ndarray, mask: int) -> np.ndarray:
+    """For a stack of factors V (s, 2^n, r), the Gram matrices (s, c, c) of
+    each V reshaped to 2^|A| x (2^(n-|A|) r), A the qubits of `mask`: of
+    the smaller side, c = min(2^|A|, 2^(n-|A|) r), whose nonzero spectrum is
+    rho_A's.  One transpose and one stacked product."""
+    s, d, r = factors.shape
+    n = d.bit_length() - 1
     kept = subset_qubits(mask)
     traced = [q for q in range(n) if not (mask >> q) & 1]
     # Rows index A's basis states; columns index the rest and V's columns.
-    m = v.reshape((2,) * n + (v.shape[1],)).transpose(kept + traced + [n])
-    m = m.reshape(1 << len(kept), -1)
-    gram = m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m
-    return float(_entropy_bits(hermitian_eigenvalues(gram)))
+    m = factors.reshape((s,) + (2,) * n + (r,)).transpose([0] + [1 + q for q in kept + traced] + [n + 1])
+    m = m.reshape(s, 1 << len(kept), -1)
+    mh = m.conj().transpose(0, 2, 1)
+    return m @ mh if m.shape[1] <= m.shape[2] else mh @ m
 
 
 def qubit_symmetry(state: DensityOperator) -> tuple[tuple[int, ...], ...]:
@@ -268,16 +283,18 @@ def orbit_representatives(num_qubits: int, generators: tuple[tuple[int, ...], ..
 class SubsetTable(list):
     """S(rho_A) in bits indexed by mask A, as made by `subset_entropies`.
 
-    `representatives[A]` is the smallest mask of A's orbit under the state's
-    qubit symmetry; A's entry is a copy of that mask's.
+    `representatives[A]` (the read-only array of `orbit_representatives`)
+    is the smallest mask of A's orbit under the state's qubit symmetry; A's
+    entry is a copy of that mask's.
     """
 
     __slots__ = ("representatives",)
 
 
-# Child entries (the representative children of the roots) that wait, summed
-# over every stack, to be walked together; a state whose own children pass it
-# is walked alone, depth first.
+# Entries that wait, summed over every stack, to be walked together: the
+# representative children of the roots of states without a factor, and the
+# factors of the others.  A state whose own entries pass it is walked alone.
+# `ccm`'s dynamic program bounds the temporaries of each level by it too.
 STACK_ENTRIES = 1 << 18
 
 
@@ -291,11 +308,11 @@ def subset_entropies(state: DensityOperator) -> SubsetTable:
     diagonalized; every other mask copies its representative's entry.  With
     the trivial group every mask is its own representative.
 
-    A state with a factor takes `subset_entropy`'s Gram path for each
-    representative; when the factor is one column (a pure state), S(A) =
-    S(rest of A), so a representative whose complement's orbit comes earlier
-    copies that entry, and the whole register gets 0.  Any other state is
-    reduced along a tree by `_Walk`, as a stack of one.
+    A state with a factor takes the Gram path (see `subset_entropy`) for
+    each representative; when the factor is one column (a pure state),
+    S(A) = S(rest of A), so a representative whose complement's orbit comes
+    earlier copies that entry, and the whole register gets 0.  Any other
+    state is reduced along a tree.  Either is `_Walk`'s, as a stack of one.
     """
     return subset_entropies_many([state])[0]
 
@@ -303,37 +320,29 @@ def subset_entropies(state: DensityOperator) -> SubsetTable:
 def subset_entropies_many(states: Iterable[DensityOperator]) -> list[SubsetTable]:
     """`subset_entropies` of each state, bit for bit, in order.
 
-    `states` is read once, and each state is reduced as it arrives: a factor
-    by the Gram path, any other state by `_Walk.add`, which visits its root
-    alone and lets its representative children wait with those of the
-    states before it of the same register size, qubit group, form (blocks or
-    one block), dtype and spin flip, to be walked as one stack.  No state is
-    held once it has been reduced, so a generator of states is reduced in the
-    memory of one state, the waiting children and the matrices waiting for
-    their eigensolve.
+    `states` is read once, and each state is reduced as it arrives by
+    `_Walk.add`: a factor waits with those of the states before it of the
+    same register size, qubit group, rank and dtype, and any other state has
+    its root visited alone and its representative children wait with those
+    of the states before it of the same register size, qubit group, form
+    (blocks or one block), dtype and spin flip, each to be walked as one
+    stack.  No state is held once it has been reduced, so a generator of
+    states is reduced in the memory of one state, the waiting factors and
+    children, and the matrices waiting for their eigensolve.
     """
     walk = _Walk()
-    tables, reps = [], []
+    tables = []
     for state in states:
         n, generators = state.num_qubits, qubit_symmetry(state)
-        rep = orbit_representatives(n, generators).tolist()
-        table = [0.0] * (1 << n)
-        if state.factor is None:
-            walk.add(state, generators, rep, table)
-        else:
-            full, pure = full_mask(n), state.factor.shape[1] == 1
-            for mask in range(1, 1 << n):
-                if rep[mask] == mask:
-                    twin = rep[full ^ mask]
-                    table[mask] = table[twin] if pure and twin < mask else subset_entropy(state, mask)
-        tables.append(table)
-        reps.append(rep)
+        rep, table = orbit_representatives(n, generators), np.zeros(1 << n)
+        walk.add(state, generators, rep, table)
+        tables.append((table, rep))
     walk.finish()
-    return [_subset_table(table, rep) for table, rep in zip(tables, reps)]
+    return [_subset_table(table, rep) for table, rep in tables]
 
 
-def _subset_table(table: list[float], rep: list[int]) -> SubsetTable:
-    out = SubsetTable(table[r] for r in rep)
+def _subset_table(table: np.ndarray, rep: np.ndarray) -> SubsetTable:
+    out = SubsetTable(table[rep].tolist())
     out.representatives = rep
     return out
 
@@ -342,35 +351,47 @@ class _Stack:
     """States walked together, each with the table its entropies go to, and
     the spectrum pieces of every mask they have reached: one holder per
     piece, a one-item list filled when its eigensolve is made (a block and
-    its spin-flip twin share one)."""
+    its spin-flip twin share one).  A stack of factors keeps them until it
+    is walked, and, when they are one column, the masks that copy the entry
+    of their complement's representative."""
 
-    __slots__ = ("charged", "flip", "rep", "tables", "spectra", "children")
+    __slots__ = ("charged", "flip", "rep", "tables", "spectra", "children", "factors", "copies")
 
-    def __init__(self, charged: bool, flip: bool, rep: list[int]):
+    def __init__(self, charged: bool, flip: bool, rep: np.ndarray):
         self.charged, self.flip, self.rep = charged, flip, rep
-        self.tables: list[list[float]] = []
+        self.tables: list[np.ndarray] = []
         self.spectra: dict[int, list[list]] = {}
         self.children: dict[int, list[np.ndarray]] = {}  # traced qubit -> one (1, entries) array per state
+        self.factors: list[np.ndarray] = []  # one (1, 2^n, r) array per state
+        self.copies: tuple[np.ndarray, np.ndarray] | None = None  # (masks, the masks they copy)
 
 
 class _Walk:
-    """The reduction of the states without a factor of one
-    `subset_entropies_many` call.
+    """The reduction of the states of one `subset_entropies_many` call.
 
     Every array of the walk has a leading axis over the states of a stack.
-    The parent of a subset is the subset plus its lowest missing qubit, and a
-    child's data are its parent's with that qubit traced out.  The parent of
-    a representative is a representative too (a smallest mask stays smallest
-    in its orbit when its lowest missing qubit is added, as tests check for
-    every generator list `qubit_symmetry` returns up to n = 14), so only
-    representatives are reduced.
+    A stack of factors V (2^n x r) is reduced mask by mask: for each
+    representative A, one transpose of the stack and one stacked Gram
+    product give the Gram matrices of V reshaped to 2^|A| x (2^(n-|A|) r),
+    the smaller side, whose nonzero spectrum is rho_A's.  A one-column
+    factor skips a representative whose complement's representative comes
+    first, and copies that entry once the entropies are written.
 
-    A state's root is visited when it arrives, and only its representative
-    children are kept: they wait with those of the earlier states of its
-    key, and at most STACK_ENTRIES child entries wait in all.  Before a
-    state's children would pass that, every waiting stack is walked, depth
-    first from its children; a state whose children alone pass it is walked
-    alone, depth first from its root, without waiting.
+    Any other state is reduced along a tree.  The parent of a subset is the
+    subset plus its lowest missing qubit, and a child's data are its
+    parent's with that qubit traced out.  The parent of a representative is
+    a representative too (a smallest mask stays smallest in its orbit when
+    its lowest missing qubit is added, as tests check for every generator
+    list `qubit_symmetry` returns up to n = 14), so only representatives are
+    reduced.  A state's root is visited when it arrives, and only its
+    representative children are kept, to wait with those of the earlier
+    states of its key.
+
+    At most STACK_ENTRIES factor and child entries wait in all.  Before a
+    state's would pass that, every waiting stack is walked, the children
+    depth first; a state whose entries alone pass it is walked alone
+    without waiting (depth first from its root, for a state without a
+    factor).
 
     Blocks are reduced by two index gathers (`trace_entries`), one block by
     a reshape and the sum of two slices.  The 1 x 1 blocks are read off; a
@@ -380,11 +401,12 @@ class _Walk:
     every partial trace: at each node block m - k takes block k's spectrum,
     and the middle block B of width c is solved as its two c/2-wide halves
     T +- F, T = B[:h, :h] and F = B[:h, h:] with its columns reversed.
-    Every other matrix waits for one `hermitian_eigenvalues` call per
-    (subset size, matrix size, dtype), shared by every stack, made before
-    more than BLOCK_ENTRIES entries would wait.  A root takes the spectrum
-    the positivity check kept, if any.  Each spectrum is in the order 1 x 1
-    blocks, then blocks 1, m - 1, 2, m - 2, ...
+    Every other matrix, and every Gram matrix, waits for one
+    `hermitian_eigenvalues` call per (subset size, matrix size, dtype),
+    shared by every stack, made before more than BLOCK_ENTRIES entries
+    would wait.  A root takes the spectrum the positivity check kept, if
+    any.  Each spectrum is in the order 1 x 1 blocks, then blocks 1, m - 1,
+    2, m - 2, ...
     """
 
     def __init__(self):
@@ -394,8 +416,19 @@ class _Walk:
         self.stacked_entries = 0
         self.queued: list[_Stack] = []  # walked; their last eigensolves wait
 
-    def add(self, state: DensityOperator, generators: tuple, rep: list[int], table: list[float]) -> None:
-        n, charged = state.num_qubits, state.blocks is not None
+    def add(self, state: DensityOperator, generators: tuple, rep: np.ndarray, table: np.ndarray) -> None:
+        n, v = state.num_qubits, state.factor
+        if v is not None:
+            alone = v.size > STACK_ENTRIES
+            stack = _Stack(False, False, rep)
+            if not alone:
+                stack = self.waiting_stack((n, generators, v.shape[1], v.dtype), v.size, stack)
+            stack.tables.append(table)
+            stack.factors.append(v[None])
+            if alone:
+                self.walk_factors(stack, n)
+            return
+        charged = state.blocks is not None
         data = (state.blocks if charged else state.matrix.reshape(-1))[None]
         flip = charged and _flips_by_at_most_cutoff(state)
         known = None if state.spectrum is None else state.spectrum[None]
@@ -409,16 +442,26 @@ class _Walk:
         self.queued.append(root)
         if alone or not children:
             return
-        if self.stacked_entries + entries > STACK_ENTRIES:
-            self.walk_stacks()
-        stack = self.stacks.setdefault((n, generators, charged, data.dtype, flip), _Stack(charged, flip, rep))
+        key = (n, generators, charged, data.dtype, flip)
+        stack = self.waiting_stack(key, entries, _Stack(charged, flip, rep))
         stack.tables.append(table)
         for q in children:
             stack.children.setdefault(q, []).append(_reduced(data, n, q, charged))
+
+    def waiting_stack(self, key: tuple, entries: int, new: _Stack) -> _Stack:
+        """The stack of `key` that a state's `entries` join, `new` if none
+        waits, after walking every waiting stack if they would pass
+        STACK_ENTRIES."""
+        if self.stacked_entries + entries > STACK_ENTRIES:
+            self.walk_stacks()
         self.stacked_entries += entries
+        return self.stacks.setdefault(key, new)
 
     def walk_stacks(self) -> None:
         for (n, *_), stack in self.stacks.items():
+            if stack.factors:
+                self.walk_factors(stack, n)
+                continue
             full = full_mask(n)
             for q in list(stack.children):
                 # Passed unbound, and each state's own child dropped once
@@ -427,6 +470,19 @@ class _Walk:
             self.queued.append(stack)
         self.stacks.clear()
         self.stacked_entries = 0
+
+    def walk_factors(self, stack: _Stack, n: int) -> None:
+        factors = np.concatenate(stack.factors)
+        stack.factors = []
+        masks = _representative_masks(stack.rep)
+        if factors.shape[2] == 1:
+            twins = stack.rep[full_mask(n) ^ masks]
+            first = twins < masks
+            stack.copies = masks[first], twins[first]
+            masks = masks[~first]
+        for mask in masks.tolist():
+            stack.spectra[mask] = [self.solve(bin(mask).count("1"), _grams(factors, mask))]
+        self.queued.append(stack)
 
     def finish(self) -> None:
         self.walk_stacks()
@@ -496,10 +552,16 @@ class _Walk:
         self.waiting.clear()
         self.waiting_entries = 0
         for stack in self.queued:
-            for mask, pieces in stack.spectra.items():
+            masks = np.fromiter(stack.spectra, dtype=np.intp, count=len(stack.spectra))
+            bits = np.empty((len(stack.tables), masks.size))
+            for j, pieces in enumerate(stack.spectra.values()):
                 vals = pieces[0][0] if len(pieces) == 1 else np.concatenate([p[0] for p in pieces], axis=1)
-                for table, bits in zip(stack.tables, _entropy_bits(vals).tolist()):
-                    table[mask] = bits
+                bits[:, j] = _entropy_bits(vals)
+            for table, row in zip(stack.tables, bits):
+                table[masks] = row
+                if stack.copies is not None:
+                    to, source = stack.copies
+                    table[to] = table[source]
         self.queued.clear()
 
 
@@ -513,6 +575,11 @@ def _reduced(data: np.ndarray, m: int, q: int, charged: bool) -> np.ndarray:
     outer, inner = 1 << q, 1 << (m - q - 1)
     t = data.reshape(len(data), outer, 2, inner, outer, 2, inner)
     return (t[:, :, 0, :, :, 0, :] + t[:, :, 1, :, :, 1, :]).reshape(len(data), -1)
+
+
+def _representative_masks(rep: np.ndarray) -> np.ndarray:
+    """The nonempty masks that are their orbit's representative, ascending."""
+    return np.flatnonzero(rep[1:] == np.arange(1, rep.size)) + 1
 
 
 @functools.lru_cache(maxsize=None)

@@ -6,6 +6,10 @@ model at every point of a parameter grid, and serializes the result as a
 deterministic CSV: '.' decimal point, ',' delimiter, '\\n' line ends, nine
 decimal places, rows in ascending parameter order.
 
+Every grid is evaluated by one `ccm_many` call over a generator of its
+states, so the states of the whole grid share stacks, and none is held once
+it has been reduced.
+
 XXZ-type grids never sample delta = 1 exactly: the ground level crosses
 there, so a grid point that would land on it is displaced by half a step and
 the discontinuity is detected from the adjacent pair straddling it.
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccm import ccm, ccm_many
+from .ccm import ccm_many
 from .channels import amplitude_damping_channel, apply_channel_local, phase_damping_channel
 from .entropy import DistanceUnit, multi_information
 from .errors import OutOfRange, TooLarge
@@ -146,7 +150,9 @@ def sweep_rows(config: SweepConfig) -> tuple[list[str], list[tuple[float, ...]]]
     """Evaluate the sweep; returns (header, rows) ready for `write_csv`.
 
     A config with a damping grid is refused: its rows come from
-    `noise_sweep_rows`, together with their prominence summaries.
+    `noise_sweep_rows`, together with their prominence summaries.  The
+    ground states go through one `ccm_many` call, and each one's total
+    correlations are taken as it arrives.
     """
     if config.noise is not None:
         raise OutOfRange("a config with a damping grid is evaluated by noise_sweep_rows")
@@ -160,14 +166,16 @@ def sweep_rows(config: SweepConfig) -> tuple[list[str], list[tuple[float, ...]]]
     if config.include_tv:
         header.append("tv")
 
-    def evaluate(point):
-        state = _state_at(config, point)
-        out = point + (ccm(state, config.unit).value,)
-        if config.include_tv:
-            out += (multi_information(state, config.unit),)
-        return out
+    tvs = []  # the tv column of each row, or nothing
 
-    rows = [evaluate(point) for point in points]
+    def states():
+        for point in points:
+            state = _state_at(config, point)
+            tvs.append((multi_information(state, config.unit),) if config.include_tv else ())
+            yield state
+
+    reports = ccm_many(states(), config.unit)
+    rows = [point + (report.value,) + tv for point, report, tv in zip(points, reports, tvs)]
     if config.derivative:
         header.append("dccm")
         xs = [r[0] for r in rows]
