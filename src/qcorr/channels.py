@@ -2,7 +2,11 @@
 
 A channel acts on each chosen qubit through its 4x4 superoperator S = sum_k
 E_k (x) E_k^* (`linalg.superoperator`, built once with the channel), applied
-by `states.apply_local_superoperators`.  A state in popcount-block form (a
+by `states.apply_local_superoperators`.  On blocks, S's diagonal scales each
+qubit's entries through one array per (register size, qubit), which the
+channel keeps when it holds at most `states.BLOCK_ENTRIES` entries (N <= 9,
+`KrausChannel._scale`), so a sweep that damps many states makes it once and
+then pays one multiply per qubit and state.  A state in popcount-block form (a
 ring ground state, say, whose factor columns each lie in one popcount
 sector) stays in it, and its 2^n x 2^n matrix is never formed, under every
 channel whose S keeps row and column popcounts together.  The two built-in
@@ -27,7 +31,15 @@ import numpy as np
 from .entropy import qubit_symmetry
 from .errors import InvariantViolation, OutOfRange
 from .linalg import superoperator
-from .states import DensityOperator, apply_local_superoperators, check_subset, full_mask, subset_qubits
+from .states import (
+    BLOCK_ENTRIES,
+    DensityOperator,
+    apply_local_superoperators,
+    check_subset,
+    full_mask,
+    _qubit_scale,
+    subset_qubits,
+)
 
 TP_ATOL = 1e-10
 
@@ -42,6 +54,7 @@ class KrausChannel:
 
     operators: tuple[np.ndarray, ...]
     _superoperator: np.ndarray = field(init=False, repr=False, compare=False)
+    _scales: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(np.asarray(e, dtype=complex) for e in self.operators)
@@ -59,6 +72,18 @@ class KrausChannel:
         s = superoperator(ops)
         s.flags.writeable = False
         object.__setattr__(self, "_superoperator", s)
+
+    def _scale(self, num_qubits: int, q: int) -> np.ndarray | None:
+        """The array by which this channel scales the flat block array of an
+        n-qubit state on qubit q (`states._qubit_scale`), kept for the next
+        state; None past BLOCK_ENTRIES entries (N >= 10), where the kernel
+        gathers it a piece at a time instead."""
+        if math.comb(2 * num_qubits, num_qubits) > BLOCK_ENTRIES:
+            return None
+        key = (num_qubits, q)
+        if key not in self._scales:
+            self._scales[key] = _qubit_scale(self._superoperator, num_qubits, q)
+        return self._scales[key]
 
 
 def phase_damping_channel(p: float) -> KrausChannel:
@@ -99,7 +124,7 @@ def apply_channel_local(rho: DensityOperator, channel: KrausChannel, qubits: int
     s = channel._superoperator
     if qubits == 0 or np.array_equal(s, np.eye(4)):
         return rho
-    out = apply_local_superoperators(rho, [(q, s) for q in subset_qubits(qubits)])
+    out = apply_local_superoperators(rho, [(q, s) for q in subset_qubits(qubits)], lambda q: channel._scale(n, q))
     if qubits == full_mask(n):
         # The same channel on every qubit commutes with qubit permutations
         # and contracts the trace norm, so every permutation moves the

@@ -27,12 +27,18 @@ dtype and spin flip (`_Walk`).  A state with popcount blocks
 carried as blocks all the way down, since a partial trace keeps the zeros
 between popcounts; any other state is the one-block case.  A block that is
 0.0 in every stacked state is not diagonalized, and the others, and the
-Gram matrices, wait with the equal matrices of every subset of their size
-for one stacked `hermitian_eigenvalues` call.  When the spin flip X^n
-leaves the state unchanged (`_flips_by_at_most_cutoff`), block m - k takes
-block k's spectrum and the middle block is solved as two halves.  A
-phase-damped N = 8 ring's largest eigensolve is 35 instead of 256, and its
-29 subsets take 9 calls.
+Gram matrices, wait with the matrices of the same width from every subset.
+When the spin flip X^n leaves the state unchanged
+(`_flips_by_at_most_cutoff`), block m - k takes block k's spectrum.  A
+block is split before its eigensolve by the involutions of its basis that
+leave it unchanged (`_block_split`): the flip, on the middle block, and,
+when the qubit group holds the ring's reflections, the one of those that
+map the subset onto itself whose pieces cost least (Sandvik's reflection
+and spin-inversion sectors).  The split runs once per waiting key on the
+whole stack, and the pieces of one size, whatever their key, share one
+stacked `hermitian_eigenvalues` call.  A phase-damped N = 8 ring's largest
+eigensolve is 19 instead of 256, and its 29 subsets take 11 calls; an
+amplitude-damped one's is 38, in 17 calls.
 
 All entropies use log base 2 internally.  Results can be reported either in
 bits or in "normalized" units (bits / 2), the scale on which one Bell pair
@@ -138,8 +144,10 @@ def qubit_symmetry(state: DensityOperator) -> tuple[tuple[int, ...], ...]:
     (`states._certified_factor`), so by the Fannes-Audenaert bound it moves no
     subset entropy by more than about 3e-11 bits; a permutation that takes
     L generators moves them by at most L times that (L <= 9 in D_7 x D_7
-    with the swap), and the walk's spin flip adds one more.  Ring ground
-    states, damped or not, pass with trace norms below 1e-13.
+    with the swap), and the walk's spin flip adds one more; a ring
+    reflection that splits a subset's blocks in the walk is such a
+    permutation.  Ring ground states, damped or not, pass with trace norms
+    below 1e-13.
 
     The result is kept on the state, so each state is tested at most once;
     `apply_channel_local` on the whole register gives its output the
@@ -355,10 +363,11 @@ class _Stack:
     is walked, and, when they are one column, the masks that copy the entry
     of their complement's representative."""
 
-    __slots__ = ("charged", "flip", "rep", "tables", "spectra", "children", "factors", "copies")
+    __slots__ = ("charged", "flip", "ring", "rep", "tables", "spectra", "children", "factors", "copies")
 
-    def __init__(self, charged: bool, flip: bool, rep: np.ndarray):
-        self.charged, self.flip, self.rep = charged, flip, rep
+    def __init__(self, charged: bool, flip: bool, ring: int, rep: np.ndarray):
+        # ring: n when the qubit group holds the reflections of the n-qubit ring, else 0
+        self.charged, self.flip, self.ring, self.rep = charged, flip, ring, rep
         self.tables: list[np.ndarray] = []
         self.spectra: dict[int, list[list]] = {}
         self.children: dict[int, list[np.ndarray]] = {}  # traced qubit -> one (1, entries) array per state
@@ -398,19 +407,24 @@ class _Walk:
     block that is 0.0 in every state of a stack is not diagonalized (its
     eigenvalues are 0, outside the support).  A stack that is invariant
     under the spin flip X^n (`_flips_by_at_most_cutoff`) stays so under
-    every partial trace: at each node block m - k takes block k's spectrum,
-    and the middle block B of width c is solved as its two c/2-wide halves
-    T +- F, T = B[:h, :h] and F = B[:h, h:] with its columns reversed.
-    Every other matrix, and every Gram matrix, waits for one
-    `hermitian_eigenvalues` call per (subset size, matrix size, dtype),
-    shared by every stack, made before more than BLOCK_ENTRIES entries
-    would wait.  A root takes the spectrum the positivity check kept, if
-    any.  Each spectrum is in the order 1 x 1 blocks, then blocks 1, m - 1,
-    2, m - 2, ...
+    every partial trace, and one whose qubit group holds the ring's
+    reflections has each subset's blocks invariant under the reflections
+    that map the subset onto itself: at each node block m - k takes block
+    k's spectrum under the flip, and every other block waits with its split
+    (`_block_split`).  Every matrix, and every Gram matrix, waits under
+    (matrix size, dtype, split), shared by every stack, until more than
+    BLOCK_ENTRIES entries would wait.  The flush then solves each
+    key's stack that is not split in one `hermitian_eigenvalues` call, and
+    splits the others into pieces (`_split_recipe`: three gathers per
+    piece), whose pieces of one size and dtype, whatever their key, share
+    one call; each holder gets its matrix's spectrum, its pieces'
+    eigenvalues concatenated.  A root takes the spectrum the
+    positivity check kept, if any.  Each spectrum is in the order 1 x 1
+    blocks, then blocks 1, m - 1, 2, m - 2, ...
     """
 
     def __init__(self):
-        self.waiting: dict[tuple, list] = {}  # (m, c, dtype) -> [(matrices (s, c, c), holder)]
+        self.waiting: dict[tuple, list] = {}  # (c, dtype, split) -> [(matrices (s, c, c), holder)]
         self.waiting_entries = 0
         self.stacks: dict[tuple, _Stack] = {}
         self.stacked_entries = 0
@@ -420,7 +434,7 @@ class _Walk:
         n, v = state.num_qubits, state.factor
         if v is not None:
             alone = v.size > STACK_ENTRIES
-            stack = _Stack(False, False, rep)
+            stack = _Stack(False, False, 0, rep)
             if not alone:
                 stack = self.waiting_stack((n, generators, v.shape[1], v.dtype), v.size, stack)
             stack.tables.append(table)
@@ -431,19 +445,20 @@ class _Walk:
         charged = state.blocks is not None
         data = (state.blocks if charged else state.matrix.reshape(-1))[None]
         flip = charged and _flips_by_at_most_cutoff(state)
+        ring = n if len(generators) == 2 and generators[0] == _candidates(n)[0] else 0  # D_n or S_n
         known = None if state.spectrum is None else state.spectrum[None]
         full = full_mask(n)
         children = [q for q in range(n) if n > 1 and rep[full ^ (1 << q)] == full ^ (1 << q)]
         entries = len(children) * (math.comb(2 * n - 2, n - 1) if charged else 1 << (2 * n - 2))
         alone = entries > STACK_ENTRIES
-        root = _Stack(charged, flip, rep)
+        root = _Stack(charged, flip, ring, rep)
         root.tables.append(table)
         self.visit(root, data, full, n, n, known, descend=alone)
         self.queued.append(root)
         if alone or not children:
             return
         key = (n, generators, charged, data.dtype, flip)
-        stack = self.waiting_stack(key, entries, _Stack(charged, flip, rep))
+        stack = self.waiting_stack(key, entries, _Stack(charged, flip, ring, rep))
         stack.tables.append(table)
         for q in children:
             stack.children.setdefault(q, []).append(_reduced(data, n, q, charged))
@@ -481,7 +496,7 @@ class _Walk:
             stack.copies = masks[first], twins[first]
             masks = masks[~first]
         for mask in masks.tolist():
-            stack.spectra[mask] = [self.solve(bin(mask).count("1"), _grams(factors, mask))]
+            stack.spectra[mask] = [self.solve(_grams(factors, mask))]
         self.queued.append(stack)
 
     def finish(self) -> None:
@@ -493,10 +508,11 @@ class _Walk:
         if known is not None:
             stack.spectra[mask] = [[known]]
         elif stack.charged:
-            stack.spectra[mask] = self.block_pieces(data, m, stack.flip)
+            reflections = _ring_reflections(stack.ring, mask) if stack.ring else ()
+            stack.spectra[mask] = self.block_pieces(data, m, stack.flip, reflections)
         else:
             d = 1 << m
-            stack.spectra[mask] = [self.solve(m, data.reshape(-1, d, d))]
+            stack.spectra[mask] = [self.solve(data.reshape(-1, d, d))]
         if not descend or m == 1:
             return
         for q in range(low):  # leg q of the data is qubit q: qubits 0..low-1 are all in `mask`
@@ -504,9 +520,10 @@ class _Walk:
             if stack.rep[child] == child:
                 self.visit(stack, _reduced(data, m, q, stack.charged), child, m - 1, q)
 
-    def block_pieces(self, data: np.ndarray, m: int, flip: bool) -> list[list]:
+    def block_pieces(self, data: np.ndarray, m: int, flip: bool, reflections: tuple) -> list[list]:
         """The holders of the spectrum of each state of `data`, blocks of an
-        m-qubit state, in spectrum order."""
+        m-qubit node that the leg permutations `reflections` leave unchanged,
+        in spectrum order."""
         lay = block_layout(m)
         pieces, twin = [[data[:, [0, lay.offsets[m]]].real]], None
         for k in _block_order(m):
@@ -517,40 +534,50 @@ class _Walk:
             c = lay.sizes[k]
             block = data[:, lay.offsets[k]:lay.offsets[k + 1]].reshape(-1, c, c)
             twin = None
-            if not block.any():
-                continue
-            if flip and 2 * k == m:  # X^m maps the middle block onto itself
-                h = c // 2
-                t, f = block[:, :h, :h], block[:, :h, h:][:, :, ::-1]
-                pieces.extend(self.solve(m, half) for half in (t + f, t - f) if half.any())
-            else:  # a copy: the waiting matrix does not keep `data` alive
-                twin = self.solve(m, block.copy())
+            if block.any():  # a copy: the waiting matrix does not keep `data` alive
+                twin = self.solve(block.copy(), _block_split(m, k, reflections, flip and 2 * k == m))
                 pieces.append(twin)
         return pieces
 
-    def solve(self, m: int, matrices: np.ndarray) -> list:
+    def solve(self, matrices: np.ndarray, split: tuple | None = None) -> list:
         """A holder whose item is, or becomes when the waiting matrices are
-        solved, the eigenvalues of each of `matrices` (s, c, c)."""
+        solved, the eigenvalues of each of `matrices` (s, c, c), split by
+        `split` (see `_block_split`) if it is not None."""
         if matrices.shape[-1] == 1:
             return [matrices[:, 0].real]
         if self.waiting_entries + matrices.size > BLOCK_ENTRIES:
             self.flush()
         holder = [None]
-        self.waiting.setdefault((m, matrices.shape[-1], matrices.dtype), []).append((matrices, holder))
+        self.waiting.setdefault((matrices.shape[-1], matrices.dtype, split), []).append((matrices, holder))
         self.waiting_entries += matrices.size
         return holder
 
     def flush(self) -> None:
         """Solve every waiting matrix, then write the entropies of every
         stack that has been walked, whose holders are now all filled."""
-        for items in self.waiting.values():
+        # A key's stack that is not split is solved at once; the others are
+        # split into pieces first, so that the pieces of one size, whatever
+        # their key, share one eigensolve.  Each key's matrices, and each
+        # size's pieces, are dropped once used.
+        waiting, self.waiting, self.waiting_entries = self.waiting, {}, 0
+        by_size: dict[tuple, list] = {}  # (size, dtype) -> [(pieces (s, size, size), slot)]
+        keys = []
+        while waiting:
+            (*_, split), items = waiting.popitem()
             together = items[0][0] if len(items) == 1 else np.concatenate([a for a, _ in items])
-            solved, start = hermitian_eigenvalues(together), 0
-            for matrices, holder in items:
-                holder[0] = solved[start:start + len(matrices)]
-                start += len(matrices)
-        self.waiting.clear()
-        self.waiting_entries = 0
+            holders = [(len(a), holder) for a, holder in items]
+            if split is None:
+                _hand_out(hermitian_eigenvalues(together), holders)
+                continue
+            slots = [_solved_or_waiting(piece, by_size) for piece in _split(together, _split_recipe(*split))]
+            keys.append((holders, slots))
+        while by_size:
+            _, group = by_size.popitem()
+            together = group[0][0] if len(group) == 1 else np.concatenate([a for a, _ in group])
+            group = [(len(a), slot) for a, slot in group]
+            _hand_out(hermitian_eigenvalues(together), group)
+        for holders, slots in keys:
+            _hand_out(slots[0][0] if len(slots) == 1 else np.concatenate([slot[0] for slot in slots], axis=1), holders)
         for stack in self.queued:
             masks = np.fromiter(stack.spectra, dtype=np.intp, count=len(stack.spectra))
             bits = np.empty((len(stack.tables), masks.size))
@@ -563,6 +590,14 @@ class _Walk:
                     to, source = stack.copies
                     table[to] = table[source]
         self.queued.clear()
+
+
+def _hand_out(solved: np.ndarray, holders: list[tuple[int, list]]) -> None:
+    """Give each (count, holder) of `holders` its next `count` rows of `solved`."""
+    start = 0
+    for count, holder in holders:
+        holder[0] = solved[start:start + count]
+        start += count
 
 
 def _reduced(data: np.ndarray, m: int, q: int, charged: bool) -> np.ndarray:
@@ -587,6 +622,149 @@ def _block_order(m: int) -> tuple[int, ...]:
     """The blocks of an m-qubit state larger than 1 x 1, in spectrum order:
     1, m - 1, 2, m - 2, ..."""
     return tuple(k for j in range(1, m // 2 + 1) for k in dict.fromkeys((j, m - j)))
+
+
+@functools.lru_cache(maxsize=None)
+def _ring_reflections(n: int, mask: int) -> tuple[tuple[int, ...], ...]:
+    """The leg permutations of the node of `mask` (its qubits in ascending
+    order are legs 0..m-1) made by the reflections q -> (j - q) mod n of the
+    n-qubit ring that map its qubits onto themselves, without repeats and
+    without the identity.  Each is an involution."""
+    qubits = subset_qubits(mask)
+    leg = {q: i for i, q in enumerate(qubits)}
+    perms = (tuple(leg.get((j - q) % n, -1) for q in qubits) for j in range(n))
+    return tuple(dict.fromkeys(p for p in perms if -1 not in p and p != tuple(range(len(qubits)))))
+
+
+@functools.lru_cache(maxsize=None)
+def _sector_image(m: int, k: int, perm: tuple[int, ...]) -> np.ndarray:
+    """The position in sector k of the image of each of its basis states
+    under the leg permutation `perm` (an involution) of m qubits."""
+    lay = block_layout(m)
+    image = np.arange(1 << m).reshape((2,) * m).transpose(perm).reshape(-1)
+    out = lay.position[image[lay.sectors[k]]]
+    out.flags.writeable = False
+    return out
+
+
+# Blocks narrower than this take no reflection: below it the gathers of the
+# pieces cost more than the eigensolve work they save (in process, on
+# single damped N = 8..10 rings).
+REFLECTED_WIDTH = 16
+
+
+@functools.lru_cache(maxsize=None)
+def _block_split(m: int, k: int, reflections: tuple, flip: bool) -> tuple | None:
+    """How block k of an m-qubit node is split before its eigensolve:
+    (m, k, reflection, flip), the key of `_split_recipe`, or None if it is
+    solved whole.
+
+    `flip` (the middle block of a flip-invariant stack: X^m maps its basis
+    state j to c - 1 - j and fixes none) halves the block.  Of the leg
+    permutations `reflections`, the first one whose recipe's pieces cost
+    least, sum of size^3, splits it, or each half, again, if the block is
+    REFLECTED_WIDTH wide or more and that costs less than not."""
+    c = block_layout(m).sizes[k]
+    best, chosen = (_split_cost(_split_recipe.__wrapped__(m, k, None, True)) if flip else c ** 3), None
+    for perm in reflections if c >= REFLECTED_WIDTH else ():
+        cost = _split_cost(_split_recipe.__wrapped__(m, k, perm, flip))  # only the chosen recipe is kept
+        if cost < best:
+            best, chosen = cost, perm
+    return (m, k, chosen, flip) if flip or chosen is not None else None
+
+
+def _split_cost(recipe: tuple) -> int:
+    """The eigensolve work of a recipe's pieces: the sum of their size^3."""
+    return sum(_split_cost(further) if further else rows.size ** 3 for rows, *_, further in recipe)
+
+
+@functools.lru_cache(maxsize=None)
+def _split_recipe(m: int, k: int, reflection: tuple[int, ...] | None, flip: bool) -> tuple:
+    """The pieces of block k of an m-qubit node under the split of
+    `_block_split`: the flip's halves, each split again by `reflection` when
+    there is one, or `reflection`'s pieces.  Each is (rows, twins, signs,
+    weights, its own pieces) as `_involution_pieces` gives it: index arrays
+    of the piece's width, so every recipe is kept.
+
+    A reflection P commutes with X^m, so it maps the flip's half of sign e,
+    spanned by (e_j + e e_{c-1-j})/sqrt(2), j < c/2, onto itself as a
+    signed permutation: to +the vector of P(j) when P(j) < c/2, else to
+    e times that of c - 1 - P(j)."""
+    c = block_layout(m).sizes[k]
+    if not flip:
+        return tuple(piece + ((),) for _, piece in _involution_pieces(_sector_image(m, k, reflection), np.ones(c)))
+    out = []
+    for e, piece in _involution_pieces(c - 1 - np.arange(c), np.ones(c)):
+        further = ()
+        if reflection is not None:
+            image = _sector_image(m, k, reflection)[piece[0]]
+            inside = image < c // 2
+            halves = _involution_pieces(np.where(inside, image, c - 1 - image), np.where(inside, 1.0, e))
+            further = tuple(half + ((),) for _, half in halves)
+        out.append(piece + (further,))
+    return tuple(out)
+
+
+def _involution_pieces(image: np.ndarray, sign: np.ndarray) -> list[tuple]:
+    """The pieces of a c x c matrix H left unchanged by the signed
+    involution Q: e_j -> sign[j] e_{image[j]}, one per eigenvalue e of Q.
+
+    Piece e is H on the orthonormal basis of Q's e-space: e_j for each
+    fixed j with sign[j] = e, and (e_j + e sign[j] e_{image[j]})/sqrt(2) for
+    each j < image[j].  Its entry (i, l), j and j' the basis states of i and
+    l, is w_i w_l (H[j, j'] + e sign[j'] H[j, image[j']]), with w = 1 for a
+    pair and 1/sqrt(2) for a fixed state.  Each comes as (e, (rows, twins,
+    signs, weights)): the j, their images, e sign[j], and w, or None when
+    it is 1 throughout."""
+    at = np.arange(image.size)
+    out = []
+    for e in (1.0, -1.0):
+        rows = at[(at < image) | ((at == image) & (sign == e))]
+        if rows.size:
+            fixed = image[rows] == rows
+            weights = np.where(fixed, math.sqrt(0.5), 1.0) if fixed.any() else None
+            out.append((e, (rows, image[rows], e * sign[rows], weights)))
+    return out
+
+
+def _split(matrices: np.ndarray, recipe: tuple) -> list[np.ndarray]:
+    """The pieces of `recipe` (`_split_recipe`) of `matrices` (s, c, c),
+    each (s, size, size), whose spectra make each matrix's: each the rows
+    of its basis states, and of those the columns of the states and of their
+    images, summed with the signs and weighted."""
+    out = []
+    for rows, twins, signs, weights, further in recipe:
+        picked = matrices.take(rows, axis=1)
+        piece = picked.take(rows, axis=2)
+        other = picked.take(twins, axis=2)
+        other *= signs
+        piece += other
+        if weights is not None:
+            piece *= weights[:, None]
+            piece *= weights
+        out.extend(_split(piece, further) if further else [piece])
+    return out
+
+
+def _solved_or_waiting(matrices: np.ndarray, waiting: dict) -> list:
+    """A holder of the eigenvalues of each of `matrices` (s, c, c), pieces
+    of a split, filled when the pieces that wait in `waiting` with the
+    others of their size and dtype are solved.  1 x 1 matrices are read
+    off.  When no real or imaginary part of an entry of any of them passes
+    SUPPORT_CUTOFF / (sqrt(2) c) in absolute value, no eigenvalue passes
+    SUPPORT_CUTOFF (|lambda| <= ||M||_F <= c max |M_ij|), so the holder gets
+    zeros, which count for the same in the entropy: a piece that a symmetry
+    leaves empty but for round-off is not diagonalized.  The parts are read
+    by reductions, so no temporary of the matrices' size is made."""
+    c = matrices.shape[-1]
+    if c == 1:
+        return [matrices[:, 0].real]
+    parts = (matrices.real, matrices.imag) if np.iscomplexobj(matrices) else (matrices,)
+    if math.sqrt(2) * c * max(max(p.max(), -p.min()) for p in parts) <= SUPPORT_CUTOFF:
+        return [np.zeros(matrices.shape[:2])]
+    slot = [None]
+    waiting.setdefault((c, matrices.dtype), []).append((matrices, slot))
+    return slot
 
 
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator,

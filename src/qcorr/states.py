@@ -19,8 +19,10 @@ three forms, and forms its 2^n x 2^n `matrix` only when something reads it:
   C(n, k) x C(n, k) block per popcount k, C(2n, n) entries in all, stored
   back to back in one flat array.  Blocks come from two places only: a
   ground-state factor whose columns each lie in one popcount sector gives
-  them as V_k V_k^dagger, and a channel that keeps popcounts apart maps
-  blocks to blocks (`apply_local_superoperators`);
+  them as V_k V_k^dagger (only the sectors that hold a column are formed),
+  and a channel that keeps popcounts apart maps blocks to blocks
+  (`apply_local_superoperators`, one scaling array per qubit, which a
+  channel keeps when it is small);
 * a dense matrix, which is the one-block case: every other matrix passed
   to the public constructor, and so every other mixed state file.
 
@@ -38,7 +40,7 @@ import itertools
 import math
 import os
 import re
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -410,10 +412,10 @@ def _blocks_from_factor(v: np.ndarray, num_qubits: int) -> np.ndarray | None:
     if np.any(nonzero & (label != lowest)):
         return None
     out = np.zeros(lay.offsets[-1], dtype=v.dtype)
-    for k, (idx, block) in enumerate(zip(lay.sectors, sector_views(out, num_qubits))):
-        vk = v[np.ix_(idx, np.flatnonzero(lowest == k))]
-        if vk.shape[1]:
-            block[...] = vk @ vk.conj().T
+    blocks = sector_views(out, num_qubits)
+    for k in np.unique(lowest[lowest <= num_qubits]).tolist():  # the sectors that hold a column
+        vk = v[np.ix_(lay.sectors[k], np.flatnonzero(lowest == k))]
+        blocks[k][...] = vk @ vk.conj().T
     return out
 
 
@@ -430,8 +432,15 @@ def _matrix_from_blocks(blocks: np.ndarray, num_qubits: int) -> np.ndarray:
 _MIXES_POPCOUNT = np.array([[(o >> 1) - (o & 1) != (i >> 1) - (i & 1) for i in range(4)] for o in range(4)])
 
 
-def apply_local_superoperators(rho: DensityOperator,
-                               supers: list[tuple[int, np.ndarray]]) -> DensityOperator:
+def _qubit_scale(s: np.ndarray, num_qubits: int, q: int) -> np.ndarray:
+    """The array by which the 4x4 superoperator S on qubit q scales the
+    flat block array of an n-qubit state: S's diagonal entry for each
+    entry's code (`_qubit_codes`)."""
+    return s.diagonal().take(_qubit_codes(num_qubits, q)[0])
+
+
+def apply_local_superoperators(rho: DensityOperator, supers: list[tuple[int, np.ndarray]],
+                               scales: Callable[[int], np.ndarray | None] | None = None) -> DensityOperator:
     """`rho` after each (qubit, 4x4 superoperator S) of `supers` in turn, S
     acting on its qubit's row and column legs (see `linalg.superoperator`).
 
@@ -444,23 +453,36 @@ def apply_local_superoperators(rho: DensityOperator,
     E_k^* maps Hermitian matrices to Hermitian ones, and the channels and
     unitaries that call this keep the trace, so the output is not checked
     again.
+
+    The scaling multiplies the block array by `_qubit_scale` of each (q, S).
+    `scales(q)`, when given, returns that array for qubit q, made earlier
+    (a channel keeps its own, since it applies one S to every qubit), or
+    None; an array not given is gathered a piece at a time.
     """
     n = rho.num_qubits
     blocks = rho.blocks
-    if blocks is None or any(s[_MIXES_POPCOUNT].any() for _, s in supers):
+    distinct = {id(s): s for _, s in supers}.values()
+    if blocks is None or any(s[_MIXES_POPCOUNT].any() for s in distinct):
         return DensityOperator._trusted(n, matrix=apply_superoperators(rho.matrix, n, supers))
-    out = blocks.astype(np.result_type(blocks, *(s for _, s in supers)))
+    out = blocks.astype(np.result_type(blocks, *distinct))
     for q, s in supers:
-        (code,) = _qubit_codes(n, q)
-        # The entries of blocks 0..n-1 with r = c = 0 and, in the same order,
-        # those of the next block with r = c = 1: the pairs a trace sums.
-        low, high = trace_entries(n, q)
-        # Either feed is read before the scaling below changes its source.
-        down = out.take(high) if s[0, 3] else None
-        up = out.take(low) if s[3, 0] else None
-        diagonal = s.diagonal().copy()  # contiguous: gathers from it are faster
-        for start in range(0, out.size, BLOCK_ENTRIES):
-            out[start:start + BLOCK_ENTRIES] *= diagonal.take(code[start:start + BLOCK_ENTRIES])
+        down = up = None
+        if s[0, 3] or s[3, 0]:
+            # The entries of blocks 0..n-1 with r = c = 0 and, in the same
+            # order, those of the next block with r = c = 1: the pairs a
+            # trace sums.  Either feed is read before the scaling below
+            # changes its source.
+            low, high = trace_entries(n, q)
+            down = out.take(high) if s[0, 3] else None
+            up = out.take(low) if s[3, 0] else None
+        scale = None if scales is None else scales(q)
+        if scale is not None:
+            out *= scale
+        else:
+            (code,) = _qubit_codes(n, q)
+            diagonal = s.diagonal().copy()  # contiguous: gathers from it are faster
+            for start in range(0, out.size, BLOCK_ENTRIES):
+                out[start:start + BLOCK_ENTRIES] *= diagonal.take(code[start:start + BLOCK_ENTRIES])
         if down is not None:
             down *= s[0, 3]
             out[low] += down

@@ -188,29 +188,29 @@ def sweep_rows(config: SweepConfig) -> tuple[list[str], list[tuple[float, ...]]]
 def noise_sweep_rows(config: SweepConfig) -> tuple[list[str], list[tuple[float, ...]], list[str]]:
     """(param, p, ccm) rows plus one peak-prominence summary line per p.
 
-    The whole grid is evaluated by one `ccm_many` call over a generator, so
-    the damped states of every row share stacks, and none is held once it
-    has been reduced.
+    The whole grid is evaluated by one `ccm_many` call over a generator,
+    column by column: each channel damps every ground state in turn, so
+    only one channel, with the per-qubit scaling arrays it keeps, is alive
+    at a time.  The damped states of a column share stacks, and none is
+    held once it has been reduced.
     """
     if config.noise is None:
         raise OutOfRange("noise sweep requires a damping grid")
     grid = _grid_for(config, config.param)
     p_values = [float(p) for p in config.noise.values()]
     make_channel = CHANNEL_PROFILES[config.channel]
-    channels = {p: make_channel(p) for p in p_values}
     everything = full_mask(config.spins)
+    grounds = [_state_at(config, (float(x),)) for x in grid]
 
     def damped():
-        # One pass over the grid, state by state: the damped states of every
-        # row are walked in shared stacks, and p = 0 (the state itself)
-        # keeps its factor.
-        for x in grid:
-            state = _state_at(config, (float(x),))
-            for p in p_values:
-                yield apply_channel_local(state, channels[p], everything)
+        # p = 0 (the state itself) keeps its factor.
+        for p in p_values:
+            channel = make_channel(p)
+            for state in grounds:
+                yield apply_channel_local(state, channel, everything)
 
     values = [report.value for report in ccm_many(damped(), config.unit)]
-    per_delta = [values[i:i + len(p_values)] for i in range(0, len(values), len(p_values))]
+    per_delta = [values[i::len(grid)] for i in range(len(grid))]
     rows = []
     for x, values in zip(grid, per_delta):
         for p, v in zip(p_values, values):

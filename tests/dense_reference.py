@@ -5,13 +5,21 @@ The library takes a Hamiltonian as `HamiltonianTerms` only, and a state has
 popcount blocks only when they come from a sector-aligned factor or from a
 channel that keeps popcounts apart.  These helpers build dense chain
 Hamiltonians from `chain_terms`, terms from any dense matrix, and the block
-or one-block state of a dense density matrix, asserting the form they make.
+or one-block state of a dense density matrix, asserting the form they make;
+and the pieces that a popcount block of a reduced ring state splits into
+under the spin flip and the ring reflections that fix its qubits, from
+projectors onto their joint eigenspaces.
 """
+
+import itertools
+import math
+from collections import Counter
 
 import numpy as np
 
 from qcorr import DensityOperator, HamiltonianTerms, chain_terms, ising_ring, xxz_ring
-from qcorr.states import block_layout
+from qcorr.entropy import REFLECTED_WIDTH, orbit_representatives, qubit_symmetry
+from qcorr.states import SUPPORT_CUTOFF, block_layout, partial_trace
 
 # --- Hamiltonians -------------------------------------------------------------
 
@@ -85,3 +93,118 @@ def block_state(matrix, *, check_psd=False):
     state.factor, state.spectrum = checked.factor, checked.spectrum
     assert state.blocks is not None
     return state
+
+
+# --- symmetry pieces of a reduced state's popcount blocks ----------------------
+
+
+def ring_reflections(n, mask):
+    """The reflections q -> (j - q) mod n of the n-qubit ring that map the
+    qubits of `mask` onto themselves and move one of them, each as the
+    permutation it makes of the basis states of those qubits (the lowest
+    qubit is the most significant bit), without repeats."""
+    qubits = [q for q in range(n) if (mask >> q) & 1]
+    m = len(qubits)
+    found = []
+    for j in range(n):
+        image = [(j - q) % n for q in qubits]
+        if sorted(image) != qubits or image == qubits:
+            continue
+        where = [qubits.index(p) for p in image]  # qubit i's bit goes to qubit where[i]
+        perm = [sum(((b >> (m - 1 - i)) & 1) << (m - 1 - where[i]) for i in range(m)) for b in range(1 << m)]
+        if perm not in found:
+            found.append(perm)
+    return [np.array(p) for p in found]
+
+
+def flip_permutation(m):
+    """X on every one of m qubits, as a basis permutation."""
+    return (1 << m) - 1 - np.arange(1 << m)
+
+
+def symmetry_pieces(block, idx, involutions):
+    """`block`, the matrix over the basis states `idx`, on each joint
+    eigenspace of the commuting basis permutations `involutions` (each
+    mapping `idx` onto itself): U^dagger block U for an orthonormal basis U
+    of the range of each projector (1/|G|) sum_g chi(g) g of the group G they
+    generate, one per sign pattern chi of the generators."""
+    place = {int(b): i for i, b in enumerate(idx)}
+    mats = []
+    for perm in involutions:
+        g = np.zeros((idx.size, idx.size))
+        for i, b in enumerate(idx):
+            g[place[int(perm[b])], i] = 1.0
+        mats.append(g)
+    pieces = []
+    for signs in itertools.product((1.0, -1.0), repeat=len(mats)):
+        projector = np.eye(idx.size)
+        for s, g in zip(signs, mats):
+            projector = projector @ (np.eye(idx.size) + s * g) / 2
+        vals, vecs = np.linalg.eigh(projector)
+        u = vecs[:, vals > 0.5]
+        if u.shape[1]:
+            pieces.append(u.T @ block @ u)
+    return pieces
+
+
+def split_block(block, idx, m, reflections, flip):
+    """The pieces whose spectra make `block`'s (the popcount block of an
+    m-qubit node over its basis states `idx`): with the spin flip when
+    `flip`, and, when the block is at least REFLECTED_WIDTH wide, with the
+    one of `reflections` (`ring_reflections`) whose pieces cost least, sum
+    of size^3, the first one on a tie, if it costs less than none."""
+    base = [flip_permutation(m)] if flip else []
+    best = symmetry_pieces(block, idx, base)
+    for perm in reflections if idx.size >= REFLECTED_WIDTH else []:
+        pieces = symmetry_pieces(block, idx, base + [perm])
+        if sum(p.shape[0] ** 3 for p in pieces) < sum(p.shape[0] ** 3 for p in best):
+            best = pieces
+    return best
+
+
+def dihedral(n):
+    """The generators of D_n that `qubit_symmetry` returns."""
+    return ((*range(1, n), 0), tuple(range(n - 1, -1, -1)))
+
+
+def model_solves(state, flip):
+    """(solved, every, calls): the matrices larger than 1 x 1 that a dense
+    model of the walk diagonalizes in one `ccm` of `state`, a ring state in
+    block form, and all its popcount blocks larger than 1 x 1, as Counters
+    by size, and the stacked eigensolves that takes.  The orbit
+    representatives are those of `qubit_symmetry(state)`, and each one's
+    reduced state comes from the dense partial trace.  A block that is
+    exactly 0.0 is skipped, and so, with `flip`, is block k > m/2 (block
+    m - k's spectrum serves it); any other is split by `split_block`: the
+    flip on the middle block when `flip`, and, when the group holds the
+    ring's reflections (D_n or S_n), the cheapest one that fixes the subset.
+    A block that is not split is solved whole, in one call per size; a
+    piece of a split, in one call per piece size, if it is larger than
+    1 x 1 and the real or imaginary part of one of its entries passes
+    SUPPORT_CUTOFF / (sqrt(2) size), so that it may have an eigenvalue
+    above SUPPORT_CUTOFF."""
+    n = state.num_qubits
+    generators = qubit_symmetry(state)
+    whole, pieces, every = Counter(), Counter(), Counter()
+    for mask in set(orbit_representatives(n, generators).tolist()) - {0}:
+        reduced = partial_trace(state, mask).matrix
+        m = bin(mask).count("1")
+        ring = len(generators) == 2 and generators[0] == dihedral(n)[0]  # D_n or S_n
+        reflections = ring_reflections(n, mask) if ring else []
+        for k, idx in enumerate(block_layout(m).sectors):
+            c = idx.size
+            if c == 1:
+                continue
+            every[c] += 1
+            block = reduced[np.ix_(idx, idx)]
+            if not block.any() or (flip and 2 * k > m):
+                continue
+            split = split_block(block, idx, m, reflections, flip and 2 * k == m)
+            if len(split) == 1:
+                whole[c] += 1
+                continue
+            for piece in split:
+                parts = np.concatenate([piece.real, piece.imag])
+                if piece.shape[0] > 1 and math.sqrt(2) * piece.shape[0] * np.abs(parts).max() > SUPPORT_CUTOFF:
+                    pieces[piece.shape[0]] += 1
+    return whole + pieces, every, len(whole) + len(pieces)

@@ -172,6 +172,26 @@ def test_block_channels_match_the_dense_kernel_bit_for_bit(n, delta, p, kind, qu
     assert np.array_equal(out.matrix, want)
 
 
+@pytest.mark.parametrize("n", [8, 9, 10])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_one_channel_on_several_states_matches_the_dense_kernel_bit_for_bit(n, kind):
+    # The channel keeps its per-qubit scaling arrays while they fit the
+    # budget (C(2n, n) entries: N = 8 and 9) and reuses them on the next
+    # state; at N = 10 they pass it and are gathered afresh on every call.
+    channel = KINDS[kind](0.35)
+    s = superoperator(channel.operators)
+    ground = ground_state(chain_terms(xxz_ring(n, -0.7)))
+    for state in (ground, damped_ring(n, 0.4, "amplitude", 0.3), damped_ring(n, 1.5, "phase", 0.6)):
+        want = apply_superoperators(state.matrix, n, [(q, s) for q in range(n)])
+        out = apply_channel_local(state, channel, full_mask(n))
+        assert out.blocks is not None
+        assert out.matrix.dtype == want.dtype and np.array_equal(out.matrix, want)
+    kept = channel._scales
+    assert all(a.size <= qcorr.states.BLOCK_ENTRIES for a in kept.values())
+    fits = math.comb(2 * n, n) <= qcorr.states.BLOCK_ENTRIES
+    assert fits == (n < 10) and sorted(kept) == ([(n, q) for q in range(n)] if fits else [])
+
+
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_a_channel_that_mixes_popcounts_takes_the_dense_kernel(n):
     state = damped_ring(n, 0.5, "amplitude", 0.3)

@@ -35,12 +35,11 @@ from qcorr import (
     write_qs1,
     xxz_ring,
 )
-from qcorr.entropy import orbit_representatives, qubit_symmetry, subset_entropies
+from qcorr.entropy import qubit_symmetry, subset_entropies
 from qcorr.errors import ParseError
 from qcorr.sampling import random_density
-from qcorr.states import block_layout
 
-from dense_reference import block_state, holds_popcount, one_block
+from dense_reference import block_state, dihedral, holds_popcount, model_solves, one_block
 
 TABLE_TOL = 1e-12
 CCM_TOL = 1e-10
@@ -173,32 +172,38 @@ def test_subnormal_entry_takes_the_unsplit_path(eigvalsh_sizes):
 
 @pytest.mark.parametrize("n, sector", [(8, 70), (10, 252)])
 def test_largest_eigensolve_is_the_half_filled_sector(eigvalsh_sizes, without_charge, monkeypatch, n, sector):
-    # The spin flip splits the half-filled sector into two halves; without
-    # it the sector is solved whole, and without blocks the whole matrix.
+    # The spin flip and the ring reflections split every block; the
+    # largest piece is the dense model's.  Without the reflections the flip
+    # halves the half-filled sector, the largest block; without either it is
+    # solved whole, and without blocks the whole matrix is.
     state = damped_ring(n, -0.7, "phase", 0.4)
-    assert sector == math.comb(n, n // 2)
-    eigvalsh_sizes.clear()
-    ccm(state)
-    assert max(eigvalsh_sizes) == sector // 2
+    assert sector == math.comb(n, n // 2) and qubit_symmetry(state) == dihedral(n)
+
+    def largest():
+        eigvalsh_sizes.clear()
+        ccm(state)
+        return max(eigvalsh_sizes)
+
+    split, reflected = max(model_solves(state, True)[0]), max(model_solves(state, False)[0])
+    assert split < reflected < sector and split < sector // 2
+    assert largest() == split
+    with monkeypatch.context() as mp:
+        mp.setattr(qcorr.entropy, "_ring_reflections", lambda n, mask: ())
+        assert largest() == sector // 2
+        mp.setattr(qcorr.entropy, "_flips_by_at_most_cutoff", lambda state: False)
+        assert largest() == sector
     monkeypatch.setattr(qcorr.entropy, "_flips_by_at_most_cutoff", lambda state: False)
-    eigvalsh_sizes.clear()
-    ccm(state)
-    assert max(eigvalsh_sizes) == sector
+    assert largest() == reflected
     without_charge()
-    eigvalsh_sizes.clear()
-    ccm(state)
-    assert max(eigvalsh_sizes) == 1 << n
+    assert largest() == 1 << n
 
 
 def block_eigensolves(monkeypatch, channel):
     """(stacked calls, matrices diagonalized, share of sum c^3 saved) for one
     `ccm` of the damped N = 8 ring, whose 29 orbit representatives under D_8
-    (test_symmetry.py) have 91 blocks larger than 1 x 1.  Each such block
-    is diagonalized once if any entry is nonzero and never if it is exactly
-    0.0, in one stacked call per (subset size, matrix size).  A state that
-    the spin flip leaves unchanged has block m - k take block k's spectrum,
-    and its middle block solved as its two halves T +- F, each if nonzero
-    (halves of 1 x 1 are read off)."""
+    (test_symmetry.py) have 91 blocks larger than 1 x 1.  The walk must
+    diagonalize exactly the matrices of `model_solves`, in its number of
+    stacked calls, and never a matrix that is 0.0."""
     stacks = []
     solve = qcorr.entropy.hermitian_eigenvalues
 
@@ -208,30 +213,13 @@ def block_eigensolves(monkeypatch, channel):
 
     n = 8
     state = damped_ring(n, -0.4, channel, 0.4)
-    dihedral = ((*range(1, n), 0), tuple(range(n - 1, -1, -1)))
-    assert qubit_symmetry(state) == dihedral
-    flip = qcorr.entropy._flips_by_at_most_cutoff(state)
+    assert qubit_symmetry(state) == dihedral(n)
+    solved, every, calls = model_solves(state, qcorr.entropy._flips_by_at_most_cutoff(state))
     monkeypatch.setattr(qcorr.entropy, "hermitian_eigenvalues", record)
     ccm(state)
-    solved, every = Counter(), Counter()
-    for mask in set(orbit_representatives(n, dihedral).tolist()) - {0}:
-        reduced = qcorr.states.partial_trace(state, mask).matrix
-        m = bin(mask).count("1")
-        for k, idx in enumerate(block_layout(m).sectors):
-            c = idx.size
-            if c == 1:
-                continue
-            every[c] += 1
-            block = reduced[np.ix_(idx, idx)]
-            if not block.any() or (flip and 2 * k > m):
-                continue
-            if flip and 2 * k == m:
-                t, f = block[:c // 2, :c // 2], block[:c // 2, c // 2:][:, ::-1]
-                solved.update(c // 2 for half in (t + f, t - f) if c > 2 and half.any())
-            else:
-                solved[c] += 1
     assert all(m.ndim == 3 and m.any(axis=(1, 2)).all() for m in stacks)  # no zero matrix
     assert solved == Counter(c for m in stacks for c in [m.shape[-1]] * m.shape[0])
+    assert len(stacks) == calls
     assert sum(every.values()) == 91
     cubes = sum(k * c ** 3 for c, k in solved.items()) / sum(k * c ** 3 for c, k in every.items())
     return len(stacks), sum(solved.values()), 1 - cubes
@@ -239,15 +227,16 @@ def block_eigensolves(monkeypatch, channel):
 
 def test_eigensolve_calls_of_the_damped_ring(monkeypatch):
     # Phase damping keeps the ground state's popcount-4 sector alone, and
-    # the spin flip: of the 73 nonzero blocks, 54 matrices are solved.
+    # the spin flip: of the 73 nonzero blocks, 65 matrices are solved.
     calls, solved, saved = block_eigensolves(monkeypatch, "phase")
-    assert (calls, solved) == (9, 54) and saved == pytest.approx(0.83, abs=0.01)
+    assert (calls, solved) == (11, 65) and saved == pytest.approx(0.94, abs=0.01)
 
 
 def test_eigensolve_calls_of_the_amplitude_damped_ring(monkeypatch):
-    # Amplitude damping also feeds blocks 0..3; blocks 5..8 stay 0.0.
+    # Amplitude damping also feeds blocks 0..3; blocks 5..8 stay 0.0, and
+    # the flip is broken.
     calls, solved, saved = block_eigensolves(monkeypatch, "amplitude")
-    assert (calls, solved) == (16, 82) and saved == pytest.approx(0.22, abs=0.01)
+    assert (calls, solved) == (17, 90) and saved == pytest.approx(0.81, abs=0.01)
 
 
 # --- intake --------------------------------------------------------------------

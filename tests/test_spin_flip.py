@@ -1,13 +1,16 @@
-"""The spin flip X^n in the popcount-block walk.
+"""The spin flip X^n and the ring reflections in the popcount-block walk.
 
 A state in block form that the global spin flip leaves unchanged (within
 the budget of the qubit generators) has block m - k of every reduced state
 take block k's spectrum, and its middle block solved as two halves T +- F.
-Forcing the flip test to fail gives the unsplit walk: its tables must agree
-with the split ones within the Fannes-Audenaert bound of the budget, and its
-trees must be the same.  A channel applied to every qubit passes the input's
-qubit generators to its output, but the flip is tested on each output:
-amplitude damping breaks it.
+A ring state whose qubit group is D_n has each block of a subset split
+again by a reflection that maps the subset onto itself.  Forcing the flip
+test to fail and finding no reflection gives the unsplit walk: its tables
+must agree with the split ones within the Fannes-Audenaert bound of the
+budget, and its trees must be the same.  A coherence that breaks either
+symmetry by more than the budget sends the walk down the unsplit path.  A
+channel applied to every qubit passes the input's qubit generators to its
+output, but the flip is tested on each output: amplitude damping breaks it.
 """
 
 import math
@@ -33,7 +36,7 @@ from qcorr import (
 from qcorr.entropy import _flips_by_at_most_cutoff, _tested_symmetry, qubit_symmetry, subset_entropies
 from qcorr.states import SUPPORT_CUTOFF, block_layout
 
-from dense_reference import one_block
+from dense_reference import dihedral, model_solves, one_block
 
 TABLE_TOL = 1e-12
 NOISE_DELTAS = np.linspace(-1.5, 0.5, 7)  # the grid of tests/data/noise/xxz_n8_*.csv
@@ -51,11 +54,12 @@ def tree_shape(node):
     return (node.subset, node.mask_a, tree_shape(node.left), tree_shape(node.right))
 
 
-def damped(rings, p, phase=None):
-    """Phase-damped ground state of the rings side by side; with `phase`, one
-    phase gate on every qubit makes its blocks complex and keeps their values."""
+def damped(rings, p, phase=None, channel=phase_damping_channel):
+    """Ground state of the rings side by side under `channel` on every
+    qubit; with `phase`, one phase gate on every qubit makes its blocks
+    complex and keeps their values."""
     n = sum(ring.num_spins for ring in rings)
-    state = apply_channel_local(ground_state(chain_terms(*rings)), phase_damping_channel(p), full_mask(n))
+    state = apply_channel_local(ground_state(chain_terms(*rings)), channel(p), full_mask(n))
     if phase is not None:
         state = apply_local_unitary(state, [np.diag([1.0, np.exp(1j * phase)])] * n)
     return state
@@ -63,12 +67,14 @@ def damped(rings, p, phase=None):
 
 def unsplit(monkeypatch):
     monkeypatch.setattr(qcorr.entropy, "_flips_by_at_most_cutoff", lambda state: False)
+    monkeypatch.setattr(qcorr.entropy, "_ring_reflections", lambda n, mask: ())
 
 
 def assert_split_agrees(state, monkeypatch):
     """The split walk against the unsplit one: tables within the bound of a
-    flip that moves the state by SUPPORT_CUTOFF in trace norm, equal trees."""
-    assert state.factor is None and _flips_by_at_most_cutoff(state)
+    symmetry that moves the state by SUPPORT_CUTOFF in trace norm, equal
+    trees."""
+    assert state.factor is None and state.blocks is not None
     table, report = subset_entropies(state), ccm(state)
     with monkeypatch.context() as mp:
         unsplit(mp)
@@ -99,6 +105,30 @@ def flip_invariant_rings(draw):
 @example(state=damped((xxz_ring(5, 0.3), xxz_ring(5, -1.2)), 0.6, 2.0))
 @settings(deadline=None, max_examples=25)
 def test_split_walk_agrees_with_the_unsplit_walk(state):
+    assert _flips_by_at_most_cutoff(state)
+    with pytest.MonkeyPatch.context() as mp:
+        assert_split_agrees(state, mp)
+
+
+@st.composite
+def damped_rings(draw):
+    """Phase- and amplitude-damped XXZ rings, N = 3..10, with real or
+    complex blocks: their qubit group is D_N, and the flip holds under
+    phase damping only."""
+    n, delta, p = draw(st.integers(3, 10)), draw(st.floats(-2.0, 2.0)), draw(st.floats(0.05, 0.95))
+    channel = draw(st.sampled_from([phase_damping_channel, amplitude_damping_channel]))
+    phase = draw(st.none() | st.floats(0.1, 6.0))
+    return damped((xxz_ring(n, delta),), p, phase, channel)
+
+
+@given(state=damped_rings())
+@example(state=damped((xxz_ring(10, -0.7),), 0.4, None, amplitude_damping_channel))
+@example(state=damped((xxz_ring(9, 0.3),), 0.6, 2.0, amplitude_damping_channel))
+@example(state=damped((xxz_ring(3, -1.2),), 0.3))
+@settings(deadline=None, max_examples=25)
+def test_reflection_split_agrees_with_the_unsplit_walk(state):
+    generators = qubit_symmetry(state)  # D_N, or S_N = D_3 at N = 3: either holds the reflections
+    assert len(generators) == 2 and generators[0] == dihedral(state.num_qubits)[0]
     with pytest.MonkeyPatch.context() as mp:
         assert_split_agrees(state, mp)
 
@@ -122,6 +152,7 @@ def random_flip_invariant_blocks(n, seed):
 def test_complex_random_blocks(n, monkeypatch):
     state = random_flip_invariant_blocks(n, n)
     assert np.abs(state.blocks.imag).max() > 0.1 * np.abs(state.blocks).max()
+    assert _flips_by_at_most_cutoff(state)  # no qubit symmetry: the flip is the only split
     assert_split_agrees(state, monkeypatch)
     table, dense = subset_entropies(state), subset_entropies(one_block(state.matrix))
     assert max(abs(a - b) for a, b in zip(table, dense)) <= TABLE_TOL
@@ -160,10 +191,47 @@ def test_flip_breaking_perturbation_takes_the_unsplit_path(eigvalsh_sizes, monke
     above = with_coherence(state, 2.0 * SUPPORT_CUTOFF / unit)
     below = with_coherence(state, 0.5 * SUPPORT_CUTOFF / unit)
     assert not _flips_by_at_most_cutoff(above) and _flips_by_at_most_cutoff(below)
-    for perturbed, largest in ((above, math.comb(n, n // 2)), (below, math.comb(n, n // 2) // 2)):
+    # The reflections split the blocks either way; the dense model gives
+    # the largest piece with and without the flip.
+    for perturbed, flip in ((above, False), (below, True)):
         eigvalsh_sizes.clear()
         ccm(perturbed)
-        assert max(eigvalsh_sizes) == largest
+        assert max(eigvalsh_sizes) == max(model_solves(perturbed, flip)[0])
+    assert max(model_solves(below, True)[0]) < max(model_solves(above, False)[0]) < math.comb(n, n // 2)
+    assert_split_agrees(below, monkeypatch)
+
+
+def with_twist(state, eps):
+    """`state` with i eps (C - C^T) added to its popcount-1 block, C the
+    cyclic shift of the one up spin, and the flip of that to block n - 1:
+    the shift and the spin flip still leave it unchanged, while each ring
+    reflection, which maps C to C^T, moves it by sqrt(d) ||D||_F =
+    eps sqrt(d) 4 sqrt(n).  The qubit group is tested afresh."""
+    n, lay = state.num_qubits, block_layout(state.num_qubits)
+    twist = 1j * eps * (np.roll(np.eye(n), 1, axis=1) - np.roll(np.eye(n), -1, axis=1))
+    blocks = state.blocks.astype(complex)
+    blocks[lay.offsets[1]:lay.offsets[2]] += twist.reshape(-1)
+    blocks[lay.offsets[n - 1]:lay.offsets[n]] += twist[::-1, ::-1].reshape(-1)
+    return DensityOperator._trusted(n, blocks=blocks)
+
+
+def test_reflection_breaking_perturbation_takes_the_unsplit_path(eigvalsh_sizes, monkeypatch):
+    n = 8
+    state = damped((xxz_ring(n, -0.7),), 0.4)
+    unit = 4 * math.sqrt((1 << n) * n)  # sqrt(d) ||D||_F of a reflection at eps = 1
+    above = with_twist(state, 2.0 * SUPPORT_CUTOFF / unit)
+    below = with_twist(state, 0.5 * SUPPORT_CUTOFF / unit)
+    shift = dihedral(n)[0]
+    assert qubit_symmetry(above) == (shift,) and qubit_symmetry(below) == dihedral(n)
+    assert _flips_by_at_most_cutoff(above) and _flips_by_at_most_cutoff(below)
+    # Under C_8 no reflection splits a block, so the flip's halves of the
+    # half-filled sector are solved whole; under D_8 they are split again.
+    largest = math.comb(n, n // 2) // 2
+    for perturbed, expected in ((above, largest), (below, max(model_solves(below, True)[0]))):
+        eigvalsh_sizes.clear()
+        ccm(perturbed)
+        assert max(eigvalsh_sizes) == expected
+    assert expected < largest
     assert_split_agrees(below, monkeypatch)
 
 

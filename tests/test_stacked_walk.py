@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcorr.entropy
+import qcorr.sweeps
 from qcorr import (
     KrausChannel,
     amplitude_damping_channel,
@@ -41,6 +42,7 @@ from qcorr import (
 from qcorr.cli import main
 from qcorr.entropy import orbit_representatives, subset_entropies, subset_entropies_many
 from qcorr.sampling import random_density, random_pure_state
+from qcorr.sweeps import ParamRange, SweepConfig, noise_sweep_rows
 
 from dense_reference import block_state, one_block
 
@@ -220,7 +222,9 @@ def test_noise_sweep_walks_the_grid_once(monkeypatch, tmp_path):
 
 
 def damped_grid(n, channel, deltas, ps):
-    """The states of a noise sweep's grid, row by row, as `noise_sweep_rows` makes them."""
+    """The states of a noise sweep's grid, row by row: a fresh channel for
+    each state, where `noise_sweep_rows` goes column by column with one
+    channel per column (`test_noise_sweep_holds_one_column_and_one_channel`)."""
     for delta in deltas:
         ground = ground_state(chain_terms(xxz_ring(n, delta)))
         for p in ps:
@@ -245,6 +249,34 @@ def test_generator_holds_at_most_one_row(channel):
     assert max(counts) <= len(ps) - 1  # the damped states of one row
     want = ccm_many(list(damped_grid(6, channel, deltas, ps)))
     assert [r.to_dict() for r in reports] == [r.to_dict() for r in want]  # bit for bit
+
+
+@pytest.mark.parametrize("channel", ["paper", "standard"])
+def test_noise_sweep_holds_one_column_and_one_channel(channel, monkeypatch):
+    # `noise_sweep_rows` holds every ground state (a factor) and damps them
+    # column by column, so at most the damped states of one column and one
+    # channel, with the scaling arrays it keeps, are alive at a time.
+    deltas, ps = ParamRange(-1.5, 1.5, 4), ParamRange(0.0, 0.8, 5)
+    alive, channels, counts, kept = weakref.WeakSet(), {}, [], []  # channels: id -> weak reference
+    damp = qcorr.sweeps.apply_channel_local
+
+    def watched_damp(state, channel, qubits):
+        assert state.factor is not None  # a ground state
+        channels[id(channel)] = weakref.ref(channel)
+        counts.append((len(alive), sum(ref() is not None for ref in channels.values())))
+        out = damp(state, channel, qubits)
+        kept.append(len(channel._scales))
+        if out.factor is None:
+            alive.add(out)
+        return out
+
+    monkeypatch.setattr(qcorr.sweeps, "apply_channel_local", watched_damp)
+    config = SweepConfig(model="xxz", spins=6, param=deltas, noise=ps, channel=channel)
+    _, rows, _ = noise_sweep_rows(config)
+    assert len(counts) == len(rows) == 4 * 5
+    assert max(a for a, _ in counts) <= 4 - 1  # the damped states of one column
+    assert max(c for _, c in counts) == 1
+    assert max(kept) == 6  # one array per qubit, made for a column's first state
 
 
 @pytest.mark.parametrize("channel", ["paper", "standard"])
