@@ -21,7 +21,8 @@ minimizes over, the smallest mask of each orbit only; each other mask on the
 reported tree has its cut searched for again.  With no such permutation every
 mask is its own orbit.  `ccm_many` reads any iterable of states once and
 reduces those of the same register size, symmetry, form and dtype in shared
-stacks (the states of a whole sweep, say); `ccm` is its one-state case.  The
+stacks (the states of a whole sweep, say), and `ccm_of_tables` makes the
+reports from the tables; `ccm` is its one-state case.  The
 scalar loop the DP replaces is kept in the tests as its reference.
 `ccm_naive` is an intentionally independent
 re-implementation by literal recursion (fresh dense reduced matrices at every
@@ -125,11 +126,10 @@ def ccm_many(states: Iterable[DensityOperator],
     `states` may be any iterable, and is read once: the entropy tables of
     all states come from one `subset_entropies_many` call, which reduces
     each state as it arrives and holds none of them after, and walks states
-    of the same register size, symmetry, form and dtype in shared stacks.
-    The dynamic program then runs once for each group of tables that share
-    their orbits (`_values`), and each state's tree is read off its own
-    table.  Every report is the one `ccm` gives the state alone.  A state
-    past MAX_QUBITS_DP raises TooLarge when it arrives, before it is reduced.
+    of the same register size, symmetry, form and dtype in shared stacks;
+    `ccm_of_tables` then makes the reports.  Every report is the one `ccm`
+    gives the state alone.  A state past MAX_QUBITS_DP raises TooLarge when
+    it arrives, before it is reduced.
     """
     def within_cap():
         for rho in states:
@@ -137,7 +137,14 @@ def ccm_many(states: Iterable[DensityOperator],
                 raise TooLarge(f"ccm supports at most {MAX_QUBITS_DP} qubits, got {rho.num_qubits}")
             yield rho
 
-    tables = subset_entropies_many(within_cap())
+    return ccm_of_tables(subset_entropies_many(within_cap()), unit)
+
+
+def ccm_of_tables(tables: list, unit: DistanceUnit = DistanceUnit.NORMALIZED) -> list[CcmReport]:
+    """The report of each entropy table (`subset_entropies_many`'s), in
+    order.  The dynamic program runs once for each group of tables that
+    share their orbits (`_values`), and each state's tree is read off its
+    own table."""
     groups: dict[bytes, list[int]] = {}
     for i, table in enumerate(tables):
         groups.setdefault(_representatives(table).tobytes(), []).append(i)

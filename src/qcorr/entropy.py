@@ -18,17 +18,20 @@ and `orbit_representatives` closes the masks under any generator list).
 
 One walk serves every state, and carries a leading stack axis:
 `subset_entropies_many` reads its states once; factors wait in stacks of
-the same register size, qubit group, rank and dtype, each reduced by one
-transpose and one stacked Gram product per representative subset; any
-other state has its root visited as it arrives, and its children walked
-with those of the states that share register size, qubit group, form,
-dtype and spin flip (`_Walk`).  A state with popcount blocks
-(`DensityOperator.blocks`: damped XXZ and double-XXZ ground states) is
-carried as blocks all the way down, since a partial trace keeps the zeros
-between popcounts; any other state is the one-block case.  A block that is
-0.0 in every stacked state is not diagonalized, and the others, and the
-Gram matrices, wait with the matrices of the same width from every subset.
-When the spin flip X^n leaves the state unchanged
+the same register size, qubit group, rank, dtype, popcount alignment and
+spin flip, each reduced by one transpose and one stacked Gram product per
+representative subset; any other state has its root visited as it
+arrives, and its children walked with those of the states that share
+register size, qubit group, form, dtype and spin flip (`_Walk`).  A state
+with popcount blocks (`DensityOperator.blocks`: damped XXZ and double-XXZ
+ground states) is carried as blocks all the way down, since a partial trace
+keeps the zeros between popcounts; any other state is the one-block case.
+A factor whose every column lies in one popcount sector (XXZ and
+double-XXZ ground states) has each rho_A block diagonal by popcount too,
+and its Gram matrices of A's side, which are rho_A, are taken as their
+popcount blocks (`_Walk.factor_pieces`).  A matrix that is 0.0 is not
+diagonalized, and the others wait with the matrices of the same width from
+every subset.  When the spin flip X^n leaves the state unchanged
 (`_flips_by_at_most_cutoff`), block m - k takes block k's spectrum.  A
 block is split before its eigensolve by the involutions of its basis that
 leave it unchanged (`_block_split`): the flip, on the middle block, and,
@@ -38,7 +41,8 @@ and spin-inversion sectors).  The split runs once per waiting key on the
 whole stack, and the pieces of one size, whatever their key, share one
 stacked `hermitian_eigenvalues` call.  A phase-damped N = 8 ring's largest
 eigensolve is 19 instead of 256, and its 29 subsets take 11 calls; an
-amplitude-damped one's is 38, in 17 calls.
+amplitude-damped one's is 38, in 17 calls.  An XXZ N = 10 ground state's is
+10 instead of 32.
 
 All entropies use log base 2 internally.  Results can be reported either in
 bits or in "normalized" units (bits / 2), the scale on which one Bell pair
@@ -61,8 +65,10 @@ from .states import (
     BLOCK_ENTRIES,
     SUPPORT_CUTOFF,
     DensityOperator,
+    _kept_when_small,
     block_layout,
     check_subset,
+    factor_sectors,
     full_mask,
     partial_trace,
     permuted_entries,
@@ -189,13 +195,12 @@ def _moves_by_at_most_cutoff(state: DensityOperator, perm: tuple[int, ...]) -> b
 
     The permuted diagonal is compared first: ||D||_1 >= sum_i |D_ii|, so a
     state that fails there is rejected in O(2^n).  With a factor V (d x r),
-    D = W W^dagger - V V^dagger for the permuted factor W; if [W V] = Q R,
-    then ||D||_1 is the trace norm of the 2r x 2r matrix R J R^dagger, with
-    J = diag(1, -1) on W's and V's columns, so it is exact and costs
-    O(d r^2).  Any other state is bounded by ||D||_1 <= sqrt(d) ||D||_F,
-    with ||D||_F summed over pieces of BLOCK_ENTRIES entries so that no
-    second full-size array is made: over its popcount blocks, which a qubit
-    permutation maps onto themselves, when it has them, else over rows.
+    D = W W^dagger - V V^dagger for the permuted factor W, whose trace norm
+    `_factors_within_cutoff` takes exactly in O(d r^2).  Any other state is
+    bounded by ||D||_1 <= sqrt(d) ||D||_F, with ||D||_F summed over pieces
+    of BLOCK_ENTRIES entries so that no second full-size array is made: over
+    its popcount blocks, which a qubit permutation maps onto themselves,
+    when it has them, else over rows.
     """
     n = state.num_qubits
     shape = (2,) * n
@@ -210,11 +215,7 @@ def _moves_by_at_most_cutoff(state: DensityOperator, perm: tuple[int, ...]) -> b
     if float(np.abs(diag.reshape(shape).transpose(perm).reshape(-1) - diag).sum()) > SUPPORT_CUTOFF:
         return False
     if v is not None:
-        r = v.shape[1]
-        w = v.reshape(shape + (r,)).transpose((*perm, n)).reshape(v.shape)
-        rr = np.linalg.qr(np.hstack([w, v]), mode="r")
-        small = rr[:, :r] @ rr[:, :r].conj().T - rr[:, r:] @ rr[:, r:].conj().T
-        return float(np.linalg.norm(small, "nuc")) <= SUPPORT_CUTOFF
+        return _factors_within_cutoff(v.reshape(shape + (v.shape[1],)).transpose((*perm, n)).reshape(v.shape), v)
     d = 1 << n
     limit = SUPPORT_CUTOFF ** 2 / d  # on ||D||_F^2
     total = 0.0
@@ -239,22 +240,37 @@ def _moves_by_at_most_cutoff(state: DensityOperator, perm: tuple[int, ...]) -> b
     return True
 
 
+def _factors_within_cutoff(w: np.ndarray, v: np.ndarray) -> bool:
+    """Whether W W^dagger - V V^dagger, for factors W and V (d x r), has
+    trace norm at most SUPPORT_CUTOFF: if [W V] = Q R, it is the trace norm
+    of the 2r x 2r matrix R J R^dagger, with J = diag(1, -1) on W's and V's
+    columns, so the test is exact and costs O(d r^2)."""
+    r = v.shape[1]
+    rr = np.linalg.qr(np.hstack([w, v]), mode="r")
+    small = rr[:, :r] @ rr[:, :r].conj().T - rr[:, r:] @ rr[:, r:].conj().T
+    return float(np.abs(np.linalg.eigvalsh(small)).sum()) <= SUPPORT_CUTOFF
+
+
 def _flips_by_at_most_cutoff(state: DensityOperator) -> bool:
     """Whether the spin flip X^n (every qubit's X) changes `state`, which
-    has popcount blocks, by at most SUPPORT_CUTOFF in trace norm: the test
-    and budget of `_moves_by_at_most_cutoff`.
+    has popcount blocks or a factor, by at most SUPPORT_CUTOFF in trace
+    norm: the test and budget of `_moves_by_at_most_cutoff`.
 
     X^n maps basis index i to d - 1 - i, so popcount k to n - k in reversed
     order: the flipped state's block k is block n - k with its rows and
     columns reversed, and its flat block array is the state's, reversed.
-    The reversed diagonal is compared first; then sqrt(d) ||D||_F, where
-    D = reversed - blocks is odd under reversal, so its first half holds
-    half of ||D||_F^2.
+    The reversed diagonal is compared first; then, for a factor V, the exact
+    trace norm with the flipped factor, V's rows reversed; otherwise
+    sqrt(d) ||D||_F, where D = reversed - blocks is odd under reversal, so
+    its first half holds half of ||D||_F^2.
     """
-    n, blocks = state.num_qubits, state.blocks
-    diag = blocks[block_layout(n).diagonal].real
+    n, v = state.num_qubits, state.factor
+    blocks = state.blocks if v is None else None
+    diag = (np.abs(v) ** 2).sum(axis=1) if v is not None else blocks[block_layout(n).diagonal].real
     if float(np.abs(diag[::-1] - diag).sum()) > SUPPORT_CUTOFF:
         return False
+    if v is not None:
+        return _factors_within_cutoff(v[::-1], v)
     limit = SUPPORT_CUTOFF ** 2 / (2 << n)  # on the first half's share of ||D||_F^2
     flipped, half, total = blocks[::-1], blocks.size // 2, 0.0
     for start in range(0, half, BLOCK_ENTRIES):
@@ -330,7 +346,8 @@ def subset_entropies_many(states: Iterable[DensityOperator]) -> list[SubsetTable
 
     `states` is read once, and each state is reduced as it arrives by
     `_Walk.add`: a factor waits with those of the states before it of the
-    same register size, qubit group, rank and dtype, and any other state has
+    same register size, qubit group, rank, dtype, popcount alignment
+    (`states.factor_sectors`) and spin flip, and any other state has
     its root visited alone and its representative children wait with those
     of the states before it of the same register size, qubit group, form
     (blocks or one block), dtype and spin flip, each to be walked as one
@@ -357,11 +374,14 @@ def _subset_table(table: np.ndarray, rep: np.ndarray) -> SubsetTable:
 
 class _Stack:
     """States walked together, each with the table its entropies go to, and
-    the spectrum pieces of every mask they have reached: one holder per
-    piece, a one-item list filled when its eigensolve is made (a block and
-    its spin-flip twin share one).  A stack of factors keeps them until it
+    the spectrum pieces of every mask they have reached, under a tuple of
+    masks whose matrices are stacked mask by mask: one holder per piece, a
+    one-item list filled when its eigensolve is made (a block and its
+    spin-flip twin share one).  A stack of factors keeps them until it
     is walked, and, when they are one column, the masks that copy the entry
-    of their complement's representative."""
+    of their complement's representative.  `charged` says whether the
+    states' data hold popcounts apart: they have popcount blocks, or each
+    column of their factors lies in one popcount sector (`factor_sectors`)."""
 
     __slots__ = ("charged", "flip", "ring", "rep", "tables", "spectra", "children", "factors", "copies")
 
@@ -369,7 +389,7 @@ class _Stack:
         # ring: n when the qubit group holds the reflections of the n-qubit ring, else 0
         self.charged, self.flip, self.ring, self.rep = charged, flip, ring, rep
         self.tables: list[np.ndarray] = []
-        self.spectra: dict[int, list[list]] = {}
+        self.spectra: dict[tuple[int, ...], list[list]] = {}
         self.children: dict[int, list[np.ndarray]] = {}  # traced qubit -> one (1, entries) array per state
         self.factors: list[np.ndarray] = []  # one (1, 2^n, r) array per state
         self.copies: tuple[np.ndarray, np.ndarray] | None = None  # (masks, the masks they copy)
@@ -384,7 +404,18 @@ class _Walk:
     product give the Gram matrices of V reshaped to 2^|A| x (2^(n-|A|) r),
     the smaller side, whose nonzero spectrum is rho_A's.  A one-column
     factor skips a representative whose complement's representative comes
-    first, and copies that entry once the entropies are written.
+    first, and copies that entry once the entropies are written.  The Gram
+    matrices of representatives of one size and side are stacked, mask by
+    mask, into one stack of at most about BLOCK_ENTRIES entries, which
+    `factor_pieces` hands on as one: whole, or, when every column of V
+    lies in one popcount sector (`states.factor_sectors`, read from the
+    rows, without forming the blocks), split: a Gram matrix of A's side is
+    rho_A itself, block diagonal by popcount, and is gathered into its
+    popcount blocks (`_gram_entries`) to take the spin flip and the
+    reflections as a reduced state's blocks do.  (A Gram matrix of the
+    other side, past |A| = n/2 when r > 1, is block diagonal too, by the
+    label sector(j) - popcount(b) of its columns (b, j), but cutting it so
+    measured no faster on the benchmark's sweep, so it is solved whole.)
 
     Any other state is reduced along a tree.  The parent of a subset is the
     subset plus its lowest missing qubit, and a child's data are its
@@ -403,8 +434,8 @@ class _Walk:
     factor).
 
     Blocks are reduced by two index gathers (`trace_entries`), one block by
-    a reshape and the sum of two slices.  The 1 x 1 blocks are read off; a
-    block that is 0.0 in every state of a stack is not diagonalized (its
+    a reshape and the sum of two slices.  The 1 x 1 blocks are read off; of
+    a stack of matrices, only those that are not 0.0 wait (the others'
     eigenvalues are 0, outside the support).  A stack that is invariant
     under the spin flip X^n (`_flips_by_at_most_cutoff`) stays so under
     every partial trace, and one whose qubit group holds the ring's
@@ -432,11 +463,14 @@ class _Walk:
 
     def add(self, state: DensityOperator, generators: tuple, rep: np.ndarray, table: np.ndarray) -> None:
         n, v = state.num_qubits, state.factor
+        ring = n if len(generators) == 2 and generators[0] == _candidates(n)[0] else 0  # D_n or S_n
         if v is not None:
             alone = v.size > STACK_ENTRIES
-            stack = _Stack(False, False, 0, rep)
+            charged = factor_sectors(v, n) is not None
+            flip = charged and _flips_by_at_most_cutoff(state)
+            stack = _Stack(charged, flip, ring, rep)
             if not alone:
-                stack = self.waiting_stack((n, generators, v.shape[1], v.dtype), v.size, stack)
+                stack = self.waiting_stack((n, generators, v.shape[1], v.dtype, charged, flip), v.size, stack)
             stack.tables.append(table)
             stack.factors.append(v[None])
             if alone:
@@ -445,7 +479,6 @@ class _Walk:
         charged = state.blocks is not None
         data = (state.blocks if charged else state.matrix.reshape(-1))[None]
         flip = charged and _flips_by_at_most_cutoff(state)
-        ring = n if len(generators) == 2 and generators[0] == _candidates(n)[0] else 0  # D_n or S_n
         known = None if state.spectrum is None else state.spectrum[None]
         full = full_mask(n)
         children = [q for q in range(n) if n > 1 and rep[full ^ (1 << q)] == full ^ (1 << q)]
@@ -489,15 +522,41 @@ class _Walk:
     def walk_factors(self, stack: _Stack, n: int) -> None:
         factors = np.concatenate(stack.factors)
         stack.factors = []
+        s, _, r = factors.shape
         masks = _representative_masks(stack.rep)
-        if factors.shape[2] == 1:
+        if r == 1:
             twins = stack.rep[full_mask(n) ^ masks]
             first = twins < masks
             stack.copies = masks[first], twins[first]
             masks = masks[~first]
+        batches: dict[tuple, list[int]] = {}  # masks whose Gram matrices are handled as one stack
         for mask in masks.tolist():
-            stack.spectra[mask] = [self.solve(_grams(factors, mask))]
+            m = mask.bit_count()
+            c = min(1 << m, r << (n - m))  # the Gram matrix's width
+            # A reflection splits only blocks at least REFLECTED_WIDTH wide: below, masks batch alike.
+            wide = stack.charged and c == 1 << m and math.comb(m, m // 2) >= REFLECTED_WIDTH
+            reflections = _ring_reflections(stack.ring, mask) if stack.ring and wide else ()
+            batch = batches.setdefault((m, c, reflections), [])
+            batch.append(mask)
+            if len(batch) * s * c * c >= BLOCK_ENTRIES:
+                self.factor_pieces(stack, factors, batches.pop((m, c, reflections)), reflections)
+        for (*_, reflections), batch in batches.items():
+            self.factor_pieces(stack, factors, batch, reflections)
         self.queued.append(stack)
+
+    def factor_pieces(self, stack: _Stack, factors: np.ndarray, masks: list[int], reflections: tuple) -> None:
+        """The spectrum pieces of the Gram matrices of `masks`, of one size
+        and side, stacked mask by mask: solved whole, or, when they are
+        rho_A of factors whose columns each lie in one popcount sector, as
+        rho_A's popcount blocks (`block_pieces`, with the leg permutations
+        `reflections`)."""
+        grams = np.concatenate([_grams(factors, mask) for mask in masks])
+        m = masks[0].bit_count()
+        if not stack.charged or grams.shape[-1] != 1 << m:
+            stack.spectra[tuple(masks)] = [self.solve(grams)]
+            return
+        data = grams.reshape(len(grams), -1).take(_gram_entries(m)[0], axis=1)
+        stack.spectra[tuple(masks)] = self.block_pieces(data, m, stack.flip, reflections)
 
     def finish(self) -> None:
         self.walk_stacks()
@@ -506,13 +565,13 @@ class _Walk:
     def visit(self, stack: _Stack, data: np.ndarray, mask: int, m: int, low: int,
               known: np.ndarray | None = None, descend: bool = True) -> None:
         if known is not None:
-            stack.spectra[mask] = [[known]]
+            stack.spectra[mask,] = [[known]]
         elif stack.charged:
             reflections = _ring_reflections(stack.ring, mask) if stack.ring else ()
-            stack.spectra[mask] = self.block_pieces(data, m, stack.flip, reflections)
+            stack.spectra[mask,] = self.block_pieces(data, m, stack.flip, reflections)
         else:
             d = 1 << m
-            stack.spectra[mask] = [self.solve(data.reshape(-1, d, d))]
+            stack.spectra[mask,] = [self.solve(data.reshape(-1, d, d))]
         if not descend or m == 1:
             return
         for q in range(low):  # leg q of the data is qubit q: qubits 0..low-1 are all in `mask`
@@ -533,11 +592,21 @@ class _Walk:
                 continue
             c = lay.sizes[k]
             block = data[:, lay.offsets[k]:lay.offsets[k + 1]].reshape(-1, c, c)
-            twin = None
-            if block.any():  # a copy: the waiting matrix does not keep `data` alive
-                twin = self.solve(block.copy(), _block_split(m, k, reflections, flip and 2 * k == m))
+            twin = self.solve_nonzero(block, _block_split(m, k, reflections, flip and 2 * k == m))
+            if twin is not None:
                 pieces.append(twin)
         return pieces
+
+    def solve_nonzero(self, matrices: np.ndarray, split: tuple | None = None) -> list | _Scattered | None:
+        """`solve` of those of `matrices` that are not 0.0 in every entry,
+        copied (so that a waiting matrix does not keep its source alive), as
+        a holder of the eigenvalues of the whole stack; None if every one
+        is 0.0.  (A 0.0 matrix has eigenvalues 0, outside the support.)"""
+        nonzero = matrices.reshape(len(matrices), -1).any(axis=1)
+        count = np.count_nonzero(nonzero)
+        if count == len(nonzero):
+            return self.solve(matrices.copy(), split)
+        return _Scattered(self.solve(matrices[nonzero], split), nonzero) if count else None
 
     def solve(self, matrices: np.ndarray, split: tuple | None = None) -> list:
         """A holder whose item is, or becomes when the waiting matrices are
@@ -579,17 +648,36 @@ class _Walk:
         for holders, slots in keys:
             _hand_out(slots[0][0] if len(slots) == 1 else np.concatenate([slot[0] for slot in slots], axis=1), holders)
         for stack in self.queued:
-            masks = np.fromiter(stack.spectra, dtype=np.intp, count=len(stack.spectra))
-            bits = np.empty((len(stack.tables), masks.size))
-            for j, pieces in enumerate(stack.spectra.values()):
+            masks = np.fromiter((mask for key in stack.spectra for mask in key), dtype=np.intp)
+            bits = np.empty((masks.size, len(stack.tables)))
+            j = 0
+            for key, pieces in stack.spectra.items():
                 vals = pieces[0][0] if len(pieces) == 1 else np.concatenate([p[0] for p in pieces], axis=1)
-                bits[:, j] = _entropy_bits(vals)
-            for table, row in zip(stack.tables, bits):
+                bits[j:j + len(key)] = _entropy_bits(vals).reshape(len(key), -1)
+                j += len(key)
+            for table, row in zip(stack.tables, bits.T):
                 table[masks] = row
                 if stack.copies is not None:
                     to, source = stack.copies
                     table[to] = table[source]
         self.queued.clear()
+
+
+class _Scattered:
+    """A holder of the eigenvalues of a stack of matrices of which only
+    those at `rows` (a boolean mask) are diagonalized, into the holder
+    `solved`; each other one is 0.0, with eigenvalues 0."""
+
+    __slots__ = ("solved", "rows")
+
+    def __init__(self, solved: list, rows: np.ndarray):
+        self.solved, self.rows = solved, rows
+
+    def __getitem__(self, index: int) -> np.ndarray:  # holder[0], as for a one-item list
+        vals = self.solved[index]
+        out = np.zeros((self.rows.size, vals.shape[1]))
+        out[self.rows] = vals
+        return out
 
 
 def _hand_out(solved: np.ndarray, holders: list[tuple[int, list]]) -> None:
@@ -615,6 +703,14 @@ def _reduced(data: np.ndarray, m: int, q: int, charged: bool) -> np.ndarray:
 def _representative_masks(rep: np.ndarray) -> np.ndarray:
     """The nonempty masks that are their orbit's representative, ascending."""
     return np.flatnonzero(rep[1:] == np.arange(1, rep.size)) + 1
+
+
+@_kept_when_small
+def _gram_entries(m: int) -> tuple[np.ndarray]:
+    """(where,): the flat block array (see `states.sector_views`) of a
+    2^m x 2^m matrix that holds popcounts apart is matrix.reshape(-1)[where]."""
+    d = 1 << m
+    return (np.concatenate([(idx[:, None] * d + idx).reshape(-1) for idx in block_layout(m).sectors]),)
 
 
 @functools.lru_cache(maxsize=None)
@@ -750,21 +846,26 @@ def _solved_or_waiting(matrices: np.ndarray, waiting: dict) -> list:
     """A holder of the eigenvalues of each of `matrices` (s, c, c), pieces
     of a split, filled when the pieces that wait in `waiting` with the
     others of their size and dtype are solved.  1 x 1 matrices are read
-    off.  When no real or imaginary part of an entry of any of them passes
-    SUPPORT_CUTOFF / (sqrt(2) c) in absolute value, no eigenvalue passes
-    SUPPORT_CUTOFF (|lambda| <= ||M||_F <= c max |M_ij|), so the holder gets
+    off.  When no real or imaginary part of an entry of a matrix passes
+    SUPPORT_CUTOFF / (sqrt(2) c) in absolute value, none of its eigenvalues
+    passes SUPPORT_CUTOFF (|lambda| <= ||M||_F <= c max |M_ij|), so it gets
     zeros, which count for the same in the entropy: a piece that a symmetry
     leaves empty but for round-off is not diagonalized.  The parts are read
     by reductions, so no temporary of the matrices' size is made."""
     c = matrices.shape[-1]
     if c == 1:
         return [matrices[:, 0].real]
-    parts = (matrices.real, matrices.imag) if np.iscomplexobj(matrices) else (matrices,)
-    if math.sqrt(2) * c * max(max(p.max(), -p.min()) for p in parts) <= SUPPORT_CUTOFF:
+    flat = matrices.reshape(len(matrices), -1)
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
+    largest = functools.reduce(np.maximum, (np.maximum(p.max(axis=1), -p.min(axis=1)) for p in parts))
+    kept = math.sqrt(2) * c * largest > SUPPORT_CUTOFF
+    count = np.count_nonzero(kept)
+    if not count:
         return [np.zeros(matrices.shape[:2])]
     slot = [None]
-    waiting.setdefault((c, matrices.dtype), []).append((matrices, slot))
-    return slot
+    whole = count == len(kept)
+    waiting.setdefault((c, matrices.dtype), []).append((matrices if whole else matrices[kept], slot))
+    return slot if whole else _Scattered(slot, kept)
 
 
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator,
@@ -815,7 +916,13 @@ def multi_information(rho: DensityOperator,
     n = rho.num_qubits
     if n < 2:
         raise OutOfRange("total correlations need at least two qubits")
-    bits = -subset_entropy(rho, full_mask(n))
+    return total_correlations(lambda mask: subset_entropy(rho, mask), n, unit)
+
+
+def total_correlations(entropy, n: int, unit: DistanceUnit = DistanceUnit.NORMALIZED) -> float:
+    """T_V of an n-qubit state from `entropy`, which gives S(rho_A) in bits
+    for a mask A (a `subset_entropies` table's `__getitem__`, say)."""
+    bits = -entropy(full_mask(n))
     for q in range(n):
-        bits += subset_entropy(rho, 1 << q)
+        bits += entropy(1 << q)
     return max(bits, 0.0) * unit.factor

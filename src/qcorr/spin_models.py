@@ -24,17 +24,21 @@ magnetization sectors of an XXZ ring, say).  When the terms are
 invariant under the cyclic shift of the register's qubits and the shift maps
 every component onto itself, each component is split further into momentum
 blocks k = 2 pi m / N, built on the representatives of its shift orbits;
-otherwise the trivial group leaves each component whole.  No 2^N x 2^N
-matrix is formed on the way to a ground state.
+otherwise the trivial group leaves each component whole.  When the terms
+are invariant under the spin flip X^N too, the flip maps each component
+onto a twin (magnetization S^z onto -S^z) with the same spectrum, and only
+one of each twin pair is diagonalized.  No 2^N x 2^N matrix is formed on
+the way to a ground state.
 
 The points of a sweep share their pattern: only the coupling values move.
 So everything that depends on the pattern alone is built once and kept:
 `chain_terms` keeps the bit tables of each ring layout, and the ground-state
-path keeps, for the last pattern it saw, the components, the shift orbits
-and where each term enters its momentum block, with which phase.  Each call
-still forms the values, decides the group, and builds, checks and
-diagonalizes the momentum blocks, in the same order as a first call, so a
-kept structure changes no result, bit for bit.
+path keeps, for the last pattern it saw, the components and their twins,
+the shift orbits and where each term enters its momentum block, with which
+phase.  Each call still forms the values, decides the group and the
+sharing of twins, and builds, checks and diagonalizes the momentum blocks,
+in the same order as a first call, so a kept structure changes no result,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -199,8 +203,10 @@ class _Pattern:
     `parts` holds (basis indices, term indices) of each block of `_blocks`,
     and local[s] is the position of basis index s within its block.  When T
     maps the pattern onto itself, term turn[k] is the one T takes to term
-    k; otherwise `turn` is None.  `momenta` holds the tables of the last
-    group `_spectra` used on this pattern.
+    k; otherwise `turn` is None.  When the spin flip X^N maps the pattern
+    onto itself, it maps block b onto block twin[b]; otherwise `twin` is
+    None.  `momenta` holds the tables of the last group `_spectra` used on
+    this pattern.
     """
 
     dim: int
@@ -209,6 +215,7 @@ class _Pattern:
     parts: list[tuple[np.ndarray, np.ndarray]]
     local: np.ndarray
     turn: np.ndarray | None
+    twin: np.ndarray | None
     momenta: _Momenta | None = None
 
 
@@ -227,7 +234,8 @@ class _Momenta(NamedTuple):
     not depend on the values of the terms (see `_spectra`), read-only.
 
     `group` is the (order, rep, shift, period) of `_translations` they were
-    built for, and `real` says whether the terms were real.  State s is
+    built for, `real` says whether the terms were real, and `shared`
+    whether twin blocks share their spectra (see `_spectra`).  State s is
     T^shift[s] applied to rep[s], the representative (smallest index) of its
     orbit, and period[s] is the orbit's size.  `blocks` holds the basis
     indices of each pattern block and `roots` the order-th roots of unity
@@ -241,12 +249,16 @@ class _Momenta(NamedTuple):
     r = T^{l_r} b, and `ratio` its sqrt(p_a / p_b).  `labels` holds
     (block, m) of every momentum block, block by block, and `stacks` the
     momentum blocks built and diagonalized together, as (size, numbers in
-    `labels`, assembly).  `embeddings` gathers, on first use, each
-    (block, m)'s one-block assembly and embedding (see `_embedded`).
+    `labels`, assembly); when `shared`, only those of the block of each
+    twin pair with the smaller number are built, and `twins` holds (number
+    of the built block, number of its twin) in `labels`.  `embeddings`
+    gathers, on first use, each (block, m)'s one-block assembly and
+    embedding (see `_embedded`).
     """
 
     group: tuple[int, np.ndarray, np.ndarray, np.ndarray]
     real: bool
+    shared: bool
     blocks: list[np.ndarray]
     roots: np.ndarray
     rank: np.ndarray
@@ -257,6 +269,7 @@ class _Momenta(NamedTuple):
     ratio: np.ndarray
     labels: list[tuple[int, int]]
     stacks: list[tuple[int, list[int], _Assembly]]
+    twins: list[tuple[int, int]]
     embeddings: dict[tuple[int, int], tuple[_Assembly, np.ndarray, np.ndarray, np.ndarray]]
 
 
@@ -287,7 +300,7 @@ def _pattern(terms: HamiltonianTerms) -> _Pattern:
 
 def _new_pattern(dim: int, rows: np.ndarray, cols: np.ndarray) -> _Pattern:
     """The connected components of the pattern and of its transpose (see
-    `_blocks`), and the terms' order under T."""
+    `_blocks`), the terms' order under T, and the blocks' twins under X^N."""
     every = np.arange(dim)
     source = np.concatenate([rows, cols, every])  # every index links to itself
     order = np.argsort(source, kind="stable")
@@ -321,8 +334,14 @@ def _new_pattern(dim: int, rows: np.ndarray, cols: np.ndarray) -> _Pattern:
         # itself lists its images in this order.
         if np.array_equal(rows * dim + cols, moved[moved_order]):
             turn = moved_order
-    _read_only(rows, cols, local, *(a for part in parts for a in part), *([] if turn is None else [turn]))
-    return _Pattern(dim, rows, cols, parts, local, turn)
+    # X^N maps index s to dim - 1 - s, so it maps the ascending keys of a
+    # pattern it keeps onto themselves in reverse: term k to term -1 - k.
+    twin = None
+    if np.array_equal(rows[::-1], dim - 1 - rows) and np.array_equal(cols[::-1], dim - 1 - cols):
+        twin = block_of[dim - 1 - order[starts]]
+    _read_only(rows, cols, local, *(a for part in parts for a in part),
+               *(a for a in (turn, twin) if a is not None))
+    return _Pattern(dim, rows, cols, parts, local, turn, twin)
 
 
 def _blocks(terms: HamiltonianTerms) -> list[tuple[np.ndarray, HamiltonianTerms]]:
@@ -409,9 +428,10 @@ def _translations(terms: HamiltonianTerms, blocks: Sequence[tuple[np.ndarray, ob
 
 
 def _momenta(pattern: _Pattern, group: tuple[int, np.ndarray, np.ndarray, np.ndarray],
-             real: bool) -> _Momenta:
+             real: bool, shared: bool) -> _Momenta:
     """The `_Momenta` of the pattern under the group, for real terms if
-    `real` (see `_spectra`)."""
+    `real`, with twin blocks sharing their spectra if `shared` (see
+    `_spectra`)."""
     order, rep, shift, period = group
     blocks = [idx for idx, _ in pattern.parts]
     momenta = np.arange(order // 2 + 1 if real else order)
@@ -429,18 +449,24 @@ def _momenta(pattern: _Pattern, group: tuple[int, np.ndarray, np.ndarray, np.nda
     linked = np.flatnonzero(rep[pattern.cols] == pattern.cols)
     rows, cols = pattern.rows[linked], pattern.cols[linked]
     links = (block_of[cols], rank[cols], rank[rep[rows]], shift[rows])
-    tables = _Momenta(group, real, blocks, np.exp(2j * np.pi * np.arange(order) / order), rank, fits,
-                      position, linked, links, np.sqrt(period[cols] / period[rows]), [], [], {})
+    tables = _Momenta(group, real, shared, blocks, np.exp(2j * np.pi * np.arange(order) / order), rank,
+                      fits, position, linked, links, np.sqrt(period[cols] / period[rows]), [], [], [], {})
     sizes = np.diff(before, axis=1).tolist()  # [m][block]
     labels, stacks = tables.labels, {}  # labels: (block, m) of each momentum block, in block order
+    numbers = {}  # (block, m) -> its number in `labels`
     for number in range(len(blocks)):
         groups: dict[bytes, list[int]] = {}
         for m, fit in enumerate(fits[:, first[number]:first[number + 1]]):
             if sizes[m][number]:
                 groups.setdefault(fit.tobytes(), []).append(m)
+        twin = pattern.twin[number] if shared else number
         for ms in groups.values():
-            key = (sizes[ms[0]][number], real and all(2 * m % order == 0 for m in ms))
-            stacks.setdefault(key, []).extend(range(len(labels), len(labels) + len(ms)))
+            if twin < number:  # built with its twin, numbered before it
+                tables.twins.extend((numbers[twin, m], len(labels) + i) for i, m in enumerate(ms))
+            else:
+                key = (sizes[ms[0]][number], real and all(2 * m % order == 0 for m in ms))
+                stacks.setdefault(key, []).extend(range(len(labels), len(labels) + len(ms)))
+            numbers.update(((number, m), len(labels) + i) for i, m in enumerate(ms))
             labels.extend((number, m) for m in ms)
     tables.stacks.extend((size, where, _momentum_assembly(tables, [labels[i] for i in where], size, flat))
                          for (size, flat), where in stacks.items())
@@ -490,6 +516,12 @@ def _same_group(a: tuple[int, np.ndarray, np.ndarray, np.ndarray],
     return a[0] == b[0] and all(np.array_equal(x, y) for x, y in zip(a[1:], b[1:]))
 
 
+def _twins_share(pattern: _Pattern, values: np.ndarray) -> bool:
+    """Whether X^N maps the pattern onto itself (`_Pattern.twin`) and the
+    values too, term for term: then term k's image is term -1 - k."""
+    return pattern.twin is not None and np.array_equal(values, values[::-1])
+
+
 def _spectra(terms: HamiltonianTerms) -> tuple[_Momenta, np.ndarray, list[_Sector]]:
     """(the momentum tables, the links' amplitudes, the momentum blocks with
     their eigenvalues).
@@ -500,35 +532,49 @@ def _spectra(terms: HamiltonianTerms) -> tuple[_Momenta, np.ndarray, list[_Secto
     the same eigenvalues.  Momenta of one block that share their set of
     compatible representatives form a group, built real when the terms are
     and every e^{ik} in it is +-1.  All momentum blocks of equal size and
-    type, from any pattern blocks (the S^z = +-j sectors of a ring have the
-    same orbits), are built as one stack, checked for Hermiticity and given
-    eigenvalues in one batched `eigvalsh`.  The trivial group leaves one
-    momentum, m = 0, whose block is the pattern block itself.
+    type, from any pattern blocks, are built as one stack, checked for
+    Hermiticity and given eigenvalues in one batched `eigvalsh`.  The
+    trivial group leaves one momentum, m = 0, whose block is the pattern
+    block itself.
 
-    All of this but the values is worked out once per pattern, group and
-    realness, and kept with the pattern (`_pattern`, `_momenta`): the
-    blocks, the orbit tables, where each link enters its stack and with
-    which phase.  Every call takes the group from `_translations` again,
-    and then only sums its amplitudes into the stacks, checks them and
-    diagonalizes them, in the same order as a first call does.
+    When the terms are exactly invariant under the spin flip X^N
+    (`_twins_share`), X^N, which commutes with T, maps each pattern block
+    onto its twin (the S^z = -j sector of S^z = j, say; Sandvik's spin
+    inversion) and each momentum block onto the twin's of the same m, with
+    the same eigenvalues.  Then only the block of each twin pair with the
+    smaller number is built and diagonalized, and its twin takes the same
+    spectrum array; a block that is its own twin is built as before.
+
+    All of this but the values is worked out once per pattern, group,
+    realness and sharing, and kept with the pattern (`_pattern`,
+    `_momenta`): the blocks, the orbit tables, where each link enters its
+    stack and with which phase.  Every call takes the group from
+    `_translations` and the sharing from `_twins_share` again, and then only
+    sums its amplitudes into the stacks, checks them and diagonalizes them,
+    in the same order as a first call does.
 
     The terms are exactly invariant under T when the group is not trivial,
-    so the matrix is unitarily the direct sum of its momentum blocks, and
-    checking every block for Hermiticity checks the whole matrix (for real
-    terms the unbuilt blocks are conjugates of built ones).
+    and under X^N when twins share, so the matrix is unitarily the direct
+    sum of its momentum blocks, and checking every built block for
+    Hermiticity checks the whole matrix (for real terms the unbuilt blocks
+    of -m are conjugates of built ones, and a twin is a built block's image).
     """
     pattern = _pattern(terms)
     group = _translations(terms, pattern.parts)
     real = not np.iscomplexobj(terms.values)
+    shared = _twins_share(pattern, terms.values)
     tables = pattern.momenta
-    if tables is None or tables.real != real or not _same_group(tables.group, group):
-        tables = pattern.momenta = _momenta(pattern, group, real)
+    if (tables is None or tables.real != real or tables.shared != shared
+            or not _same_group(tables.group, group)):
+        tables = pattern.momenta = _momenta(pattern, group, real, shared)
     amplitudes = terms.values[tables.linked] * tables.ratio
     spectra = [None] * len(tables.labels)
     for size, where, assembly in tables.stacks:
         stack = _momentum_blocks(assembly, amplitudes, len(where), size)
         for i, vals in zip(where, hermitian_eigenvalues(checked_hermitian(stack))):
             spectra[i] = vals
+    for built, twin in tables.twins:
+        spectra[twin] = spectra[built]
     return tables, amplitudes, [_Sector(*label, vals) for label, vals in zip(tables.labels, spectra)]
 
 
@@ -594,11 +640,13 @@ def ground_state(hamiltonian: HamiltonianTerms,
     """Ground state of a Hermitian matrix, given as terms, under the given
     degeneracy mode.
 
-    Every momentum block (see `_spectra`) gets its eigenvalues.  The lowest
-    level is every eigenvalue within `DEGENERACY_RTOL` times the whole
-    spectral span of the global minimum, whichever blocks it lies in; only a
-    momentum block whose lowest eigenvalue is on that level is built again
-    for its eigenvectors (`_embedded`).  `subspace-mixture` keeps as many of
+    Every momentum block (see `_spectra`) gets its eigenvalues; a spin-flip
+    twin takes the spectrum array of the block it shares one with.  The
+    lowest level is every eigenvalue within `DEGENERACY_RTOL` times the
+    whole spectral span of the global minimum, whichever blocks it lies in,
+    so twins are on it together; only a momentum block whose lowest
+    eigenvalue is on that level is built again for its eigenvectors
+    (`_embedded`), a twin from its own terms.  `subspace-mixture` keeps as many of
     them as the block has eigenvalues on the level, so a real Hamiltonian
     gives a real factor whose columns span the level, and the state carries
     them, scaled to unit trace, as its factor.
@@ -637,7 +685,8 @@ def ground_gap(hamiltonian: HamiltonianTerms) -> float:
     """Gap between the lowest eigenvalue of a Hermitian matrix, given as
     terms, and the first one above its degeneracy window; +inf if no level
     lies above the window.  Every momentum block gets its eigenvalues only
-    (a block of real terms and its conjugate partner share them)."""
+    (a block of real terms and its conjugate partner share them, and so do
+    spin-flip twins)."""
     vals = np.sort(np.concatenate([s.values for s in _spectra(_checked_terms(hamiltonian))[2]]))
     span = float(vals[-1] - vals[0])
     above = vals[vals > vals[0] + DEGENERACY_RTOL * span]

@@ -402,15 +402,25 @@ def _qubit_codes(num_qubits: int, q: int) -> tuple[np.ndarray]:
     return (code,)
 
 
-def _blocks_from_factor(v: np.ndarray, num_qubits: int) -> np.ndarray | None:
-    """The blocks V_k V_k^dagger, V_k the rows of sector k of the columns of
-    V that lie in it, or None if a column reaches into two sectors."""
-    lay = block_layout(num_qubits)
-    label = lay.popcount[:, None]
+def factor_sectors(v: np.ndarray, num_qubits: int) -> np.ndarray | None:
+    """The popcount sector of each column of a 2^n x r factor V, read from
+    the popcounts of its nonzero rows (n + 1 for a column that is 0.0), or
+    None if a column reaches into two sectors.  O(2^n r)."""
+    label = block_layout(num_qubits).popcount[:, None]
     nonzero = v != 0
     lowest = np.where(nonzero, label, num_qubits + 1).min(axis=0)
     if np.any(nonzero & (label != lowest)):
         return None
+    return lowest
+
+
+def _blocks_from_factor(v: np.ndarray, num_qubits: int) -> np.ndarray | None:
+    """The blocks V_k V_k^dagger, V_k the rows of sector k of the columns of
+    V that lie in it, or None if a column reaches into two sectors."""
+    lowest = factor_sectors(v, num_qubits)
+    if lowest is None:
+        return None
+    lay = block_layout(num_qubits)
     out = np.zeros(lay.offsets[-1], dtype=v.dtype)
     blocks = sector_views(out, num_qubits)
     for k in np.unique(lowest[lowest <= num_qubits]).tolist():  # the sectors that hold a column

@@ -6,9 +6,10 @@ model at every point of a parameter grid, and serializes the result as a
 deterministic CSV: '.' decimal point, ',' delimiter, '\\n' line ends, nine
 decimal places, rows in ascending parameter order.
 
-Every grid is evaluated by one `ccm_many` call over a generator of its
-states, so the states of the whole grid share stacks, and none is held once
-it has been reduced.
+Every grid is evaluated by one `subset_entropies_many` call over a
+generator of its states, so the states of the whole grid share stacks, and
+none is held once it has been reduced; the measure, and the total
+correlations, are read off the entropy tables.
 
 XXZ-type grids never sample delta = 1 exactly: the ground level crosses
 there, so a grid point that would land on it is displaced by half a step and
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccm import ccm_many
+from .ccm import ccm_many, ccm_of_tables
 from .channels import amplitude_damping_channel, apply_channel_local, phase_damping_channel
-from .entropy import DistanceUnit, multi_information
+from .entropy import DistanceUnit, subset_entropies_many, total_correlations
 from .errors import OutOfRange, TooLarge
 from .spin_models import GroundStateMode, chain_terms, ground_state, ising_ring, xxz_ring
 from .states import DensityOperator, full_mask
@@ -151,8 +152,10 @@ def sweep_rows(config: SweepConfig) -> tuple[list[str], list[tuple[float, ...]]]
 
     A config with a damping grid is refused: its rows come from
     `noise_sweep_rows`, together with their prominence summaries.  The
-    ground states go through one `ccm_many` call, and each one's total
-    correlations are taken as it arrives.
+    ground states go through one `subset_entropies_many` call, and each
+    one's measure (`ccm_of_tables`) and total correlations
+    (`total_correlations`, as `multi_information` sums them) come from its
+    table.
     """
     if config.noise is not None:
         raise OutOfRange("a config with a damping grid is evaluated by noise_sweep_rows")
@@ -166,16 +169,11 @@ def sweep_rows(config: SweepConfig) -> tuple[list[str], list[tuple[float, ...]]]
     if config.include_tv:
         header.append("tv")
 
-    tvs = []  # the tv column of each row, or nothing
-
-    def states():
-        for point in points:
-            state = _state_at(config, point)
-            tvs.append((multi_information(state, config.unit),) if config.include_tv else ())
-            yield state
-
-    reports = ccm_many(states(), config.unit)
-    rows = [point + (report.value,) + tv for point, report, tv in zip(points, reports, tvs)]
+    tables = subset_entropies_many(_state_at(config, point) for point in points)
+    rows = [point + (report.value,) for point, report in zip(points, ccm_of_tables(tables, config.unit))]
+    if config.include_tv:
+        n = config.total_qubits
+        rows = [row + (total_correlations(table.__getitem__, n, config.unit),) for row, table in zip(rows, tables)]
     if config.derivative:
         header.append("dccm")
         xs = [r[0] for r in rows]

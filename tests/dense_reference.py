@@ -173,38 +173,131 @@ def model_solves(state, flip):
     block form, and all its popcount blocks larger than 1 x 1, as Counters
     by size, and the stacked eigensolves that takes.  The orbit
     representatives are those of `qubit_symmetry(state)`, and each one's
-    reduced state comes from the dense partial trace.  A block that is
-    exactly 0.0 is skipped, and so, with `flip`, is block k > m/2 (block
-    m - k's spectrum serves it); any other is split by `split_block`: the
-    flip on the middle block when `flip`, and, when the group holds the
-    ring's reflections (D_n or S_n), the cheapest one that fixes the subset.
-    A block that is not split is solved whole, in one call per size; a
-    piece of a split, in one call per piece size, if it is larger than
-    1 x 1 and the real or imaginary part of one of its entries passes
-    SUPPORT_CUTOFF / (sqrt(2) size), so that it may have an eigenvalue
-    above SUPPORT_CUTOFF."""
+    reduced state comes from the dense partial trace (`block_solves`)."""
     n = state.num_qubits
     generators = qubit_symmetry(state)
     whole, pieces, every = Counter(), Counter(), Counter()
     for mask in set(orbit_representatives(n, generators).tolist()) - {0}:
         reduced = partial_trace(state, mask).matrix
-        m = bin(mask).count("1")
-        ring = len(generators) == 2 and generators[0] == dihedral(n)[0]  # D_n or S_n
-        reflections = ring_reflections(n, mask) if ring else []
-        for k, idx in enumerate(block_layout(m).sectors):
-            c = idx.size
-            if c == 1:
-                continue
-            every[c] += 1
-            block = reduced[np.ix_(idx, idx)]
-            if not block.any() or (flip and 2 * k > m):
-                continue
-            split = split_block(block, idx, m, reflections, flip and 2 * k == m)
-            if len(split) == 1:
-                whole[c] += 1
-                continue
-            for piece in split:
-                parts = np.concatenate([piece.real, piece.imag])
-                if piece.shape[0] > 1 and math.sqrt(2) * piece.shape[0] * np.abs(parts).max() > SUPPORT_CUTOFF:
-                    pieces[piece.shape[0]] += 1
+        block_solves(reduced, ring_reflections(n, mask) if holds_reflections(n, generators) else [], flip,
+                     whole, pieces, every)
     return whole + pieces, every, len(whole) + len(pieces)
+
+
+def holds_reflections(n, generators):
+    """Whether the group of `generators` holds the n-qubit ring's reflections: D_n or S_n."""
+    return len(generators) == 2 and generators[0] == dihedral(n)[0]
+
+
+def block_solves(reduced, reflections, flip, whole, pieces, every):
+    """Count into the Counters `whole`, `pieces` and `every`, by size, the
+    matrices that the walk diagonalizes for one node, `reduced` (an m-qubit
+    density matrix that holds popcounts apart), and its popcount blocks
+    larger than 1 x 1.  A block that is exactly 0.0 is skipped, and so,
+    with `flip`, is block k > m/2 (block m - k's spectrum serves it); any
+    other is split by `split_block`: the flip on the middle block when
+    `flip`, and the cheapest of `reflections` (`ring_reflections`).  A
+    block that is not split is solved whole, in one call per size; a piece
+    of a split, in one call per piece size, if it is larger than 1 x 1 and
+    the real or imaginary part of one of its entries passes
+    SUPPORT_CUTOFF / (sqrt(2) size), so that it may have an eigenvalue
+    above SUPPORT_CUTOFF."""
+    m = reduced.shape[0].bit_length() - 1
+    for k, idx in enumerate(block_layout(m).sectors):
+        c = idx.size
+        if c == 1:
+            continue
+        every[c] += 1
+        block = reduced[np.ix_(idx, idx)]
+        if not block.any() or (flip and 2 * k > m):
+            continue
+        split = split_block(block, idx, m, reflections, flip and 2 * k == m)
+        if len(split) == 1:
+            whole[c] += 1
+            continue
+        for piece in split:
+            parts = np.concatenate([piece.real, piece.imag])
+            if piece.shape[0] > 1 and math.sqrt(2) * piece.shape[0] * np.abs(parts).max() > SUPPORT_CUTOFF:
+                pieces[piece.shape[0]] += 1
+
+
+def dense_flips(state):
+    """Whether X on every qubit moves the dense matrix of `state` by at
+    most SUPPORT_CUTOFF in trace norm."""
+    m = state.matrix
+    flip = flip_permutation(state.num_qubits)
+    return float(np.abs(np.linalg.eigvalsh(m[np.ix_(flip, flip)] - m)).sum()) <= SUPPORT_CUTOFF
+
+
+def column_sectors(v):
+    """The popcount of the nonzero rows of each column of the factor `v`,
+    or None if a column has two."""
+    weight = popcounts(v.shape[0].bit_length() - 1)
+    found = [set(weight[column != 0].tolist()) for column in v.T]
+    return None if any(len(f) > 1 for f in found) else [f.pop() if f else None for f in found]
+
+
+def model_factor_solves(state):
+    """(solved, calls): the matrices larger than 1 x 1 that a dense model of
+    the walk diagonalizes in one `ccm` of `state`, which has a factor V
+    (2^n x r), as a Counter by size, and the stacked eigensolves that takes.
+
+    The orbit representatives are those of `qubit_symmetry(state)`; with
+    r = 1, a representative A whose complement's representative is smaller
+    copies that entry and is skipped.  When 2^|A| <= 2^(n-|A|) r and each
+    column of V lies in one popcount sector, A's reduced state from the
+    dense partial trace is split as `block_solves` does, with the flip when
+    `dense_flips`; otherwise the Gram matrix min(2^|A|, 2^(n-|A|) r) wide
+    is solved whole."""
+    n, v = state.num_qubits, state.factor
+    r = v.shape[1]
+    generators = qubit_symmetry(state)
+    reps = orbit_representatives(n, generators)
+    aligned = column_sectors(v) is not None
+    flip = aligned and dense_flips(state)
+    whole, pieces, every = Counter(), Counter(), Counter()
+    full = (1 << n) - 1
+    for mask in set(reps.tolist()) - {0}:
+        if r == 1 and reps[full ^ mask] < mask:
+            continue
+        m = bin(mask).count("1")
+        c = min(1 << m, r << (n - m))
+        if aligned and c == 1 << m:
+            reflections = ring_reflections(n, mask) if holds_reflections(n, generators) else []
+            block_solves(partial_trace(state, mask).matrix, reflections, flip, whole, pieces, every)
+        elif c > 1:
+            whole[c] += 1
+    return whole + pieces, len(whole) + len(pieces)
+
+
+def model_spectra_solves(rings, shared, momenta=True):
+    """The matrices that `spin_models._spectra` diagonalizes for XXZ rings
+    side by side, as a Counter by size, from brute-force orbits.  The
+    pattern blocks are the joint magnetization sectors (m_1, m_2, ...); with
+    `momenta`, one ring of n >= 2 sites takes the momenta m = 0 .. n // 2 of
+    its shift (real terms), each block on the orbits of period p with
+    m p = 0 mod n; two rings, or any ring without `momenta`, take the
+    trivial group.  With `shared`, only one block of each pair of sectors
+    that the spin flip exchanges is solved."""
+    sizes = [ring.num_spins for ring in rings]
+    found = Counter()
+    for counts in itertools.product(*(range(n + 1) for n in sizes)):
+        twin = tuple(n - k for n, k in zip(sizes, counts))
+        if shared and twin < counts:
+            continue
+        if len(sizes) > 1 or not momenta:
+            found[math.prod(math.comb(n, k) for n, k in zip(sizes, counts))] += 1
+            continue
+        n, (k,) = sizes[0], counts
+        periods = Counter()
+        for s in range(1 << n):
+            if bin(s).count("1") != k:
+                continue
+            turns = [((s >> j) | (s << (n - j))) & ((1 << n) - 1) for j in range(n)]
+            if s == min(turns):
+                periods[next(j for j in range(1, n + 1) if turns[j % n] == s)] += 1
+        for m in range(n // 2 + 1):
+            size = sum(count for p, count in periods.items() if m * p % n == 0)
+            if size:
+                found[size] += 1
+    return found

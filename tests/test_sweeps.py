@@ -139,6 +139,18 @@ def test_dxxz_sweep_n5_is_unchanged(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_xxz_n10_tv_sweep_is_unchanged(tmp_path, capsys):
+    # Recorded before twin sectors shared their eigensolves, popcount-aligned
+    # factors took block-diagonal Gram matrices and tv came from the CCM
+    # table.  The grid holds points on both sides of delta = 1; at 1.4 the
+    # level is the twin pair popcount 0 and 10, a rank-2 mixture.
+    out = tmp_path / "xxz.csv"
+    assert main(["sweep", "--model", "xxz", "--spins", "10", "--param-start", "-1.6", "--param-stop", "1.4",
+                 "--param-steps", "7", "--tv", "--derivative", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "xxz_n10_tv.csv").read_bytes()
+    assert capsys.readouterr().out == ""
+
+
 def test_noise_sweep_layout():
     config = SweepConfig(model="xxz", spins=2, param=ParamRange(0.0, 0.5, 2),
                          noise=ParamRange(0.0, 0.4, 2), channel="standard")

@@ -466,7 +466,10 @@ def damped_double_ring(spins):
 
 @pytest.mark.parametrize("name, make, count", [
     ("damped ring N=8", lambda: damped_ring(8), 29),           # 30 bracelets less the empty set
-    ("xxz N=10 mixture", lambda: ground_state(chain_terms(xxz_ring(10, 0.5))), 43),
+    # The 43 representatives a pure state diagonalizes, as rho_A's popcount
+    # blocks: 82 matrices (tests/test_popcount_factors.py checks them against
+    # a dense model of the walk).
+    ("xxz N=10 mixture", lambda: ground_state(chain_terms(xxz_ring(10, 0.5))), 82),
     ("ghz-10", lambda: make_ghz(10), 5),                       # sizes 1..5; the rest are complements
     ("random n=6", lambda: random_density(6, np.random.default_rng(0)), 63),
     # D_4 x D_4 with the swap: 6 bracelets a ring, 21 unordered pairs less the empty set
