@@ -22,7 +22,10 @@ the same register size, qubit group, rank, dtype, popcount alignment and
 spin flip, each reduced by one transpose and one stacked Gram product per
 representative subset; any other state has its root visited as it
 arrives, and its children walked with those of the states that share
-register size, qubit group, form, dtype and spin flip (`_Walk`).  A state
+register size, qubit group, form, dtype and spin flip (`_Walk`), except
+that a root in popcount blocks whose qubit group holds the shift has the
+entries that its momentum blocks are made from wait with its children, to
+be cut with the other roots of its stack (`_Walk.momentum_pieces`).  A state
 with popcount blocks (`DensityOperator.blocks`: damped XXZ and double-XXZ
 ground states) is carried as blocks all the way down, since a partial trace
 keeps the zeros between popcounts; any other state is the one-block case.
@@ -39,10 +42,14 @@ when the qubit group holds the ring's reflections, the one of those that
 map the subset onto itself whose pieces cost least (Sandvik's reflection
 and spin-inversion sectors).  The split runs once per waiting key on the
 whole stack, and the pieces of one size, whatever their key, share one
-stacked `hermitian_eigenvalues` call.  A phase-damped N = 8 ring's largest
-eigensolve is 19 instead of 256, and its 29 subsets take 11 calls; an
-amplitude-damped one's is 38, in 17 calls.  An XXZ N = 10 ground state's is
-10 instead of 32.
+stacked `hermitian_eigenvalues` call.  The root of a state in popcount
+blocks whose qubit group holds the shift T is not split so: each of its
+popcount blocks is cut into the momentum blocks of T (Sandvik's momentum
+sectors), from one gather and one FFT per block for a whole stack of
+roots.  A phase-damped N = 8 ring's largest eigensolve is 19 instead of
+256, and its 29 subsets take 13 calls; an amplitude-damped one's is 19,
+in 19 calls; the roots' largest is 10.  An XXZ N = 10 ground state's is 10
+instead of 32.
 
 All entropies use log base 2 internally.  Results can be reported either in
 bits or in "normalized" units (bits / 2), the scale on which one Bell pair
@@ -68,10 +75,13 @@ from .states import (
     _kept_when_small,
     block_layout,
     check_subset,
+    cyclic_shift,
     factor_sectors,
     full_mask,
+    momentum_fits,
     partial_trace,
     permuted_entries,
+    shift_orbits,
     subset_qubits,
     trace_entries,
 )
@@ -316,7 +326,8 @@ class SubsetTable(list):
 
 
 # Entries that wait, summed over every stack, to be walked together: the
-# representative children of the roots of states without a factor, and the
+# representative children of the roots of states without a factor (and the
+# entries of the roots that wait to be cut into momentum blocks), and the
 # factors of the others.  A state whose own entries pass it is walked alone.
 # `ccm`'s dynamic program bounds the temporaries of each level by it too.
 STACK_ENTRIES = 1 << 18
@@ -351,9 +362,11 @@ def subset_entropies_many(states: Iterable[DensityOperator]) -> list[SubsetTable
     its root visited alone and its representative children wait with those
     of the states before it of the same register size, qubit group, form
     (blocks or one block), dtype and spin flip, each to be walked as one
-    stack.  No state is held once it has been reduced, so a generator of
-    states is reduced in the memory of one state, the waiting factors and
-    children, and the matrices waiting for their eigensolve.
+    stack; a root in blocks whose group holds the shift waits with them,
+    as the entries its momentum blocks are made from.  No state is held
+    once it has been reduced, so a generator of states is reduced in the
+    memory of one state, the waiting factors, root entries and children,
+    and the matrices waiting for their eigensolve.
     """
     walk = _Walk()
     tables = []
@@ -383,13 +396,16 @@ class _Stack:
     states' data hold popcounts apart: they have popcount blocks, or each
     column of their factors lies in one popcount sector (`factor_sectors`)."""
 
-    __slots__ = ("charged", "flip", "ring", "rep", "tables", "spectra", "children", "factors", "copies")
+    __slots__ = ("charged", "flip", "ring", "gather", "rep", "tables", "spectra", "roots", "children", "factors",
+                 "copies")
 
-    def __init__(self, charged: bool, flip: bool, ring: int, rep: np.ndarray):
-        # ring: n when the qubit group holds the reflections of the n-qubit ring, else 0
-        self.charged, self.flip, self.ring, self.rep = charged, flip, ring, rep
+    def __init__(self, charged: bool, flip: bool, ring: int, rep: np.ndarray, gather: np.ndarray | None = None):
+        # ring: n when the qubit group holds the reflections of the n-qubit ring, else 0;
+        # gather: when a root visited alone is cut into momentum blocks, its entries that make them
+        self.charged, self.flip, self.ring, self.rep, self.gather = charged, flip, ring, rep, gather
         self.tables: list[np.ndarray] = []
         self.spectra: dict[tuple[int, ...], list[list]] = {}
+        self.roots: list[np.ndarray] = []  # one (1, entries) array per state: its root's `_root_entries`
         self.children: dict[int, list[np.ndarray]] = {}  # traced qubit -> one (1, entries) array per state
         self.factors: list[np.ndarray] = []  # one (1, 2^n, r) array per state
         self.copies: tuple[np.ndarray, np.ndarray] | None = None  # (masks, the masks they copy)
@@ -425,13 +441,19 @@ class _Walk:
     list `qubit_symmetry` returns up to n = 14), so only representatives are
     reduced.  A state's root is visited when it arrives, and only its
     representative children are kept, to wait with those of the earlier
-    states of its key.
+    states of its key.  The root of a state in popcount blocks whose qubit
+    group holds the shift T (C_n, D_n or S_n) is cut into momentum blocks
+    (`momentum_pieces`), which pays only when the roots of a stack are cut
+    at once: the entries those blocks are made from, about 1/n of the
+    root's (`_root_entries`), are gathered when it arrives and wait with
+    its children, and the stack's roots are cut before its children are
+    walked.
 
-    At most STACK_ENTRIES factor and child entries wait in all.  Before a
-    state's would pass that, every waiting stack is walked, the children
-    depth first; a state whose entries alone pass it is walked alone
-    without waiting (depth first from its root, for a state without a
-    factor).
+    At most STACK_ENTRIES factor, root and child entries wait in all.
+    Before a state's would pass that, every waiting stack is walked, the
+    children depth first; a state whose entries alone pass it is walked
+    alone without waiting (depth first from its root, for a state without
+    a factor).
 
     Blocks are reduced by two index gathers (`trace_entries`), one block by
     a reshape and the sum of two slices.  The 1 x 1 blocks are read off; of
@@ -442,16 +464,17 @@ class _Walk:
     reflections has each subset's blocks invariant under the reflections
     that map the subset onto itself: at each node block m - k takes block
     k's spectrum under the flip, and every other block waits with its split
-    (`_block_split`).  Every matrix, and every Gram matrix, waits under
-    (matrix size, dtype, split), shared by every stack, until more than
-    BLOCK_ENTRIES entries would wait.  The flush then solves each
-    key's stack that is not split in one `hermitian_eigenvalues` call, and
-    splits the others into pieces (`_split_recipe`: three gathers per
-    piece), whose pieces of one size and dtype, whatever their key, share
-    one call; each holder gets its matrix's spectrum, its pieces'
-    eigenvalues concatenated.  A root takes the spectrum the
-    positivity check kept, if any.  Each spectrum is in the order 1 x 1
-    blocks, then blocks 1, m - 1, 2, m - 2, ...
+    (`_block_split`), or, at a root cut into momentum blocks, as those
+    blocks.  Every matrix, and every Gram matrix, waits under (matrix size,
+    dtype, split), shared by every stack, until more than BLOCK_ENTRIES
+    entries would wait.  The flush then solves each key's stack that is not
+    split in one `hermitian_eigenvalues` call, and splits the others into
+    pieces (`_split_recipe`: three gathers per piece), whose pieces of one
+    size and dtype, whatever their key, share one call; each holder gets
+    its matrix's spectrum, its pieces' eigenvalues concatenated.  A root
+    takes the spectrum the positivity check kept, if any.  Each spectrum is
+    in the order 1 x 1 blocks, then blocks 1, m - 1, 2, m - 2, ... (each
+    root block's momentum blocks in the order m = 0, 1, ...)
     """
 
     def __init__(self):
@@ -483,16 +506,25 @@ class _Walk:
         full = full_mask(n)
         children = [q for q in range(n) if n > 1 and rep[full ^ (1 << q)] == full ^ (1 << q)]
         entries = len(children) * (math.comb(2 * n - 2, n - 1) if charged else 1 << (2 * n - 2))
+        # A root that the shift leaves unchanged is cut into momentum blocks,
+        # which pays only when the roots of a stack are cut together: the
+        # entries they are made from wait with its children.
+        gather = _root_entries(n, flip)[0] if charged and known is None and _holds_shift(n, generators) else None
+        entries += 0 if gather is None else gather.size
         alone = entries > STACK_ENTRIES
-        root = _Stack(charged, flip, ring, rep)
-        root.tables.append(table)
-        self.visit(root, data, full, n, n, known, descend=alone)
-        self.queued.append(root)
+        waits = gather is not None and not alone  # a root of n >= 2 qubits has a representative child
+        if not waits:
+            root = _Stack(charged, flip, ring, rep, gather)
+            root.tables.append(table)
+            self.visit(root, data, full, n, n, known, descend=alone)
+            self.queued.append(root)
         if alone or not children:
             return
-        key = (n, generators, charged, data.dtype, flip)
+        key = (n, generators, data.dtype, charged, flip, waits)  # a factor's has its rank third
         stack = self.waiting_stack(key, entries, _Stack(charged, flip, ring, rep))
         stack.tables.append(table)
+        if waits:
+            stack.roots.append(data.take(gather, axis=1))
         for q in children:
             stack.children.setdefault(q, []).append(_reduced(data, n, q, charged))
 
@@ -511,6 +543,9 @@ class _Walk:
                 self.walk_factors(stack, n)
                 continue
             full = full_mask(n)
+            if stack.roots:
+                stack.spectra[full,] = self.momentum_pieces(np.concatenate(stack.roots), n, stack.flip)
+                stack.roots = []
             for q in list(stack.children):
                 # Passed unbound, and each state's own child dropped once
                 # stacked: only the data on the path being walked stay alive.
@@ -566,6 +601,8 @@ class _Walk:
               known: np.ndarray | None = None, descend: bool = True) -> None:
         if known is not None:
             stack.spectra[mask,] = [[known]]
+        elif stack.gather is not None and mask == stack.rep.size - 1:
+            stack.spectra[mask,] = self.momentum_pieces(data.take(stack.gather, axis=1), m, stack.flip)
         elif stack.charged:
             reflections = _ring_reflections(stack.ring, mask) if stack.ring else ()
             stack.spectra[mask,] = self.block_pieces(data, m, stack.flip, reflections)
@@ -584,7 +621,7 @@ class _Walk:
         m-qubit node that the leg permutations `reflections` leave unchanged,
         in spectrum order."""
         lay = block_layout(m)
-        pieces, twin = [[data[:, [0, lay.offsets[m]]].real]], None
+        pieces, twin = [[data.take([0, lay.offsets[m]], axis=1).real]], None
         for k in _block_order(m):
             if flip and 2 * k > m:  # block m - k, just before, is its flip
                 if twin is not None:
@@ -597,6 +634,49 @@ class _Walk:
                 pieces.append(twin)
         return pieces
 
+    def momentum_pieces(self, entries: np.ndarray, n: int, flip: bool) -> list[list]:
+        """The holders of the spectrum of each state of a stack of n-qubit
+        roots that the shift T leaves unchanged, given by their
+        `_root_entries`, in spectrum order: the 1 x 1 blocks, then each
+        block's momentum blocks, m = 0, 1, ...
+
+        The entries of block k are rho[T^j r_a, r_b] over the
+        representatives r_a, r_b of its orbits and the shifts j.  Of a block
+        whose entries are not 0.0 in every state, one FFT along j and one
+        multiply by sqrt(p_a p_b) / n (`_root_momenta`) make them
+        sum_j e^{-ikj} rho[T^j r_a, r_b] sqrt(p_a p_b) / n, which on the
+        representatives with m p = 0 mod n is the momentum block of -m.
+        Real data take m = 0 .. n // 2: the block of -m is the conjugate of
+        that of m, so each 0 < m < n/2 stands for two, and m = 0 and n/2 are
+        real.  Under the flip, block n - k takes block k's spectrum, as
+        elsewhere, and its entries are not gathered."""
+        pieces, twin = [[entries[:, :2].real]], []
+        real = not np.iscomplexobj(entries)
+        start = 2
+        for k in _block_order(n):
+            if flip and 2 * k > n:  # block n - k, just before, is its flip
+                pieces.extend(twin)
+                continue
+            weights, fits = _root_momenta(n, k)
+            r = len(weights)
+            gathered, start, twin = entries[:, start:start + n * r * r], start + n * r * r, []
+            if not gathered.any():
+                continue
+            gathered = gathered.reshape(-1, n, r, r)  # (s, j, a, b)
+            blocks = np.fft.rfft(gathered, axis=1) if real else np.fft.fft(gathered, axis=1)
+            blocks *= weights
+            for m, fit in enumerate(fits[:blocks.shape[1]]):
+                block = blocks[:, m]
+                if not fit.all():
+                    at = np.flatnonzero(fit)
+                    block = block[:, at[:, None], at]
+                paired = real and 0 < 2 * m < n
+                holder = self.solve_nonzero(block.real if real and not paired else block)
+                if holder is not None:
+                    twin += [holder] * (1 + paired)
+            pieces.extend(twin)
+        return pieces
+
     def solve_nonzero(self, matrices: np.ndarray, split: tuple | None = None) -> list | _Scattered | None:
         """`solve` of those of `matrices` that are not 0.0 in every entry,
         copied (so that a waiting matrix does not keep its source alive), as
@@ -606,7 +686,7 @@ class _Walk:
         count = np.count_nonzero(nonzero)
         if count == len(nonzero):
             return self.solve(matrices.copy(), split)
-        return _Scattered(self.solve(matrices[nonzero], split), nonzero) if count else None
+        return _Scattered(self.solve(matrices[nonzero], split), nonzero, lacking=True) if count else None
 
     def solve(self, matrices: np.ndarray, split: tuple | None = None) -> list:
         """A holder whose item is, or becomes when the waiting matrices are
@@ -652,8 +732,7 @@ class _Walk:
             bits = np.empty((masks.size, len(stack.tables)))
             j = 0
             for key, pieces in stack.spectra.items():
-                vals = pieces[0][0] if len(pieces) == 1 else np.concatenate([p[0] for p in pieces], axis=1)
-                bits[j:j + len(key)] = _entropy_bits(vals).reshape(len(key), -1)
+                bits[j:j + len(key)] = _spectrum_bits(pieces).reshape(len(key), -1)
                 j += len(key)
             for table, row in zip(stack.tables, bits.T):
                 table[masks] = row
@@ -666,18 +745,36 @@ class _Walk:
 class _Scattered:
     """A holder of the eigenvalues of a stack of matrices of which only
     those at `rows` (a boolean mask) are diagonalized, into the holder
-    `solved`; each other one is 0.0, with eigenvalues 0."""
+    `solved`; each other one is 0.0, with eigenvalues 0.  When `lacking`,
+    a state of another row, walked alone, has no such matrix at all (see
+    `_spectrum_bits`)."""
 
-    __slots__ = ("solved", "rows")
+    __slots__ = ("solved", "rows", "lacking")
 
-    def __init__(self, solved: list, rows: np.ndarray):
-        self.solved, self.rows = solved, rows
+    def __init__(self, solved: list, rows: np.ndarray, lacking: bool = False):
+        self.solved, self.rows, self.lacking = solved, rows, lacking
 
     def __getitem__(self, index: int) -> np.ndarray:  # holder[0], as for a one-item list
         vals = self.solved[index]
         out = np.zeros((self.rows.size, vals.shape[1]))
         out[self.rows] = vals
         return out
+
+
+def _spectrum_bits(pieces: list) -> np.ndarray:
+    """The entropy in bits of each row of the spectrum that the holders
+    `pieces` make, in order.  A row that a piece lacks (`_Scattered`) is
+    summed without that piece's zeros, as its state walked alone sums it,
+    so that the sum, whose rounding depends on where each term sits, is bit
+    for bit the state's alone."""
+    parts = [p[0] for p in pieces]
+    bits = _entropy_bits(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1))
+    gaps = [(i, p.rows) for i, p in enumerate(pieces) if isinstance(p, _Scattered) and p.lacking]
+    if gaps:
+        for row in np.flatnonzero(~np.logical_and.reduce([rows for _, rows in gaps])).tolist():
+            lacking = {i for i, rows in gaps if not rows[row]}
+            bits[row] = _entropy_bits(np.concatenate([part[row] for i, part in enumerate(parts) if i not in lacking]))
+    return bits
 
 
 def _hand_out(solved: np.ndarray, holders: list[tuple[int, list]]) -> None:
@@ -698,6 +795,52 @@ def _reduced(data: np.ndarray, m: int, q: int, charged: bool) -> np.ndarray:
     outer, inner = 1 << q, 1 << (m - q - 1)
     t = data.reshape(len(data), outer, 2, inner, outer, 2, inner)
     return (t[:, :, 0, :, :, 0, :] + t[:, :, 1, :, :, 1, :]).reshape(len(data), -1)
+
+
+def _holds_shift(n: int, generators: tuple) -> bool:
+    """Whether the qubit group of `generators` (as `qubit_symmetry` returns
+    them) holds the shift c: C_n, D_n or S_n."""
+    return bool(generators) and generators[0] == _candidates(n)[0]
+
+
+def _sector_orbits(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, periods): the smallest basis index of each orbit of the shift
+    T in popcount sector k of n qubits, ascending, and the orbit's size."""
+    rep, _, period = shift_orbits(n)
+    idx = block_layout(n).sectors[k]
+    reps = idx[rep[idx] == idx]
+    return reps, period[reps]
+
+
+@_kept_when_small
+def _root_momenta(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, fits) for popcount block k of an n-qubit root that the
+    shift T leaves unchanged, over the representatives r_a of its orbits
+    (`_sector_orbits`) and their periods p_a: weights[a, b] is
+    sqrt(p_a p_b) / n, and fits[m, a] says whether m p_a = 0 mod n."""
+    _, p = _sector_orbits(n, k)
+    return np.sqrt(np.multiply.outer(p, p)) / n, momentum_fits(np.arange(n), p, n)
+
+
+@_kept_when_small
+def _root_entries(n: int, flip: bool) -> tuple[np.ndarray]:
+    """(where,): the entries of an n-qubit root's flat block array that its
+    momentum blocks are made from (`_Walk.momentum_pieces`) are
+    blocks[where]: its 1 x 1 blocks 0 and n, then, for each block k in
+    `_block_order` (under the flip, k <= n/2 only), rho[T^j r_a, r_b] in the
+    order (j, a, b), over the representatives of `_sector_orbits`."""
+    lay = block_layout(n)
+    parts = [np.array([0, lay.offsets[n]])]
+    for k in _block_order(n):
+        if flip and 2 * k > n:
+            continue
+        reps, _ = _sector_orbits(n, k)
+        images = [reps]
+        for _ in range(n - 1):
+            images.append(cyclic_shift(images[-1], n))
+        rows = lay.offsets[k] + lay.position[np.array(images)] * lay.sizes[k]  # (j, a)
+        parts.append((rows[:, :, None] + lay.position[reps]).reshape(-1))
+    return (np.concatenate(parts),)
 
 
 def _representative_masks(rep: np.ndarray) -> np.ndarray:

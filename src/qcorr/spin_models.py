@@ -47,13 +47,13 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import OutOfRange, TooLarge
 from .linalg import checked_hermitian, hermitian_eigensystem, hermitian_eigenvalues
-from .states import DensityOperator
+from .states import DensityOperator, cyclic_shift, momentum_fits, shift_orbits
 
 MAX_CHAIN_SPINS = 14
 # Eigenvalues within this fraction of the spectral span of the minimum form
@@ -202,11 +202,11 @@ class _Pattern:
 
     `parts` holds (basis indices, term indices) of each block of `_blocks`,
     and local[s] is the position of basis index s within its block.  When T
-    maps the pattern onto itself, term turn[k] is the one T takes to term
-    k; otherwise `turn` is None.  When the spin flip X^N maps the pattern
-    onto itself, it maps block b onto block twin[b]; otherwise `twin` is
-    None.  `momenta` holds the tables of the last group `_spectra` used on
-    this pattern.
+    maps the pattern onto itself and every block onto itself, term turn[k]
+    is the one T takes to term k; otherwise `turn` is None.  When the spin
+    flip X^N maps the pattern onto itself, it maps block b onto block
+    twin[b]; otherwise `twin` is None.  `momenta` holds the tables of the
+    last group `_spectra` used on this pattern.
     """
 
     dim: int
@@ -300,7 +300,8 @@ def _pattern(terms: HamiltonianTerms) -> _Pattern:
 
 def _new_pattern(dim: int, rows: np.ndarray, cols: np.ndarray) -> _Pattern:
     """The connected components of the pattern and of its transpose (see
-    `_blocks`), the terms' order under T, and the blocks' twins under X^N."""
+    `_blocks`), the terms' order under T when T keeps the pattern and each
+    component, and the blocks' twins under X^N."""
     every = np.arange(dim)
     source = np.concatenate([rows, cols, every])  # every index links to itself
     order = np.argsort(source, kind="stable")
@@ -328,11 +329,12 @@ def _new_pattern(dim: int, rows: np.ndarray, cols: np.ndarray) -> _Pattern:
     turn = None
     n = dim.bit_length() - 1
     if n >= 2 and dim == 1 << n:
-        moved = _shift(rows, n) * dim + _shift(cols, n)
+        moved = cyclic_shift(rows, n) * dim + cyclic_shift(cols, n)
         moved_order = np.argsort(moved)
         # Terms list their keys ascending, so a pattern that T maps onto
         # itself lists its images in this order.
-        if np.array_equal(rows * dim + cols, moved[moved_order]):
+        if (np.array_equal(rows * dim + cols, moved[moved_order])
+                and np.array_equal(block_of[cyclic_shift(every, n)], block_of)):
             turn = moved_order
     # X^N maps index s to dim - 1 - s, so it maps the ascending keys of a
     # pattern it keeps onto themselves in reverse: term k to term -1 - k.
@@ -361,70 +363,40 @@ def _blocks(terms: HamiltonianTerms) -> list[tuple[np.ndarray, HamiltonianTerms]
             for idx, t in pattern.parts]
 
 
-def _shift(states: np.ndarray, num_qubits: int) -> np.ndarray:
-    """T: the cyclic shift of the register's qubits, site i to site i + 1,
-    on basis indices (site i is bit n-1-i)."""
-    return (states >> 1) | ((states & 1) << (num_qubits - 1))
-
-
 def _trivial_group(dim: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """`_translations`' tables for the group of order 1: every state is its
     own orbit."""
     return 1, np.arange(dim), np.zeros(dim, dtype=np.intp), np.ones(dim, dtype=np.intp)
 
 
-def _shift_invariant(terms: HamiltonianTerms, blocks: Sequence[tuple[np.ndarray, object]]) -> bool:
-    """Whether the register has at least 2 qubits, the terms are invariant
-    under the shift T, entry for entry and value for value, and T maps every
-    block onto itself.  Whether T maps the pattern onto itself is kept with
-    the pattern (`_pattern`); the values are compared on every call."""
-    dim, _, _, values = terms
-    turn = _pattern(terms).turn
-    if turn is None or not np.array_equal(values, values[turn]):
-        return False
-    block_of = np.empty(dim, dtype=np.intp)
-    for b, (idx, _) in enumerate(blocks):
-        block_of[idx] = b
-    return np.array_equal(block_of[_shift(np.arange(dim), dim.bit_length() - 1)], block_of)
+def _shift_invariant(terms: HamiltonianTerms, pattern: _Pattern) -> bool:
+    """Whether the register has at least 2 qubits, T maps the pattern of the
+    terms and every one of its blocks onto itself (`_Pattern.turn`, kept
+    with the pattern), and the values are invariant under T, value for
+    value: only the values are compared on each call."""
+    values = terms.values
+    return pattern.turn is not None and np.array_equal(values, values[pattern.turn])
 
 
-@functools.lru_cache(maxsize=None)
-def _shift_orbits(num_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rep, shift, period) of the shift T on n-qubit basis indices (see
-    `_translations`), read-only."""
-    n = num_qubits
-    every = np.arange(1 << n)
-    rep, shift, period = every, np.zeros(every.size, dtype=np.intp), np.zeros(every.size, dtype=np.intp)
-    image = every
-    for j in range(1, n + 1):  # image = T^j s; where it is smaller than rep, s = T^(n-j) image
-        image = _shift(image, n)
-        smaller = image < rep
-        rep = np.where(smaller, image, rep)
-        shift = np.where(smaller, n - j, shift)
-        period = np.where((period == 0) & (image == every), j, period)
-    _read_only(rep, shift, period)
-    return rep, shift, period
-
-
-def _translations(terms: HamiltonianTerms, blocks: Sequence[tuple[np.ndarray, object]]
+def _translations(terms: HamiltonianTerms, pattern: _Pattern
                   ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """(order, rep, shift, period) of the cyclic group the terms are taken
     to commute with, for every basis index s: rep[s] is the smallest index
     of s's orbit, s = T^shift[s] rep[s], and period[s] is the orbit's size.
-    `blocks` are the pattern blocks, as (basis indices, anything) pairs.
+    `pattern` is the terms' `_Pattern`.
 
     The group is generated by the qubit shift T when `_shift_invariant`
     holds and every value is a normal float, and is otherwise the trivial
     group.  (The phases and orbit weights of the momentum blocks would round
     a subnormal value to a few bits, or to zero.)  Both conditions are
     checked on every call; the orbits of T depend on the register size
-    alone and are built once for each (`_shift_orbits`).
+    alone and are built once for each (`states.shift_orbits`).
     """
     normal = np.all(np.abs(terms.values) >= np.finfo(float).tiny)
-    if not (normal and _shift_invariant(terms, blocks)):
+    if not (normal and _shift_invariant(terms, pattern)):
         return _trivial_group(terms.dim)
     n = terms.dim.bit_length() - 1
-    return n, *_shift_orbits(n)
+    return n, *shift_orbits(n)
 
 
 def _momenta(pattern: _Pattern, group: tuple[int, np.ndarray, np.ndarray, np.ndarray],
@@ -442,7 +414,7 @@ def _momenta(pattern: _Pattern, group: tuple[int, np.ndarray, np.ndarray, np.nda
     rank = np.empty(pattern.dim, dtype=np.intp)
     rank[reps] = np.arange(reps.size)
     first = np.searchsorted(block_of[reps], np.arange(len(blocks) + 1))
-    fits = np.multiply.outer(momenta, period[reps]) % order == 0
+    fits = momentum_fits(momenta, period[reps], order)
     counts = np.cumsum(fits, axis=1)
     before = np.hstack([np.zeros((momenta.size, 1), dtype=counts.dtype), counts])[:, first]
     position = counts - 1 - before[:, block_of[reps]]
@@ -560,7 +532,7 @@ def _spectra(terms: HamiltonianTerms) -> tuple[_Momenta, np.ndarray, list[_Secto
     of -m are conjugates of built ones, and a twin is a built block's image).
     """
     pattern = _pattern(terms)
-    group = _translations(terms, pattern.parts)
+    group = _translations(terms, pattern)
     real = not np.iscomplexobj(terms.values)
     shared = _twins_share(pattern, terms.values)
     tables = pattern.momenta

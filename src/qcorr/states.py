@@ -323,6 +323,41 @@ def block_layout(num_qubits: int) -> BlockLayout:
     return BlockLayout(sectors, position, sizes, offsets, diagonal, popcount)
 
 
+def cyclic_shift(states: np.ndarray, num_qubits: int) -> np.ndarray:
+    """T: the cyclic shift of the register's qubits, qubit i to qubit i + 1,
+    on basis indices (qubit i is bit n-1-i)."""
+    return (states >> 1) | ((states & 1) << (num_qubits - 1))
+
+
+@functools.lru_cache(maxsize=None)
+def shift_orbits(num_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rep, shift, period) of the shift T on n-qubit basis indices, for
+    every index s: rep[s] is the smallest index of s's orbit, s = T^shift[s]
+    rep[s], and period[s] is the orbit's size.  Made once for each n and
+    read-only."""
+    n = num_qubits
+    every = np.arange(1 << n)
+    rep, shift, period = every, np.zeros(every.size, dtype=np.intp), np.zeros(every.size, dtype=np.intp)
+    image = every
+    for j in range(1, n + 1):  # image = T^j s; where it is smaller than rep, s = T^(n-j) image
+        image = cyclic_shift(image, n)
+        smaller = image < rep
+        rep = np.where(smaller, image, rep)
+        shift = np.where(smaller, n - j, shift)
+        period = np.where((period == 0) & (image == every), j, period)
+    for a in (rep, shift, period):
+        a.flags.writeable = False
+    return rep, shift, period
+
+
+def momentum_fits(momenta: np.ndarray, periods: np.ndarray, order: int) -> np.ndarray:
+    """fits[i, j]: whether the orbit of period periods[j] under a shift of
+    order `order` holds a state of momentum k = 2 pi momenta[i] / order,
+    that is m p = 0 mod order.  (Otherwise sum_{l < p} e^{-ikl} T^l |r>,
+    r the orbit's representative, is 0.)"""
+    return np.multiply.outer(momenta, periods) % order == 0
+
+
 def sector_views(blocks: np.ndarray, num_qubits: int) -> list[np.ndarray]:
     """The popcount blocks of an n-qubit state as C(n, k) x C(n, k) views,
     k = 0..n, into its flat block array.

@@ -6,9 +6,10 @@ popcount blocks only when they come from a sector-aligned factor or from a
 channel that keeps popcounts apart.  These helpers build dense chain
 Hamiltonians from `chain_terms`, terms from any dense matrix, and the block
 or one-block state of a dense density matrix, asserting the form they make;
-and the pieces that a popcount block of a reduced ring state splits into
+the pieces that a popcount block of a reduced ring state splits into
 under the spin flip and the ring reflections that fix its qubits, from
-projectors onto their joint eigenspaces.
+projectors onto their joint eigenspaces; and the momentum blocks of a
+shift-invariant root, from brute-force orbits and explicit basis vectors.
 """
 
 import itertools
@@ -167,21 +168,35 @@ def dihedral(n):
     return ((*range(1, n), 0), tuple(range(n - 1, -1, -1)))
 
 
-def model_solves(state, flip):
+def model_solves(state, flip, momenta=True):
     """(solved, every, calls): the matrices larger than 1 x 1 that a dense
     model of the walk diagonalizes in one `ccm` of `state`, a ring state in
     block form, and all its popcount blocks larger than 1 x 1, as Counters
     by size, and the stacked eigensolves that takes.  The orbit
     representatives are those of `qubit_symmetry(state)`, and each one's
-    reduced state comes from the dense partial trace (`block_solves`)."""
+    reduced state comes from the dense partial trace (`block_solves`); with
+    `momenta`, the root of a state whose group holds the ring's shift is
+    cut into momentum blocks instead (`root_solves`)."""
     n = state.num_qubits
     generators = qubit_symmetry(state)
     whole, pieces, every = Counter(), Counter(), Counter()
     for mask in set(orbit_representatives(n, generators).tolist()) - {0}:
         reduced = partial_trace(state, mask).matrix
+        if momenta and mask == (1 << n) - 1 and generators and generators[0] == dihedral(n)[0]:
+            root_solves(reduced, flip, whole, every)
+            continue
         block_solves(reduced, ring_reflections(n, mask) if holds_reflections(n, generators) else [], flip,
                      whole, pieces, every)
-    return whole + pieces, every, len(whole) + len(pieces)
+    return solved_sizes(whole, pieces), every, len(whole) + len(pieces)
+
+
+def solved_sizes(whole, pieces):
+    """The Counter by size of the matrices that `whole` counts by (size,
+    real) and `pieces` by size."""
+    out = Counter(pieces)
+    for (c, _), count in whole.items():
+        out[c] += count
+    return out
 
 
 def holds_reflections(n, generators):
@@ -190,15 +205,16 @@ def holds_reflections(n, generators):
 
 
 def block_solves(reduced, reflections, flip, whole, pieces, every):
-    """Count into the Counters `whole`, `pieces` and `every`, by size, the
-    matrices that the walk diagonalizes for one node, `reduced` (an m-qubit
-    density matrix that holds popcounts apart), and its popcount blocks
-    larger than 1 x 1.  A block that is exactly 0.0 is skipped, and so,
-    with `flip`, is block k > m/2 (block m - k's spectrum serves it); any
-    other is split by `split_block`: the flip on the middle block when
-    `flip`, and the cheapest of `reflections` (`ring_reflections`).  A
-    block that is not split is solved whole, in one call per size; a piece
-    of a split, in one call per piece size, if it is larger than 1 x 1 and
+    """Count into the Counters `whole` (by size and realness), `pieces` and
+    `every` (by size) the matrices that the walk diagonalizes for one node,
+    `reduced` (an m-qubit density matrix that holds popcounts apart), and
+    its popcount blocks larger than 1 x 1.  A block that is exactly 0.0 is
+    skipped, and so, with `flip`, is block k > m/2 (block m - k's spectrum
+    serves it); any other is split by `split_block`: the flip on the middle
+    block when `flip`, and the cheapest of `reflections`
+    (`ring_reflections`).  A block that is not split is solved whole, in
+    one call per size and dtype; a piece of a split, in one call per piece
+    size, if it is larger than 1 x 1 and
     the real or imaginary part of one of its entries passes
     SUPPORT_CUTOFF / (sqrt(2) size), so that it may have an eigenvalue
     above SUPPORT_CUTOFF."""
@@ -213,12 +229,74 @@ def block_solves(reduced, reflections, flip, whole, pieces, every):
             continue
         split = split_block(block, idx, m, reflections, flip and 2 * k == m)
         if len(split) == 1:
-            whole[c] += 1
+            whole[c, not np.iscomplexobj(block)] += 1
             continue
         for piece in split:
             parts = np.concatenate([piece.real, piece.imag])
             if piece.shape[0] > 1 and math.sqrt(2) * piece.shape[0] * np.abs(parts).max() > SUPPORT_CUTOFF:
                 pieces[piece.shape[0]] += 1
+
+
+def ring_shift(s, n):
+    """The cyclic shift of n qubits on basis index s: qubit i to qubit i + 1,
+    qubit 0 being the most significant bit."""
+    return (s >> 1) | ((s & 1) << (n - 1))
+
+
+def momentum_pieces(block, idx, n, real):
+    """(m, U^dagger block U) for each momentum k = 2 pi m / n of `block`,
+    the matrix over the basis states `idx` of one popcount sector of n
+    qubits: U's columns are the vectors p^{-1/2} sum_{l < p} e^{-ikl} T^l |r>
+    of the orbits of the shift T on `idx` (r the smallest state of its
+    orbit, p the orbit's size, found by stepping T) with m p = 0 mod n.  Real
+    blocks take m = 0 .. n // 2 (the piece of -m is the conjugate of that of
+    m), complex ones m = 0 .. n - 1."""
+    place = {int(b): i for i, b in enumerate(idx)}
+    orbits = {}
+    for b in place:
+        orbit = [b]
+        while ring_shift(orbit[-1], n) != b:
+            orbit.append(ring_shift(orbit[-1], n))
+        orbits.setdefault(min(orbit), len(orbit))
+    out = []
+    for m in range(n // 2 + 1 if real else n):
+        columns = []
+        for r, p in sorted(orbits.items()):
+            if m * p % n:
+                continue
+            v = np.zeros(idx.size, dtype=complex)
+            state = r
+            for step in range(p):
+                v[place[state]] = np.exp(-2j * np.pi * m * step / n) / math.sqrt(p)
+                state = ring_shift(state, n)
+            columns.append(v)
+        if columns:
+            u = np.array(columns).T
+            out.append((m, u.conj().T @ block @ u))
+    return out
+
+
+def root_solves(reduced, flip, whole, every):
+    """Count into `whole` (by size and realness) and `every` (by size) the
+    matrices that the walk diagonalizes for the root `reduced` of an n-qubit
+    state that the ring's shift leaves unchanged, and its popcount blocks
+    larger than 1 x 1.  A block that is exactly 0.0 is skipped, and so,
+    with `flip`, is block k > n/2; every other one is cut into its
+    momentum pieces (`momentum_pieces`), each solved whole if it is larger
+    than 1 x 1 and not 0.0: real for m = 0 and n/2 of a real block, complex
+    for the others."""
+    n = reduced.shape[0].bit_length() - 1
+    real = not np.iscomplexobj(reduced)
+    for k, idx in enumerate(block_layout(n).sectors):
+        if idx.size == 1:
+            continue
+        every[idx.size] += 1
+        block = reduced[np.ix_(idx, idx)]
+        if not block.any() or (flip and 2 * k > n):
+            continue
+        for m, piece in momentum_pieces(block, idx, n, real):
+            if piece.shape[0] > 1 and np.abs(piece).max() > 0.0:
+                whole[piece.shape[0], real and 2 * m % n == 0] += 1
 
 
 def dense_flips(state):
@@ -266,8 +344,8 @@ def model_factor_solves(state):
             reflections = ring_reflections(n, mask) if holds_reflections(n, generators) else []
             block_solves(partial_trace(state, mask).matrix, reflections, flip, whole, pieces, every)
         elif c > 1:
-            whole[c] += 1
-    return whole + pieces, len(whole) + len(pieces)
+            whole[c, not np.iscomplexobj(v)] += 1
+    return solved_sizes(whole, pieces), len(whole) + len(pieces)
 
 
 def model_spectra_solves(rings, shared, momenta=True):

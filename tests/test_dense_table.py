@@ -236,6 +236,10 @@ def test_real_states_stay_real(monkeypatch):
     for channel in (phase_damping_channel(0.3), amplitude_damping_channel(0.3)):
         damped = apply_channel_local(state, channel, full_mask(5))
         assert damped.factor is None and damped.matrix.dtype == np.float64
+        # The root's momentum blocks 0 < m < n/2 are complex; walked as a
+        # reduced state's blocks, the root is real too.
+        assert eig_dtypes(damped, monkeypatch) == {np.dtype(np.float64), np.dtype(np.complex128)}
+        monkeypatch.setattr(qcorr.entropy, "_holds_shift", lambda n, generators: False)
         assert eig_dtypes(damped, monkeypatch) == {np.dtype(np.float64)}
     assert DensityOperator(np.eye(4) / 4).matrix.dtype == np.float64
     assert DensityOperator.from_factor(np.eye(4)[:, :1]).matrix.dtype == np.float64

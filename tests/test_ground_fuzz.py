@@ -65,8 +65,8 @@ def assert_matches_dense(terms):
     orders = []
     find = qcorr.spin_models._translations
 
-    def spy(terms, blocks):
-        found = find(terms, blocks)
+    def spy(terms, pattern):
+        found = find(terms, pattern)
         orders.append(found[0])
         return found
 

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcorr.spin_models
+import qcorr.states
 from dense_reference import terms_of
 from qcorr import (
     GroundStateMode,
@@ -38,7 +39,7 @@ def forget():
     """Clear everything `spin_models` keeps between calls."""
     qcorr.spin_models._kept = None
     qcorr.spin_models._chain_layout.cache_clear()
-    qcorr.spin_models._shift_orbits.cache_clear()
+    qcorr.states.shift_orbits.cache_clear()
 
 
 def solve(make_terms):
@@ -116,7 +117,7 @@ def test_patched_translations_on_the_same_terms(monkeypatch, group_orders):
     make = lambda: chain_terms(xxz_ring(6, 0.5))  # noqa: E731
     before = solve(make)
     with monkeypatch.context() as patch:
-        patch.setattr(qcorr.spin_models, "_translations", lambda terms, blocks: _trivial_group(terms.dim))
+        patch.setattr(qcorr.spin_models, "_translations", lambda terms, pattern: _trivial_group(terms.dim))
         trivial = solve(make)
         forget()
         assert_same(trivial, solve(make))

@@ -75,8 +75,8 @@ def group_orders(monkeypatch):
     orders = []
     find = qcorr.spin_models._translations
 
-    def spy(terms, blocks):
-        found = find(terms, blocks)
+    def spy(terms, pattern):
+        found = find(terms, pattern)
         orders.append(found[0])
         return found
 
@@ -86,7 +86,7 @@ def group_orders(monkeypatch):
 
 def without_momenta(monkeypatch):
     monkeypatch.setattr(qcorr.spin_models, "_translations",
-                        lambda terms, blocks: _trivial_group(terms.dim))
+                        lambda terms, pattern: _trivial_group(terms.dim))
 
 
 def orthonormal(state):
@@ -230,9 +230,9 @@ def test_invariance_is_exact():
     values = terms.values.copy()
     values[7] = np.nextafter(values[7], np.inf)
     nudged = HamiltonianTerms(terms.dim, terms.rows, terms.cols, values)
-    blocks = qcorr.spin_models._blocks(nudged)
-    assert qcorr.spin_models._translations(nudged, blocks)[0] == 1
-    assert qcorr.spin_models._translations(terms, qcorr.spin_models._blocks(terms))[0] == 6
+    pattern = qcorr.spin_models._pattern(nudged)
+    assert qcorr.spin_models._translations(nudged, pattern)[0] == 1
+    assert qcorr.spin_models._translations(terms, qcorr.spin_models._pattern(terms))[0] == 6
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ output, but the flip is tested on each output: amplitude damping breaks it.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -160,11 +161,13 @@ def test_complex_random_blocks(n, monkeypatch):
 
 @pytest.fixture
 def eigvalsh_sizes(monkeypatch):
+    """The size of every matrix `np.linalg.eigvalsh` diagonalizes, one entry
+    per matrix of a stack."""
     sizes = []
     solve = np.linalg.eigvalsh
 
     def spy(a, *args, **kwargs):
-        sizes.append(a.shape[-1])
+        sizes.extend([a.shape[-1]] * (a.shape[0] if a.ndim == 3 else 1))
         return solve(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
@@ -191,13 +194,17 @@ def test_flip_breaking_perturbation_takes_the_unsplit_path(eigvalsh_sizes, monke
     above = with_coherence(state, 2.0 * SUPPORT_CUTOFF / unit)
     below = with_coherence(state, 0.5 * SUPPORT_CUTOFF / unit)
     assert not _flips_by_at_most_cutoff(above) and _flips_by_at_most_cutoff(below)
-    # The reflections split the blocks either way; the dense model gives
-    # the largest piece with and without the flip.
+    # The reflections split the blocks either way, and the root is cut into
+    # momentum blocks; the dense model gives the matrices solved with and
+    # without the flip.  The flip only halves middle blocks, and the
+    # largest matrix is a child's, which has no middle block, so only the
+    # counts tell the two paths apart.
     for perturbed, flip in ((above, False), (below, True)):
         eigvalsh_sizes.clear()
         ccm(perturbed)
-        assert max(eigvalsh_sizes) == max(model_solves(perturbed, flip)[0])
-    assert max(model_solves(below, True)[0]) < max(model_solves(above, False)[0]) < math.comb(n, n // 2)
+        assert Counter(eigvalsh_sizes) == model_solves(perturbed, flip)[0]
+    with_flip, without = model_solves(below, True)[0], model_solves(above, False)[0]
+    assert with_flip != without and max(with_flip) == max(without) < math.comb(n, n // 2)
     assert_split_agrees(below, monkeypatch)
 
 
@@ -224,8 +231,9 @@ def test_reflection_breaking_perturbation_takes_the_unsplit_path(eigvalsh_sizes,
     shift = dihedral(n)[0]
     assert qubit_symmetry(above) == (shift,) and qubit_symmetry(below) == dihedral(n)
     assert _flips_by_at_most_cutoff(above) and _flips_by_at_most_cutoff(below)
-    # Under C_8 no reflection splits a block, so the flip's halves of the
-    # half-filled sector are solved whole; under D_8 they are split again.
+    # Under C_8 no reflection splits a block: the root is cut into momentum
+    # blocks, and a child's largest blocks, C(7, 3) = 35 wide, are solved
+    # whole; under D_8 they are split again.
     largest = math.comb(n, n // 2) // 2
     for perturbed, expected in ((above, largest), (below, max(model_solves(below, True)[0]))):
         eigvalsh_sizes.clear()

@@ -5,7 +5,9 @@ arrives: a state without a factor has its root visited alone, and its
 representative children wait with those of the earlier states that share a
 register size, qubit group, form (popcount blocks or one block), dtype and
 spin flip, to be walked as one stack with a leading axis over the states; a
-popcount block that is 0.0 in all of them is skipped.  Each table must be
+state in popcount blocks whose group holds the ring's shift has the
+entries its root's momentum blocks are made from wait with them, to be cut
+with the stack's other roots.  A popcount block that is 0.0 in all of them is skipped.  Each table must be
 the one the state gets alone, bit for bit, whatever the list mixes and
 however the stack budget splits it; `ccm_many` must give each state the
 report `ccm` gives it, tree included, and `ccm_naive` checks the values for
@@ -154,14 +156,16 @@ def walks(monkeypatch):
 
 
 def test_budget_splits_the_stack(monkeypatch):
-    # Under D_6 a root has one representative child, of C(10, 5) = 252
-    # entries.  Phase damping keeps the spin flip and amplitude damping
-    # breaks it, so they stack apart; at most STACK_ENTRIES child entries
-    # wait in all, and a state whose children alone pass it walks alone.
+    # Under D_6 a root's entries that its momentum blocks are made from
+    # wait with its one representative child, of C(10, 5) = 252 entries:
+    # 158 of them under phase damping, which keeps the spin flip (blocks
+    # 0..3), and 218 under amplitude damping, which breaks it.  So the two
+    # stack apart; at most STACK_ENTRIES entries wait in all, and a state
+    # whose entries alone pass it walks alone.
     n = 6
     states = [make_state(kind, n, seed) for seed in range(3) for kind in ("phase", "amplitude")]
     assert len({s.blocks.size for s in states}) == 1
-    for budget, want in ((None, [3, 3]), (4 * 252, [2, 2, 1, 1]), (251, [1] * 6)):
+    for budget, want in ((None, [3, 3]), (2 * (410 + 470), [2, 2, 1, 1]), (409, [1] * 6)):
         with monkeypatch.context() as mp:
             if budget is not None:
                 mp.setattr(qcorr.entropy, "STACK_ENTRIES", budget)
