@@ -40,16 +40,16 @@ block is split before its eigensolve by the involutions of its basis that
 leave it unchanged (`_block_split`): the flip, on the middle block, and,
 when the qubit group holds the ring's reflections, the one of those that
 map the subset onto itself whose pieces cost least (Sandvik's reflection
-and spin-inversion sectors).  The split runs once per waiting key on the
-whole stack, and the pieces of one size, whatever their key, share one
-stacked `hermitian_eigenvalues` call.  The root of a state in popcount
-blocks whose qubit group holds the shift T is not split so: each of its
-popcount blocks is cut into the momentum blocks of T (Sandvik's momentum
-sectors), from one gather and one FFT per block for a whole stack of
-roots.  A phase-damped N = 8 ring's largest eigensolve is 19 instead of
-256, and its 29 subsets take 13 calls; an amplitude-damped one's is 19,
-in 19 calls; the roots' largest is 10.  An XXZ N = 10 ground state's is 10
-instead of 32.
+and spin-inversion sectors).  Its pieces wait in its place, and the
+matrices and pieces of one width and dtype, whatever subset and stack
+they come from, share one stacked `hermitian_eigenvalues` call.  The root
+of a state in popcount blocks whose qubit group holds the shift T is not
+split so: each of its popcount blocks is cut into the momentum blocks of T
+(Sandvik's momentum sectors), from one gather and one FFT per block for a
+whole stack of roots.  A phase-damped N = 8 ring's largest eigensolve is
+19 instead of 256, and its 29 subsets take 11 calls; an amplitude-damped
+one's is 19, in 18 calls; the roots' largest is 10.  An XXZ N = 10 ground
+state's is 10 instead of 32.
 
 All entropies use log base 2 internally.  Results can be reported either in
 bits or in "normalized" units (bits / 2), the scale on which one Bell pair
@@ -228,23 +228,25 @@ def _moves_by_at_most_cutoff(state: DensityOperator, perm: tuple[int, ...]) -> b
         return _factors_within_cutoff(v.reshape(shape + (v.shape[1],)).transpose((*perm, n)).reshape(v.shape), v)
     d = 1 << n
     limit = SUPPORT_CUTOFF ** 2 / d  # on ||D||_F^2
-    total = 0.0
     if blocks is not None:
         (where,) = permuted_entries(n, perm)
-        for start in range(0, blocks.size, BLOCK_ENTRIES):
-            piece = blocks.take(where[start:start + BLOCK_ENTRIES])
-            piece -= blocks[start:start + BLOCK_ENTRIES]
-            total += float(np.vdot(piece, piece).real)
-            if total > limit:
-                return False
-        return True
+        starts = range(0, blocks.size, BLOCK_ENTRIES)
+        pieces = (blocks.take(where[s:s + BLOCK_ENTRIES]) - blocks[s:s + BLOCK_ENTRIES] for s in starts)
+        return _squares_within(pieces, limit)
     m = state.matrix
     index = np.arange(d).reshape(shape).transpose(perm).reshape(-1)
     rows = max(1, BLOCK_ENTRIES // d)
-    for start in range(0, d, rows):
-        block = m[np.ix_(index[start:start + rows], index)]
-        block -= m[start:start + rows]
-        total += float(np.vdot(block, block).real)
+    pieces = (m[np.ix_(index[s:s + rows], index)] - m[s:s + rows] for s in range(0, d, rows))
+    return _squares_within(pieces, limit)
+
+
+def _squares_within(pieces: Iterable[np.ndarray], limit: float) -> bool:
+    """Whether ||piece||_F^2 summed over `pieces`, in order, is at most
+    `limit`.  The pieces are read one at a time, and none after the sum
+    passes `limit`."""
+    total = 0.0
+    for piece in pieces:
+        total += float(np.vdot(piece, piece).real)
         if total > limit:
             return False
     return True
@@ -282,14 +284,11 @@ def _flips_by_at_most_cutoff(state: DensityOperator) -> bool:
     if v is not None:
         return _factors_within_cutoff(v[::-1], v)
     limit = SUPPORT_CUTOFF ** 2 / (2 << n)  # on the first half's share of ||D||_F^2
-    flipped, half, total = blocks[::-1], blocks.size // 2, 0.0
-    for start in range(0, half, BLOCK_ENTRIES):
-        stop = min(start + BLOCK_ENTRIES, half)
-        piece = flipped[start:stop] - blocks[start:stop]
-        total += float(np.vdot(piece, piece).real)
-        if total > limit:
-            return False
-    return True
+    half = blocks.size // 2
+    first, flipped = blocks[:half], blocks[::-1][:half]
+    starts = range(0, half, BLOCK_ENTRIES)
+    pieces = (flipped[s:s + BLOCK_ENTRIES] - first[s:s + BLOCK_ENTRIES] for s in starts)
+    return _squares_within(pieces, limit)
 
 
 @functools.lru_cache(maxsize=None)
@@ -390,7 +389,7 @@ class _Stack:
     the spectrum pieces of every mask they have reached, under a tuple of
     masks whose matrices are stacked mask by mask: one holder per piece, a
     one-item list filled when its eigensolve is made (a block and its
-    spin-flip twin share one).  A stack of factors keeps them until it
+    spin-flip twin share theirs).  A stack of factors keeps them until it
     is walked, and, when they are one column, the masks that copy the entry
     of their complement's representative.  `charged` says whether the
     states' data hold popcounts apart: they have popcount blocks, or each
@@ -463,22 +462,21 @@ class _Walk:
     every partial trace, and one whose qubit group holds the ring's
     reflections has each subset's blocks invariant under the reflections
     that map the subset onto itself: at each node block m - k takes block
-    k's spectrum under the flip, and every other block waits with its split
-    (`_block_split`), or, at a root cut into momentum blocks, as those
-    blocks.  Every matrix, and every Gram matrix, waits under (matrix size,
-    dtype, split), shared by every stack, until more than BLOCK_ENTRIES
-    entries would wait.  The flush then solves each key's stack that is not
-    split in one `hermitian_eigenvalues` call, and splits the others into
-    pieces (`_split_recipe`: three gathers per piece), whose pieces of one
-    size and dtype, whatever their key, share one call; each holder gets
-    its matrix's spectrum, its pieces' eigenvalues concatenated.  A root
-    takes the spectrum the positivity check kept, if any.  Each spectrum is
-    in the order 1 x 1 blocks, then blocks 1, m - 1, 2, m - 2, ... (each
-    root block's momentum blocks in the order m = 0, 1, ...)
+    k's spectrum under the flip, and every other block waits whole, or as
+    the pieces of its split (`_block_split`, `_split`: three gathers per
+    piece), cut when it is queued, or, at a root cut into momentum blocks,
+    as those blocks.  Every matrix, Gram matrix and piece waits under
+    (width, dtype), shared by every stack, until more than BLOCK_ENTRIES
+    entries would wait.  The flush then solves each (width, dtype) in one
+    `hermitian_eigenvalues` call, and each holder gets its matrix's
+    eigenvalues.  A root takes the spectrum the positivity check kept, if
+    any.  Each spectrum is in the order 1 x 1 blocks, then blocks 1, m - 1,
+    2, m - 2, ... (each split block's pieces in the order of its recipe,
+    each root block's momentum blocks in the order m = 0, 1, ...)
     """
 
     def __init__(self):
-        self.waiting: dict[tuple, list] = {}  # (c, dtype, split) -> [(matrices (s, c, c), holder)]
+        self.waiting: dict[tuple, list] = {}  # (c, dtype) -> [(matrices (s, c, c), holder)]
         self.waiting_entries = 0
         self.stacks: dict[tuple, _Stack] = {}
         self.stacked_entries = 0
@@ -621,17 +619,15 @@ class _Walk:
         m-qubit node that the leg permutations `reflections` leave unchanged,
         in spectrum order."""
         lay = block_layout(m)
-        pieces, twin = [[data.take([0, lay.offsets[m]], axis=1).real]], None
+        pieces, twin = [[data.take([0, lay.offsets[m]], axis=1).real]], []
         for k in _block_order(m):
             if flip and 2 * k > m:  # block m - k, just before, is its flip
-                if twin is not None:
-                    pieces.append(twin)
+                pieces += twin
                 continue
             c = lay.sizes[k]
             block = data[:, lay.offsets[k]:lay.offsets[k + 1]].reshape(-1, c, c)
             twin = self.solve_nonzero(block, _block_split(m, k, reflections, flip and 2 * k == m))
-            if twin is not None:
-                pieces.append(twin)
+            pieces += twin
         return pieces
 
     def momentum_pieces(self, entries: np.ndarray, n: int, flip: bool) -> list[list]:
@@ -671,62 +667,73 @@ class _Walk:
                     at = np.flatnonzero(fit)
                     block = block[:, at[:, None], at]
                 paired = real and 0 < 2 * m < n
-                holder = self.solve_nonzero(block.real if real and not paired else block)
-                if holder is not None:
-                    twin += [holder] * (1 + paired)
+                twin += self.solve_nonzero(block.real if real and not paired else block) * (1 + paired)
             pieces.extend(twin)
         return pieces
 
-    def solve_nonzero(self, matrices: np.ndarray, split: tuple | None = None) -> list | _Scattered | None:
-        """`solve` of those of `matrices` that are not 0.0 in every entry,
-        copied (so that a waiting matrix does not keep its source alive), as
-        a holder of the eigenvalues of the whole stack; None if every one
-        is 0.0.  (A 0.0 matrix has eigenvalues 0, outside the support.)"""
+    def solve_nonzero(self, matrices: np.ndarray, recipe: tuple | None = None) -> list:
+        """The holders of the eigenvalues of the whole stack `matrices`
+        (s, c, c): one, or, split by `recipe` (see `_block_split`), one per
+        piece, in the recipe's order (`solve_piece`).  Only the matrices
+        that are not 0.0 in every entry are solved, copied or split (so that
+        nothing waiting keeps its source alive); none if every one is 0.0.
+        (A 0.0 matrix has eigenvalues 0, outside the support.)"""
         nonzero = matrices.reshape(len(matrices), -1).any(axis=1)
         count = np.count_nonzero(nonzero)
-        if count == len(nonzero):
-            return self.solve(matrices.copy(), split)
-        return _Scattered(self.solve(matrices[nonzero], split), nonzero, lacking=True) if count else None
+        if not count:
+            return []
+        every = count == len(nonzero)
+        matrices = matrices if every else matrices[nonzero]
+        if recipe is None:
+            holders = [self.solve(matrices.copy() if every else matrices)]
+        else:
+            holders = [self.solve_piece(piece) for piece in _split(matrices, recipe)]
+        return holders if every else [_Scattered(holder, nonzero, lacking=True) for holder in holders]
 
-    def solve(self, matrices: np.ndarray, split: tuple | None = None) -> list:
+    def solve_piece(self, matrices: np.ndarray) -> list | _Scattered:
+        """`solve` of those of `matrices` (s, c, c), pieces of a split, that
+        may have an eigenvalue above SUPPORT_CUTOFF, as a holder of the
+        eigenvalues of the whole stack.  When no real or imaginary part of
+        an entry of a matrix passes SUPPORT_CUTOFF / (sqrt(2) c) in absolute
+        value, none of its eigenvalues passes SUPPORT_CUTOFF
+        (|lambda| <= ||M||_F <= c max |M_ij|), so it gets zeros, which
+        count for the same in the entropy: a piece that a symmetry leaves
+        empty but for round-off is not diagonalized.  The parts are read by
+        reductions, so no temporary of the matrices' size is made."""
+        flat = matrices.reshape(len(matrices), -1)
+        parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
+        largest = functools.reduce(np.maximum, (np.maximum(p.max(axis=1), -p.min(axis=1)) for p in parts))
+        kept = math.sqrt(2) * matrices.shape[-1] * largest > SUPPORT_CUTOFF
+        count = np.count_nonzero(kept)
+        if count == len(kept):
+            return self.solve(matrices)
+        return _Scattered(self.solve(matrices[kept]), kept) if count else [np.zeros(matrices.shape[:2])]
+
+    def solve(self, matrices: np.ndarray) -> list:
         """A holder whose item is, or becomes when the waiting matrices are
-        solved, the eigenvalues of each of `matrices` (s, c, c), split by
-        `split` (see `_block_split`) if it is not None."""
+        solved, the eigenvalues of each of `matrices` (s, c, c)."""
         if matrices.shape[-1] == 1:
             return [matrices[:, 0].real]
         if self.waiting_entries + matrices.size > BLOCK_ENTRIES:
             self.flush()
         holder = [None]
-        self.waiting.setdefault((matrices.shape[-1], matrices.dtype, split), []).append((matrices, holder))
+        self.waiting.setdefault((matrices.shape[-1], matrices.dtype), []).append((matrices, holder))
         self.waiting_entries += matrices.size
         return holder
 
     def flush(self) -> None:
         """Solve every waiting matrix, then write the entropies of every
         stack that has been walked, whose holders are now all filled."""
-        # A key's stack that is not split is solved at once; the others are
-        # split into pieces first, so that the pieces of one size, whatever
-        # their key, share one eigensolve.  Each key's matrices, and each
-        # size's pieces, are dropped once used.
+        # Each (width, dtype) takes one eigensolve, and its matrices are
+        # dropped once solved.
         waiting, self.waiting, self.waiting_entries = self.waiting, {}, 0
-        by_size: dict[tuple, list] = {}  # (size, dtype) -> [(pieces (s, size, size), slot)]
-        keys = []
         while waiting:
-            (*_, split), items = waiting.popitem()
+            _, items = waiting.popitem()
             together = items[0][0] if len(items) == 1 else np.concatenate([a for a, _ in items])
-            holders = [(len(a), holder) for a, holder in items]
-            if split is None:
-                _hand_out(hermitian_eigenvalues(together), holders)
-                continue
-            slots = [_solved_or_waiting(piece, by_size) for piece in _split(together, _split_recipe(*split))]
-            keys.append((holders, slots))
-        while by_size:
-            _, group = by_size.popitem()
-            together = group[0][0] if len(group) == 1 else np.concatenate([a for a, _ in group])
-            group = [(len(a), slot) for a, slot in group]
-            _hand_out(hermitian_eigenvalues(together), group)
-        for holders, slots in keys:
-            _hand_out(slots[0][0] if len(slots) == 1 else np.concatenate([slot[0] for slot in slots], axis=1), holders)
+            solved, start = hermitian_eigenvalues(together), 0
+            for a, holder in items:
+                holder[0] = solved[start:start + len(a)]
+                start += len(a)
         for stack in self.queued:
             masks = np.fromiter((mask for key in stack.spectra for mask in key), dtype=np.intp)
             bits = np.empty((masks.size, len(stack.tables)))
@@ -775,14 +782,6 @@ def _spectrum_bits(pieces: list) -> np.ndarray:
             lacking = {i for i, rows in gaps if not rows[row]}
             bits[row] = _entropy_bits(np.concatenate([part[row] for i, part in enumerate(parts) if i not in lacking]))
     return bits
-
-
-def _hand_out(solved: np.ndarray, holders: list[tuple[int, list]]) -> None:
-    """Give each (count, holder) of `holders` its next `count` rows of `solved`."""
-    start = 0
-    for count, holder in holders:
-        holder[0] = solved[start:start + count]
-        start += count
 
 
 def _reduced(data: np.ndarray, m: int, q: int, charged: bool) -> np.ndarray:
@@ -894,9 +893,9 @@ REFLECTED_WIDTH = 16
 
 @functools.lru_cache(maxsize=None)
 def _block_split(m: int, k: int, reflections: tuple, flip: bool) -> tuple | None:
-    """How block k of an m-qubit node is split before its eigensolve:
-    (m, k, reflection, flip), the key of `_split_recipe`, or None if it is
-    solved whole.
+    """The recipe (`_split_recipe`) by which block k of an m-qubit node is
+    split before its eigensolve, or None if it is solved whole.  Only the
+    chosen recipe is kept.
 
     `flip` (the middle block of a flip-invariant stack: X^m maps its basis
     state j to c - 1 - j and fixes none) halves the block.  Of the leg
@@ -904,12 +903,13 @@ def _block_split(m: int, k: int, reflections: tuple, flip: bool) -> tuple | None
     least, sum of size^3, splits it, or each half, again, if the block is
     REFLECTED_WIDTH wide or more and that costs less than not."""
     c = block_layout(m).sizes[k]
-    best, chosen = (_split_cost(_split_recipe.__wrapped__(m, k, None, True)) if flip else c ** 3), None
+    chosen = _split_recipe(m, k, None, True) if flip else None
+    best = _split_cost(chosen) if flip else c ** 3
     for perm in reflections if c >= REFLECTED_WIDTH else ():
-        cost = _split_cost(_split_recipe.__wrapped__(m, k, perm, flip))  # only the chosen recipe is kept
-        if cost < best:
-            best, chosen = cost, perm
-    return (m, k, chosen, flip) if flip or chosen is not None else None
+        recipe = _split_recipe(m, k, perm, flip)
+        if _split_cost(recipe) < best:
+            best, chosen = _split_cost(recipe), recipe
+    return chosen
 
 
 def _split_cost(recipe: tuple) -> int:
@@ -917,13 +917,12 @@ def _split_cost(recipe: tuple) -> int:
     return sum(_split_cost(further) if further else rows.size ** 3 for rows, *_, further in recipe)
 
 
-@functools.lru_cache(maxsize=None)
 def _split_recipe(m: int, k: int, reflection: tuple[int, ...] | None, flip: bool) -> tuple:
-    """The pieces of block k of an m-qubit node under the split of
-    `_block_split`: the flip's halves, each split again by `reflection` when
-    there is one, or `reflection`'s pieces.  Each is (rows, twins, signs,
-    weights, its own pieces) as `_involution_pieces` gives it: index arrays
-    of the piece's width, so every recipe is kept.
+    """The pieces of block k of an m-qubit node under a split that
+    `_block_split` weighs: the flip's halves, each split again by
+    `reflection` when there is one, or `reflection`'s pieces.  Each is
+    (rows, twins, signs, weights, its own pieces) as `_involution_pieces`
+    gives it: index arrays of the piece's width.
 
     A reflection P commutes with X^m, so it maps the flip's half of sign e,
     spanned by (e_j + e e_{c-1-j})/sqrt(2), j < c/2, onto itself as a
@@ -983,32 +982,6 @@ def _split(matrices: np.ndarray, recipe: tuple) -> list[np.ndarray]:
             piece *= weights
         out.extend(_split(piece, further) if further else [piece])
     return out
-
-
-def _solved_or_waiting(matrices: np.ndarray, waiting: dict) -> list:
-    """A holder of the eigenvalues of each of `matrices` (s, c, c), pieces
-    of a split, filled when the pieces that wait in `waiting` with the
-    others of their size and dtype are solved.  1 x 1 matrices are read
-    off.  When no real or imaginary part of an entry of a matrix passes
-    SUPPORT_CUTOFF / (sqrt(2) c) in absolute value, none of its eigenvalues
-    passes SUPPORT_CUTOFF (|lambda| <= ||M||_F <= c max |M_ij|), so it gets
-    zeros, which count for the same in the entropy: a piece that a symmetry
-    leaves empty but for round-off is not diagonalized.  The parts are read
-    by reductions, so no temporary of the matrices' size is made."""
-    c = matrices.shape[-1]
-    if c == 1:
-        return [matrices[:, 0].real]
-    flat = matrices.reshape(len(matrices), -1)
-    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
-    largest = functools.reduce(np.maximum, (np.maximum(p.max(axis=1), -p.min(axis=1)) for p in parts))
-    kept = math.sqrt(2) * c * largest > SUPPORT_CUTOFF
-    count = np.count_nonzero(kept)
-    if not count:
-        return [np.zeros(matrices.shape[:2])]
-    slot = [None]
-    whole = count == len(kept)
-    waiting.setdefault((c, matrices.dtype), []).append((matrices if whole else matrices[kept], slot))
-    return slot if whole else _Scattered(slot, kept)
 
 
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator,

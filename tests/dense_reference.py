@@ -172,29 +172,29 @@ def model_solves(state, flip, momenta=True):
     """(solved, every, calls): the matrices larger than 1 x 1 that a dense
     model of the walk diagonalizes in one `ccm` of `state`, a ring state in
     block form, and all its popcount blocks larger than 1 x 1, as Counters
-    by size, and the stacked eigensolves that takes.  The orbit
-    representatives are those of `qubit_symmetry(state)`, and each one's
-    reduced state comes from the dense partial trace (`block_solves`); with
-    `momenta`, the root of a state whose group holds the ring's shift is
-    cut into momentum blocks instead (`root_solves`)."""
+    by size, and the stacked eigensolves that takes: one per size and
+    realness.  The orbit representatives are those of
+    `qubit_symmetry(state)`, and each one's reduced state comes from the
+    dense partial trace (`block_solves`); with `momenta`, the root of a
+    state whose group holds the ring's shift is cut into momentum blocks
+    instead (`root_solves`)."""
     n = state.num_qubits
     generators = qubit_symmetry(state)
-    whole, pieces, every = Counter(), Counter(), Counter()
+    solved, every = Counter(), Counter()
     for mask in set(orbit_representatives(n, generators).tolist()) - {0}:
         reduced = partial_trace(state, mask).matrix
         if momenta and mask == (1 << n) - 1 and generators and generators[0] == dihedral(n)[0]:
-            root_solves(reduced, flip, whole, every)
+            root_solves(reduced, flip, solved, every)
             continue
         block_solves(reduced, ring_reflections(n, mask) if holds_reflections(n, generators) else [], flip,
-                     whole, pieces, every)
-    return solved_sizes(whole, pieces), every, len(whole) + len(pieces)
+                     solved, every)
+    return solved_sizes(solved), every, len(solved)
 
 
-def solved_sizes(whole, pieces):
-    """The Counter by size of the matrices that `whole` counts by (size,
-    real) and `pieces` by size."""
-    out = Counter(pieces)
-    for (c, _), count in whole.items():
+def solved_sizes(solved):
+    """The Counter by size of the matrices that `solved` counts by (size, real)."""
+    out = Counter()
+    for (c, _), count in solved.items():
         out[c] += count
     return out
 
@@ -204,20 +204,20 @@ def holds_reflections(n, generators):
     return len(generators) == 2 and generators[0] == dihedral(n)[0]
 
 
-def block_solves(reduced, reflections, flip, whole, pieces, every):
-    """Count into the Counters `whole` (by size and realness), `pieces` and
-    `every` (by size) the matrices that the walk diagonalizes for one node,
+def block_solves(reduced, reflections, flip, solved, every):
+    """Count into the Counters `solved` (by size and realness) and `every`
+    (by size) the matrices that the walk diagonalizes for one node,
     `reduced` (an m-qubit density matrix that holds popcounts apart), and
     its popcount blocks larger than 1 x 1.  A block that is exactly 0.0 is
     skipped, and so, with `flip`, is block k > m/2 (block m - k's spectrum
     serves it); any other is split by `split_block`: the flip on the middle
     block when `flip`, and the cheapest of `reflections`
-    (`ring_reflections`).  A block that is not split is solved whole, in
-    one call per size and dtype; a piece of a split, in one call per piece
-    size, if it is larger than 1 x 1 and
-    the real or imaginary part of one of its entries passes
+    (`ring_reflections`).  A block that is not split is solved whole; a
+    piece of a split, of the block's realness, if it is larger than 1 x 1
+    and the real or imaginary part of one of its entries passes
     SUPPORT_CUTOFF / (sqrt(2) size), so that it may have an eigenvalue
-    above SUPPORT_CUTOFF."""
+    above SUPPORT_CUTOFF.  Whole blocks and pieces of one size and
+    realness share one call."""
     m = reduced.shape[0].bit_length() - 1
     for k, idx in enumerate(block_layout(m).sectors):
         c = idx.size
@@ -229,12 +229,12 @@ def block_solves(reduced, reflections, flip, whole, pieces, every):
             continue
         split = split_block(block, idx, m, reflections, flip and 2 * k == m)
         if len(split) == 1:
-            whole[c, not np.iscomplexobj(block)] += 1
+            solved[c, not np.iscomplexobj(block)] += 1
             continue
         for piece in split:
             parts = np.concatenate([piece.real, piece.imag])
             if piece.shape[0] > 1 and math.sqrt(2) * piece.shape[0] * np.abs(parts).max() > SUPPORT_CUTOFF:
-                pieces[piece.shape[0]] += 1
+                solved[piece.shape[0], not np.iscomplexobj(block)] += 1
 
 
 def ring_shift(s, n):
@@ -276,8 +276,8 @@ def momentum_pieces(block, idx, n, real):
     return out
 
 
-def root_solves(reduced, flip, whole, every):
-    """Count into `whole` (by size and realness) and `every` (by size) the
+def root_solves(reduced, flip, solved, every):
+    """Count into `solved` (by size and realness) and `every` (by size) the
     matrices that the walk diagonalizes for the root `reduced` of an n-qubit
     state that the ring's shift leaves unchanged, and its popcount blocks
     larger than 1 x 1.  A block that is exactly 0.0 is skipped, and so,
@@ -296,7 +296,7 @@ def root_solves(reduced, flip, whole, every):
             continue
         for m, piece in momentum_pieces(block, idx, n, real):
             if piece.shape[0] > 1 and np.abs(piece).max() > 0.0:
-                whole[piece.shape[0], real and 2 * m % n == 0] += 1
+                solved[piece.shape[0], real and 2 * m % n == 0] += 1
 
 
 def dense_flips(state):
@@ -318,7 +318,8 @@ def column_sectors(v):
 def model_factor_solves(state):
     """(solved, calls): the matrices larger than 1 x 1 that a dense model of
     the walk diagonalizes in one `ccm` of `state`, which has a factor V
-    (2^n x r), as a Counter by size, and the stacked eigensolves that takes.
+    (2^n x r), as a Counter by size, and the stacked eigensolves that takes:
+    one per size and realness.
 
     The orbit representatives are those of `qubit_symmetry(state)`; with
     r = 1, a representative A whose complement's representative is smaller
@@ -333,7 +334,7 @@ def model_factor_solves(state):
     reps = orbit_representatives(n, generators)
     aligned = column_sectors(v) is not None
     flip = aligned and dense_flips(state)
-    whole, pieces, every = Counter(), Counter(), Counter()
+    solved, every = Counter(), Counter()
     full = (1 << n) - 1
     for mask in set(reps.tolist()) - {0}:
         if r == 1 and reps[full ^ mask] < mask:
@@ -342,10 +343,10 @@ def model_factor_solves(state):
         c = min(1 << m, r << (n - m))
         if aligned and c == 1 << m:
             reflections = ring_reflections(n, mask) if holds_reflections(n, generators) else []
-            block_solves(partial_trace(state, mask).matrix, reflections, flip, whole, pieces, every)
+            block_solves(partial_trace(state, mask).matrix, reflections, flip, solved, every)
         elif c > 1:
-            whole[c, not np.iscomplexobj(v)] += 1
-    return solved_sizes(whole, pieces), len(whole) + len(pieces)
+            solved[c, not np.iscomplexobj(v)] += 1
+    return solved_sizes(solved), len(solved)
 
 
 def model_spectra_solves(rings, shared, momenta=True):

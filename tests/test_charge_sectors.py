@@ -25,6 +25,7 @@ from qcorr import (
     apply_channel_local,
     apply_local_unitary,
     ccm,
+    ccm_many,
     chain_terms,
     full_mask,
     ground_state,
@@ -245,14 +246,53 @@ def test_eigensolve_calls_of_the_damped_ring(monkeypatch):
     # root's middle block is cut into momentum blocks 10, 8, 9, 8 and 10
     # wide; those of m = 1, 2, 3 are complex, and take two calls of their own.
     calls, solved, saved = block_eigensolves(monkeypatch, "phase")
-    assert (calls, solved) == (13, 66) and saved == pytest.approx(0.96, abs=0.01)
+    assert (calls, solved) == (11, 66) and saved == pytest.approx(0.96, abs=0.01)
 
 
 def test_eigensolve_calls_of_the_amplitude_damped_ring(monkeypatch):
     # Amplitude damping also feeds blocks 0..3; blocks 5..8 stay 0.0, and
     # the flip is broken.
     calls, solved, saved = block_eigensolves(monkeypatch, "amplitude")
-    assert (calls, solved) == (19, 99) and saved == pytest.approx(0.92, abs=0.01)
+    assert (calls, solved) == (18, 99) and saved == pytest.approx(0.92, abs=0.01)
+
+
+def phase_damped_grid():
+    """The benchmark's noise-sweep grid at N = 8: phase damping at
+    p = 0, 0.2, .., 0.8 of the XXZ ring at seven Delta in [-1.5, 0.5]."""
+    for delta in np.linspace(-1.5, 0.5, 7):
+        ground = ground_state(chain_terms(xxz_ring(8, delta)))
+        for p in np.linspace(0.0, 0.8, 5):
+            yield apply_channel_local(ground, phase_damping_channel(p), full_mask(8))
+
+
+@pytest.mark.parametrize("states", [
+    *(pytest.param(lambda n=n, c=c: [damped_ring(n, -0.4, c, 0.4)], id=f"{c}-{n}")
+      for n in (8, 10, 12) for c in ("phase", "amplitude")),
+    pytest.param(lambda: list(phase_damped_grid()), id="phase-grid-8"),
+    pytest.param(lambda: [ground_state(chain_terms(xxz_ring(10, 0.5)))], id="xxz-mixture-10"),
+])
+def test_one_eigensolve_per_width_and_dtype_in_each_flush(states, monkeypatch):
+    # Whole blocks, Gram matrices, momentum blocks and the pieces of split
+    # blocks wait in one queue, so each flush solves every (width, dtype)
+    # in one stacked call.
+    calls, flushes = [], []
+    solve, flush = qcorr.entropy.hermitian_eigenvalues, qcorr.entropy._Walk.flush
+
+    def record_solve(matrices):
+        calls.append((matrices.shape[-1], matrices.dtype))
+        return solve(matrices)
+
+    def record_flush(self):
+        start = len(calls)
+        flush(self)
+        flushes.append(calls[start:])
+
+    monkeypatch.setattr(qcorr.entropy, "hermitian_eigenvalues", record_solve)
+    monkeypatch.setattr(qcorr.entropy._Walk, "flush", record_flush)
+    ccm_many(states())
+    assert sum(map(len, flushes)) == len(calls) > 0
+    for solved in flushes:
+        assert len(set(solved)) == len(solved)
 
 
 # --- intake --------------------------------------------------------------------
