@@ -44,17 +44,18 @@ from .states import (
 TP_ATOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A qubit channel rho -> sum_i E_i rho E_i^dagger.
 
     Construction certifies trace preservation: sum_i E_i^dagger E_i = I
     within 1e-10, and builds the channel's superoperator once, read-only.
+    Channels compare, and hash, by identity: their operators are arrays.
     """
 
     operators: tuple[np.ndarray, ...]
-    _superoperator: np.ndarray = field(init=False, repr=False, compare=False)
-    _scales: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _superoperator: np.ndarray = field(init=False, repr=False)
+    _scales: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         ops = tuple(np.asarray(e, dtype=complex) for e in self.operators)

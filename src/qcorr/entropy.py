@@ -32,17 +32,22 @@ keeps the zeros between popcounts; any other state is the one-block case.
 A factor whose every column lies in one popcount sector (XXZ and
 double-XXZ ground states) has each rho_A block diagonal by popcount too,
 and its Gram matrices of A's side, which are rho_A, are taken as their
-popcount blocks (`_Walk.factor_pieces`).  A matrix that is 0.0 is not
-diagonalized, and the others wait with the matrices of the same width from
-every subset.  When the spin flip X^n leaves the state unchanged
-(`_flips_by_at_most_cutoff`), block m - k takes block k's spectrum.  A
+popcount blocks (`_Walk.factor_pieces`).  A block that is 0.0 in every
+state of a stack is not diagonalized, and the others wait with the
+matrices of the same width from every subset.  When the spin flip X^n
+leaves the state unchanged (`_flips_by_at_most_cutoff`), block m - k
+takes block k's spectrum.  A
 block is split before its eigensolve by the involutions of its basis that
 leave it unchanged (`_block_split`): the flip, on the middle block, and,
 when the qubit group holds the ring's reflections, the one of those that
 map the subset onto itself whose pieces cost least (Sandvik's reflection
 and spin-inversion sectors).  Its pieces wait in its place, and the
 matrices and pieces of one width and dtype, whatever subset and stack
-they come from, share one stacked `hermitian_eigenvalues` call.  The root
+they come from, share one stacked `hermitian_eigenvalues` call, whose
+eigenvalues give each piece's entropy; a node's is the sum of its
+pieces'.  A piece whose eigenvalues are all outside the support adds
+nothing, as an absent one does, so a 0.0 block of one state solved with
+the other states of its stack leaves its table as it is alone.  The root
 of a state in popcount blocks whose qubit group holds the shift T is not
 split so: each of its popcount blocks is cut into the momentum blocks of T
 (Sandvik's momentum sectors), from one gather and one FFT per block for a
@@ -108,8 +113,16 @@ def _entropy_bits(vals: np.ndarray) -> np.ndarray:
     """-sum_i lam_i log2 lam_i over the last axis of `vals` (one spectrum, or
     one per row), in bits, with the eigenvalues at or below SUPPORT_CUTOFF
     taken as 1 (1 log2 1 = 0)."""
+    return np.maximum(_piece_bits(vals), 0.0)
+
+
+def _piece_bits(vals: np.ndarray) -> np.ndarray:
+    """`_entropy_bits` of `vals` before its clip at 0: the bits of one piece
+    of a spectrum, which `_node_bits` adds to the others'.  A piece whose
+    eigenvalues are all at or below SUPPORT_CUTOFF (a 0.0 matrix, say)
+    gives -0.0, which adds nothing to any sum, as if it were absent."""
     kept = np.where(vals > SUPPORT_CUTOFF, vals, 1.0)
-    return np.maximum(-(kept * np.log2(kept)).sum(axis=-1), 0.0)
+    return -(kept * np.log2(kept)).sum(axis=-1)
 
 
 def subset_entropy(state: DensityOperator, mask: int) -> float:
@@ -386,16 +399,17 @@ def _subset_table(table: np.ndarray, rep: np.ndarray) -> SubsetTable:
 
 class _Stack:
     """States walked together, each with the table its entropies go to, and
-    the spectrum pieces of every mask they have reached, under a tuple of
-    masks whose matrices are stacked mask by mask: one holder per piece, a
-    one-item list filled when its eigensolve is made (a block and its
-    spin-flip twin share theirs).  A stack of factors keeps them until it
-    is walked, and, when they are one column, the masks that copy the entry
-    of their complement's representative.  `charged` says whether the
+    the pieces of the spectrum of every mask they have reached, under a
+    tuple of masks whose matrices are stacked mask by mask: one holder per
+    piece, a one-item list that holds, or gets when its eigensolve is made,
+    the piece's bits (`_piece_bits`), one float per row of the stack (a
+    block and its spin-flip twin share theirs).  A stack of factors keeps
+    them until it is walked, and, when they are one column, the masks that
+    copy the entry of their complement's representative.  `charged` says whether the
     states' data hold popcounts apart: they have popcount blocks, or each
     column of their factors lies in one popcount sector (`factor_sectors`)."""
 
-    __slots__ = ("charged", "flip", "ring", "gather", "rep", "tables", "spectra", "roots", "children", "factors",
+    __slots__ = ("charged", "flip", "ring", "gather", "rep", "tables", "pieces", "roots", "children", "factors",
                  "copies")
 
     def __init__(self, charged: bool, flip: bool, ring: int, rep: np.ndarray, gather: np.ndarray | None = None):
@@ -403,7 +417,7 @@ class _Stack:
         # gather: when a root visited alone is cut into momentum blocks, its entries that make them
         self.charged, self.flip, self.ring, self.rep, self.gather = charged, flip, ring, rep, gather
         self.tables: list[np.ndarray] = []
-        self.spectra: dict[tuple[int, ...], list[list]] = {}
+        self.pieces: dict[tuple[int, ...], list[list]] = {}
         self.roots: list[np.ndarray] = []  # one (1, entries) array per state: its root's `_root_entries`
         self.children: dict[int, list[np.ndarray]] = {}  # traced qubit -> one (1, entries) array per state
         self.factors: list[np.ndarray] = []  # one (1, 2^n, r) array per state
@@ -455,9 +469,10 @@ class _Walk:
     a factor).
 
     Blocks are reduced by two index gathers (`trace_entries`), one block by
-    a reshape and the sum of two slices.  The 1 x 1 blocks are read off; of
-    a stack of matrices, only those that are not 0.0 wait (the others'
-    eigenvalues are 0, outside the support).  A stack that is invariant
+    a reshape and the sum of two slices.  The 1 x 1 blocks are read off; a
+    block that is 0.0 in every state of the stack is skipped, and any other
+    waits for every state (a 0.0 matrix's eigenvalues are 0, outside the
+    support, and add nothing).  A stack that is invariant
     under the spin flip X^n (`_flips_by_at_most_cutoff`) stays so under
     every partial trace, and one whose qubit group holds the ring's
     reflections has each subset's blocks invariant under the reflections
@@ -468,11 +483,13 @@ class _Walk:
     as those blocks.  Every matrix, Gram matrix and piece waits under
     (width, dtype), shared by every stack, until more than BLOCK_ENTRIES
     entries would wait.  The flush then solves each (width, dtype) in one
-    `hermitian_eigenvalues` call, and each holder gets its matrix's
-    eigenvalues.  A root takes the spectrum the positivity check kept, if
-    any.  Each spectrum is in the order 1 x 1 blocks, then blocks 1, m - 1,
-    2, m - 2, ... (each split block's pieces in the order of its recipe,
-    each root block's momentum blocks in the order m = 0, 1, ...)
+    `hermitian_eigenvalues` call, and each holder gets the bits of its
+    matrices' eigenvalues (`_piece_bits`), one float per state.  A root
+    takes the spectrum the positivity check kept, if any.  A node's
+    entropy is its pieces' bits added in spectrum order (`_node_bits`): the
+    1 x 1 blocks, then blocks 1, m - 1, 2, m - 2, ... (each split block's
+    pieces in the order of its recipe, each root block's momentum blocks in
+    the order m = 0, 1, ...)
     """
 
     def __init__(self):
@@ -542,7 +559,7 @@ class _Walk:
                 continue
             full = full_mask(n)
             if stack.roots:
-                stack.spectra[full,] = self.momentum_pieces(np.concatenate(stack.roots), n, stack.flip)
+                stack.pieces[full,] = self.momentum_pieces(np.concatenate(stack.roots), n, stack.flip)
                 stack.roots = []
             for q in list(stack.children):
                 # Passed unbound, and each state's own child dropped once
@@ -578,18 +595,18 @@ class _Walk:
         self.queued.append(stack)
 
     def factor_pieces(self, stack: _Stack, factors: np.ndarray, masks: list[int], reflections: tuple) -> None:
-        """The spectrum pieces of the Gram matrices of `masks`, of one size
-        and side, stacked mask by mask: solved whole, or, when they are
-        rho_A of factors whose columns each lie in one popcount sector, as
-        rho_A's popcount blocks (`block_pieces`, with the leg permutations
-        `reflections`)."""
+        """The holders of the spectrum pieces of the Gram matrices of
+        `masks`, of one size and side, stacked mask by mask: solved whole,
+        or, when they are rho_A of factors whose columns each lie in one
+        popcount sector, as rho_A's popcount blocks (`block_pieces`, with
+        the leg permutations `reflections`)."""
         grams = np.concatenate([_grams(factors, mask) for mask in masks])
         m = masks[0].bit_count()
         if not stack.charged or grams.shape[-1] != 1 << m:
-            stack.spectra[tuple(masks)] = [self.solve(grams)]
+            stack.pieces[tuple(masks)] = [self.solve(grams)]
             return
         data = grams.reshape(len(grams), -1).take(_gram_entries(m)[0], axis=1)
-        stack.spectra[tuple(masks)] = self.block_pieces(data, m, stack.flip, reflections)
+        stack.pieces[tuple(masks)] = self.block_pieces(data, m, stack.flip, reflections)
 
     def finish(self) -> None:
         self.walk_stacks()
@@ -598,15 +615,15 @@ class _Walk:
     def visit(self, stack: _Stack, data: np.ndarray, mask: int, m: int, low: int,
               known: np.ndarray | None = None, descend: bool = True) -> None:
         if known is not None:
-            stack.spectra[mask,] = [[known]]
+            stack.pieces[mask,] = [[_piece_bits(known)]]
         elif stack.gather is not None and mask == stack.rep.size - 1:
-            stack.spectra[mask,] = self.momentum_pieces(data.take(stack.gather, axis=1), m, stack.flip)
+            stack.pieces[mask,] = self.momentum_pieces(data.take(stack.gather, axis=1), m, stack.flip)
         elif stack.charged:
             reflections = _ring_reflections(stack.ring, mask) if stack.ring else ()
-            stack.spectra[mask,] = self.block_pieces(data, m, stack.flip, reflections)
+            stack.pieces[mask,] = self.block_pieces(data, m, stack.flip, reflections)
         else:
             d = 1 << m
-            stack.spectra[mask,] = [self.solve(data.reshape(-1, d, d))]
+            stack.pieces[mask,] = [self.solve(data.reshape(-1, d, d))]
         if not descend or m == 1:
             return
         for q in range(low):  # leg q of the data is qubit q: qubits 0..low-1 are all in `mask`
@@ -615,11 +632,11 @@ class _Walk:
                 self.visit(stack, _reduced(data, m, q, stack.charged), child, m - 1, q)
 
     def block_pieces(self, data: np.ndarray, m: int, flip: bool, reflections: tuple) -> list[list]:
-        """The holders of the spectrum of each state of `data`, blocks of an
-        m-qubit node that the leg permutations `reflections` leave unchanged,
-        in spectrum order."""
+        """The holders of the spectrum pieces of each state of `data`, blocks
+        of an m-qubit node that the leg permutations `reflections` leave
+        unchanged, in spectrum order."""
         lay = block_layout(m)
-        pieces, twin = [[data.take([0, lay.offsets[m]], axis=1).real]], []
+        pieces, twin = [[_piece_bits(data.take([0, lay.offsets[m]], axis=1).real)]], []
         for k in _block_order(m):
             if flip and 2 * k > m:  # block m - k, just before, is its flip
                 pieces += twin
@@ -631,8 +648,8 @@ class _Walk:
         return pieces
 
     def momentum_pieces(self, entries: np.ndarray, n: int, flip: bool) -> list[list]:
-        """The holders of the spectrum of each state of a stack of n-qubit
-        roots that the shift T leaves unchanged, given by their
+        """The holders of the spectrum pieces of each state of a stack of
+        n-qubit roots that the shift T leaves unchanged, given by their
         `_root_entries`, in spectrum order: the 1 x 1 blocks, then each
         block's momentum blocks, m = 0, 1, ...
 
@@ -646,7 +663,7 @@ class _Walk:
         that of m, so each 0 < m < n/2 stands for two, and m = 0 and n/2 are
         real.  Under the flip, block n - k takes block k's spectrum, as
         elsewhere, and its entries are not gathered."""
-        pieces, twin = [[entries[:, :2].real]], []
+        pieces, twin = [[_piece_bits(entries[:, :2].real)]], []
         real = not np.iscomplexobj(entries)
         start = 2
         for k in _block_order(n):
@@ -672,48 +689,38 @@ class _Walk:
         return pieces
 
     def solve_nonzero(self, matrices: np.ndarray, recipe: tuple | None = None) -> list:
-        """The holders of the eigenvalues of the whole stack `matrices`
-        (s, c, c): one, or, split by `recipe` (see `_block_split`), one per
-        piece, in the recipe's order (`solve_piece`).  Only the matrices
-        that are not 0.0 in every entry are solved, copied or split (so that
-        nothing waiting keeps its source alive); none if every one is 0.0.
-        (A 0.0 matrix has eigenvalues 0, outside the support.)"""
-        nonzero = matrices.reshape(len(matrices), -1).any(axis=1)
-        count = np.count_nonzero(nonzero)
-        if not count:
+        """The holders of the bits of the whole stack `matrices` (s, c, c):
+        one, or, split by `recipe` (see `_block_split`), one per piece that
+        `solve_piece` keeps, in the recipe's order; none if every matrix is
+        0.0.  (A 0.0 matrix has eigenvalues 0, outside the support: solved
+        with the others, it adds -0.0 bits, nothing, as its state alone,
+        which skips it.)  The stack is copied or split, so that nothing
+        waiting keeps its source alive."""
+        if not matrices.any():
             return []
-        every = count == len(nonzero)
-        matrices = matrices if every else matrices[nonzero]
         if recipe is None:
-            holders = [self.solve(matrices.copy() if every else matrices)]
-        else:
-            holders = [self.solve_piece(piece) for piece in _split(matrices, recipe)]
-        return holders if every else [_Scattered(holder, nonzero, lacking=True) for holder in holders]
+            return [self.solve(matrices.copy())]
+        return [holder for piece in _split(matrices, recipe) for holder in self.solve_piece(piece)]
 
-    def solve_piece(self, matrices: np.ndarray) -> list | _Scattered:
-        """`solve` of those of `matrices` (s, c, c), pieces of a split, that
-        may have an eigenvalue above SUPPORT_CUTOFF, as a holder of the
-        eigenvalues of the whole stack.  When no real or imaginary part of
-        an entry of a matrix passes SUPPORT_CUTOFF / (sqrt(2) c) in absolute
-        value, none of its eigenvalues passes SUPPORT_CUTOFF
-        (|lambda| <= ||M||_F <= c max |M_ij|), so it gets zeros, which
-        count for the same in the entropy: a piece that a symmetry leaves
-        empty but for round-off is not diagonalized.  The parts are read by
+    def solve_piece(self, matrices: np.ndarray) -> list:
+        """The holder of `solve` of `matrices` (s, c, c), the pieces of a
+        split, in a list, or no holder when no real or imaginary part of an
+        entry of any of them passes SUPPORT_CUTOFF / (sqrt(2) c) in absolute
+        value: then none of their eigenvalues passes SUPPORT_CUTOFF
+        (|lambda| <= ||M||_F <= c max |M_ij|), so each piece's bits would be
+        -0.0, which adds nothing: a piece that a symmetry leaves empty but
+        for round-off is not diagonalized.  The parts are read by
         reductions, so no temporary of the matrices' size is made."""
-        flat = matrices.reshape(len(matrices), -1)
-        parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
-        largest = functools.reduce(np.maximum, (np.maximum(p.max(axis=1), -p.min(axis=1)) for p in parts))
-        kept = math.sqrt(2) * matrices.shape[-1] * largest > SUPPORT_CUTOFF
-        count = np.count_nonzero(kept)
-        if count == len(kept):
-            return self.solve(matrices)
-        return _Scattered(self.solve(matrices[kept]), kept) if count else [np.zeros(matrices.shape[:2])]
+        parts = (matrices.real, matrices.imag) if np.iscomplexobj(matrices) else (matrices,)
+        largest = max(max(p.max(), -p.min()) for p in parts)
+        return [self.solve(matrices)] if math.sqrt(2) * matrices.shape[-1] * largest > SUPPORT_CUTOFF else []
 
     def solve(self, matrices: np.ndarray) -> list:
         """A holder whose item is, or becomes when the waiting matrices are
-        solved, the eigenvalues of each of `matrices` (s, c, c)."""
+        solved, the bits (`_piece_bits`) of the eigenvalues of each of
+        `matrices` (s, c, c)."""
         if matrices.shape[-1] == 1:
-            return [matrices[:, 0].real]
+            return [_piece_bits(matrices[:, 0].real)]
         if self.waiting_entries + matrices.size > BLOCK_ENTRIES:
             self.flush()
         holder = [None]
@@ -722,24 +729,27 @@ class _Walk:
         return holder
 
     def flush(self) -> None:
-        """Solve every waiting matrix, then write the entropies of every
-        stack that has been walked, whose holders are now all filled."""
-        # Each (width, dtype) takes one eigensolve, and its matrices are
-        # dropped once solved.
+        """Solve every waiting matrix and give each holder its matrices'
+        bits, then write the entropies of every stack that has been walked,
+        whose holders are now all filled: each node's is `_node_bits` of
+        its pieces'."""
+        # Each (width, dtype) takes one eigensolve, whose eigenvalues make
+        # the bits of all its matrices at once; its matrices are dropped
+        # once solved.
         waiting, self.waiting, self.waiting_entries = self.waiting, {}, 0
         while waiting:
             _, items = waiting.popitem()
             together = items[0][0] if len(items) == 1 else np.concatenate([a for a, _ in items])
-            solved, start = hermitian_eigenvalues(together), 0
+            solved, start = _piece_bits(hermitian_eigenvalues(together)), 0
             for a, holder in items:
                 holder[0] = solved[start:start + len(a)]
                 start += len(a)
         for stack in self.queued:
-            masks = np.fromiter((mask for key in stack.spectra for mask in key), dtype=np.intp)
+            masks = np.fromiter((mask for key in stack.pieces for mask in key), dtype=np.intp)
             bits = np.empty((masks.size, len(stack.tables)))
             j = 0
-            for key, pieces in stack.spectra.items():
-                bits[j:j + len(key)] = _spectrum_bits(pieces).reshape(len(key), -1)
+            for key, pieces in stack.pieces.items():
+                bits[j:j + len(key)] = _node_bits(pieces).reshape(len(key), -1)
                 j += len(key)
             for table, row in zip(stack.tables, bits.T):
                 table[masks] = row
@@ -749,39 +759,14 @@ class _Walk:
         self.queued.clear()
 
 
-class _Scattered:
-    """A holder of the eigenvalues of a stack of matrices of which only
-    those at `rows` (a boolean mask) are diagonalized, into the holder
-    `solved`; each other one is 0.0, with eigenvalues 0.  When `lacking`,
-    a state of another row, walked alone, has no such matrix at all (see
-    `_spectrum_bits`)."""
-
-    __slots__ = ("solved", "rows", "lacking")
-
-    def __init__(self, solved: list, rows: np.ndarray, lacking: bool = False):
-        self.solved, self.rows, self.lacking = solved, rows, lacking
-
-    def __getitem__(self, index: int) -> np.ndarray:  # holder[0], as for a one-item list
-        vals = self.solved[index]
-        out = np.zeros((self.rows.size, vals.shape[1]))
-        out[self.rows] = vals
-        return out
-
-
-def _spectrum_bits(pieces: list) -> np.ndarray:
-    """The entropy in bits of each row of the spectrum that the holders
-    `pieces` make, in order.  A row that a piece lacks (`_Scattered`) is
-    summed without that piece's zeros, as its state walked alone sums it,
-    so that the sum, whose rounding depends on where each term sits, is bit
-    for bit the state's alone."""
-    parts = [p[0] for p in pieces]
-    bits = _entropy_bits(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1))
-    gaps = [(i, p.rows) for i, p in enumerate(pieces) if isinstance(p, _Scattered) and p.lacking]
-    if gaps:
-        for row in np.flatnonzero(~np.logical_and.reduce([rows for _, rows in gaps])).tolist():
-            lacking = {i for i, rows in gaps if not rows[row]}
-            bits[row] = _entropy_bits(np.concatenate([part[row] for i, part in enumerate(parts) if i not in lacking]))
-    return bits
+def _node_bits(pieces: list) -> np.ndarray:
+    """The entropy in bits of each row of a node whose spectrum's pieces
+    have the holders `pieces`: their bits added one after another, in
+    spectrum order, then clipped at 0 as `_entropy_bits` clips.  The sum is
+    a cumulative one, so that its order does not depend on the number of
+    rows (a sum over the pieces' axis goes pairwise for a stack of one);
+    with -0.0 for a piece of zeros, a row's bits are its state's alone."""
+    return np.maximum(np.cumsum([holder[0] for holder in pieces], axis=0)[-1], 0.0)
 
 
 def _reduced(data: np.ndarray, m: int, q: int, charged: bool) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from qcorr import DensityOperator, HamiltonianTerms, chain_terms, ising_ring, xxz_ring
 from qcorr.entropy import REFLECTED_WIDTH, orbit_representatives, qubit_symmetry
-from qcorr.states import SUPPORT_CUTOFF, block_layout, partial_trace
+from qcorr.states import BLOCK_ENTRIES, SUPPORT_CUTOFF, block_layout, partial_trace
 
 # --- Hamiltonians -------------------------------------------------------------
 
@@ -186,7 +186,7 @@ def model_solves(state, flip, momenta=True):
         if momenta and mask == (1 << n) - 1 and generators and generators[0] == dihedral(n)[0]:
             root_solves(reduced, flip, solved, every)
             continue
-        block_solves(reduced, ring_reflections(n, mask) if holds_reflections(n, generators) else [], flip,
+        block_solves([reduced], ring_reflections(n, mask) if holds_reflections(n, generators) else [], flip,
                      solved, every)
     return solved_sizes(solved), every, len(solved)
 
@@ -204,37 +204,41 @@ def holds_reflections(n, generators):
     return len(generators) == 2 and generators[0] == dihedral(n)[0]
 
 
-def block_solves(reduced, reflections, flip, solved, every):
+def block_solves(batch, reflections, flip, solved, every):
     """Count into the Counters `solved` (by size and realness) and `every`
-    (by size) the matrices that the walk diagonalizes for one node,
-    `reduced` (an m-qubit density matrix that holds popcounts apart), and
-    its popcount blocks larger than 1 x 1.  A block that is exactly 0.0 is
-    skipped, and so, with `flip`, is block k > m/2 (block m - k's spectrum
-    serves it); any other is split by `split_block`: the flip on the middle
-    block when `flip`, and the cheapest of `reflections`
-    (`ring_reflections`).  A block that is not split is solved whole; a
-    piece of a split, of the block's realness, if it is larger than 1 x 1
-    and the real or imaginary part of one of its entries passes
+    (by size) the matrices that the walk diagonalizes for the nodes whose
+    blocks it stacks together, `batch` (m-qubit density matrices that hold
+    popcounts apart: one node, or the masks of one batch of a factor's
+    walk), and their popcount blocks larger than 1 x 1.  A block that is
+    exactly 0.0 in every node of the batch is skipped, and so, with `flip`,
+    is block k > m/2 (block m - k's spectrum serves it); any other is split
+    by `split_block`: the flip on the middle block when `flip`, and the
+    cheapest of `reflections` (`ring_reflections`).  A block that is not
+    split is solved whole, in every node; a piece of a split, of the
+    block's realness, in every node, if it is larger than 1 x 1 and the
+    real or imaginary part of one of its entries, in one node, passes
     SUPPORT_CUTOFF / (sqrt(2) size), so that it may have an eigenvalue
     above SUPPORT_CUTOFF.  Whole blocks and pieces of one size and
     realness share one call."""
-    m = reduced.shape[0].bit_length() - 1
+    m = batch[0].shape[0].bit_length() - 1
+    real = not np.iscomplexobj(batch[0])
     for k, idx in enumerate(block_layout(m).sectors):
         c = idx.size
         if c == 1:
             continue
-        every[c] += 1
-        block = reduced[np.ix_(idx, idx)]
-        if not block.any() or (flip and 2 * k > m):
+        every[c] += len(batch)
+        blocks = [reduced[np.ix_(idx, idx)] for reduced in batch]
+        if not any(block.any() for block in blocks) or (flip and 2 * k > m):
             continue
-        split = split_block(block, idx, m, reflections, flip and 2 * k == m)
-        if len(split) == 1:
-            solved[c, not np.iscomplexobj(block)] += 1
+        splits = [split_block(block, idx, m, reflections, flip and 2 * k == m) for block in blocks]
+        if len(splits[0]) == 1:
+            solved[c, real] += len(batch)
             continue
-        for piece in split:
-            parts = np.concatenate([piece.real, piece.imag])
-            if piece.shape[0] > 1 and math.sqrt(2) * piece.shape[0] * np.abs(parts).max() > SUPPORT_CUTOFF:
-                solved[piece.shape[0], not np.iscomplexobj(block)] += 1
+        for pieces in zip(*splits):  # a piece of every node of the batch
+            size = pieces[0].shape[0]
+            largest = max(np.abs(np.concatenate([p.real, p.imag])).max() for p in pieces)
+            if size > 1 and math.sqrt(2) * size * largest > SUPPORT_CUTOFF:
+                solved[size, real] += len(batch)
 
 
 def ring_shift(s, n):
@@ -326,8 +330,11 @@ def model_factor_solves(state):
     copies that entry and is skipped.  When 2^|A| <= 2^(n-|A|) r and each
     column of V lies in one popcount sector, A's reduced state from the
     dense partial trace is split as `block_solves` does, with the flip when
-    `dense_flips`; otherwise the Gram matrix min(2^|A|, 2^(n-|A|) r) wide
-    is solved whole."""
+    `dense_flips`, in a batch with the other representatives of its size
+    and, when its widest block is REFLECTED_WIDTH or more, its reflections,
+    as the walk stacks their blocks (at these sizes a batch stays under
+    BLOCK_ENTRIES, where the walk would start a new one); otherwise the
+    Gram matrix min(2^|A|, 2^(n-|A|) r) wide is solved whole."""
     n, v = state.num_qubits, state.factor
     r = v.shape[1]
     generators = qubit_symmetry(state)
@@ -335,6 +342,7 @@ def model_factor_solves(state):
     aligned = column_sectors(v) is not None
     flip = aligned and dense_flips(state)
     solved, every = Counter(), Counter()
+    batches = {}  # (|A|, reflections) -> (reflections, reduced states)
     full = (1 << n) - 1
     for mask in set(reps.tolist()) - {0}:
         if r == 1 and reps[full ^ mask] < mask:
@@ -343,9 +351,13 @@ def model_factor_solves(state):
         c = min(1 << m, r << (n - m))
         if aligned and c == 1 << m:
             reflections = ring_reflections(n, mask) if holds_reflections(n, generators) else []
-            block_solves(partial_trace(state, mask).matrix, reflections, flip, solved, every)
+            key = (m, tuple(map(tuple, reflections)) if math.comb(m, m // 2) >= REFLECTED_WIDTH else ())
+            batches.setdefault(key, (reflections, []))[1].append(partial_trace(state, mask).matrix)
         elif c > 1:
             solved[c, not np.iscomplexobj(v)] += 1
+    for reflections, batch in batches.values():
+        assert len(batch) * len(batch[0]) ** 2 < BLOCK_ENTRIES
+        block_solves(batch, reflections, flip, solved, every)
     return solved_sizes(solved), len(solved)
 
 

@@ -25,6 +25,13 @@ def test_channel_certifies_trace_preservation():
     KrausChannel((np.eye(2),))  # identity passes
 
 
+def test_channels_compare_and_hash_by_identity():
+    a, b = phase_damping_channel(0.1), phase_damping_channel(0.1)
+    assert a == a and hash(a) == hash(a)
+    assert a != b  # equal operators, two channels; comparing their arrays would raise
+    assert len({a, b}) == 2
+
+
 def test_damping_strength_ranges():
     for build in (phase_damping_channel, amplitude_damping_channel):
         with pytest.raises(OutOfRange):

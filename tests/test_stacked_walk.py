@@ -7,9 +7,10 @@ register size, qubit group, form (popcount blocks or one block), dtype and
 spin flip, to be walked as one stack with a leading axis over the states; a
 state in popcount blocks whose group holds the ring's shift has the
 entries its root's momentum blocks are made from wait with them, to be cut
-with the stack's other roots.  A popcount block that is 0.0 in all of them is skipped.  Each table must be
-the one the state gets alone, bit for bit, whatever the list mixes and
-however the stack budget splits it; `ccm_many` must give each state the
+with the stack's other roots.  A popcount block that is 0.0 in all of them
+is skipped, and one that is 0.0 in some rows only (double rings) is solved
+in every row.  Each table must be the one the state gets alone, bit for
+bit, whatever the list mixes and however the stack budget splits it; `ccm_many` must give each state the
 report `ccm` gives it, tree included, and `ccm_naive` checks the values for
 n <= 6.  The noise sweep streams its whole grid through one `ccm_many`
 call, and its output is recorded from the one-state walk.
@@ -51,7 +52,7 @@ from dense_reference import block_state, one_block
 NAIVE_TOL = 1e-9
 DATA = pathlib.Path(__file__).resolve().parent / "data" / "noise"
 KINDS = ("phase", "amplitude", "complex", "uniform-phase", "bit-flip", "random", "kept", "kept-blocks",
-         "ghz", "factor")
+         "ghz", "factor", "double", "double-phase", "double-amplitude")
 
 
 def bit_flip_channel(p):
@@ -63,8 +64,19 @@ def make_state(kind, n, seed):
     """One state of `kind`: blocks (real or complex) or one block, with or
     without a kept spectrum, of the ring's group or the trivial or
     symmetric one, or a factor.  One qubit has no ring: its states are
-    dense, kept, pure or a factor."""
+    dense, kept, pure or a factor.  The double kinds are two XXZ rings of
+    max(2, n // 2) spins side by side, with unequal delta, as a factor or
+    damped: their popcount blocks are 0.0 where the two rings' sectors do
+    not meet, which depends on the deltas, so their stacks hold 0.0 blocks
+    in some rows and not in others."""
     rng = np.random.default_rng(seed)
+    if kind.startswith("double"):
+        spins, (delta, other), p = max(2, n // 2), rng.uniform(-2.0, 2.0, 2), rng.uniform(0.05, 0.95)
+        ground = ground_state(chain_terms(xxz_ring(spins, delta), xxz_ring(spins, other)))
+        if kind == "double":
+            return ground
+        channel = phase_damping_channel if kind == "double-phase" else amplitude_damping_channel
+        return apply_channel_local(ground, channel(p), full_mask(2 * spins))
     if n == 1:
         if kind == "kept":
             return one_block(random_density(1, rng).matrix, check_psd=True)
@@ -138,6 +150,31 @@ def test_mixed_list_n6(seed):
     reports = assert_same_as_alone(states)
     for state, report in zip(states, reports):
         assert report.value == pytest.approx(ccm_naive(state), abs=NAIVE_TOL)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_double_rings_stack_zero_blocks_in_some_rows(n, monkeypatch):
+    # The deltas of each seed put the rings' ground states in different
+    # sectors, so a popcount block of a damped stack (a row per state), and
+    # of a factor stack's batch (a row per mask and state), is 0.0 in some
+    # rows and not in others: those rows are solved with the rest, and each
+    # table must still be its own.
+    solve_nonzero = qcorr.entropy._Walk.solve_nonzero
+    damped = [make_state("double-phase", n, seed) for seed in range(6)]
+    factors = [make_state("double", n, seed) for seed in range(6)]
+    for states in (damped, factors):
+        mixed = []
+
+        def record(self, matrices, *args):
+            zero = ~matrices.reshape(len(matrices), -1).any(axis=1)
+            mixed.append(0 < np.count_nonzero(zero) < len(zero))
+            return solve_nonzero(self, matrices, *args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(qcorr.entropy._Walk, "solve_nonzero", record)
+            subset_entropies_many(states)
+        assert any(mixed)
+    assert_same_as_alone(damped + factors)
 
 
 def walks(monkeypatch):
