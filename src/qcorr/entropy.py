@@ -56,6 +56,19 @@ whole stack of roots.  A phase-damped N = 8 ring's largest eigensolve is
 one's is 19, in 18 calls; the roots' largest is 10.  An XXZ N = 10 ground
 state's is 10 instead of 32.
 
+The eigensolves of the largest matrices overlap the walk.  A stack of
+BLOCK_ENTRIES entries or more, which shares its batch with no other
+matrix, is handed as it is queued to one of a small pool of worker threads
+(numpy's eigensolver releases the GIL): as many as the CPUs this process
+may use over the BLAS's threads (`_worker_count`), made on the first
+hand-off and forgotten in a forked child.  Any other batch is solved by the
+walk's thread, with the same `_solve_batch`, so the walk makes the same
+calls on the same stacks, and writes the same tables, with or without the
+pool.  A whole matrix handed off is the data of a node on the walk's path,
+and the walk does not leave the node before it is solved, so no data the
+walk has left are alive for an eigensolve; the Gram matrices and pieces
+handed off are their own arrays, at most one per worker in flight.
+
 All entropies use log base 2 internally.  Results can be reported either in
 bits or in "normalized" units (bits / 2), the scale on which one Bell pair
 sits at distance 1 from its closest product state.  Normalized is the default
@@ -67,6 +80,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import os
 from typing import Iterable
 
 import numpy as np
@@ -279,7 +293,25 @@ def _factors_within_cutoff(w: np.ndarray, v: np.ndarray) -> bool:
 def _flips_by_at_most_cutoff(state: DensityOperator) -> bool:
     """Whether the spin flip X^n (every qubit's X) changes `state`, which
     has popcount blocks or a factor, by at most SUPPORT_CUTOFF in trace
-    norm: the test and budget of `_moves_by_at_most_cutoff`.
+    norm (`_tested_flip`).
+
+    The result is kept on the state, so each state is tested at most once,
+    as `qubit_symmetry` keeps its generators; `apply_channel_local` on the
+    whole register, with a channel that commutes with X^n up to round-off
+    (phase damping, not amplitude damping), gives its output its input's
+    result instead of a test: X^n then moves the output by at most what it
+    moves the input plus 16 n eps, since the channel contracts the trace
+    norm.
+    """
+    found = state._spin_flip
+    if found is None:
+        found = state._spin_flip = _tested_flip(state)
+    return found
+
+
+def _tested_flip(state: DensityOperator) -> bool:
+    """The result `_flips_by_at_most_cutoff` keeps, found by testing
+    `state` with the budget of `_moves_by_at_most_cutoff`.
 
     X^n maps basis index i to d - 1 - i, so popcount k to n - k in reversed
     order: the flipped state's block k is block n - k with its rows and
@@ -378,16 +410,22 @@ def subset_entropies_many(states: Iterable[DensityOperator]) -> list[SubsetTable
     as the entries its momentum blocks are made from.  No state is held
     once it has been reduced, so a generator of states is reduced in the
     memory of one state, the waiting factors, root entries and children,
-    and the matrices waiting for their eigensolve.
+    and the matrices waiting for their eigensolve or in flight.  If the
+    walk is abandoned (an exception from a state, from `states` or from an
+    eigensolve), the stacks handed off that have not started are
+    cancelled.
     """
     walk = _Walk()
     tables = []
-    for state in states:
-        n, generators = state.num_qubits, qubit_symmetry(state)
-        rep, table = orbit_representatives(n, generators), np.zeros(1 << n)
-        walk.add(state, generators, rep, table)
-        tables.append((table, rep))
-    walk.finish()
+    try:
+        for state in states:
+            n, generators = state.num_qubits, qubit_symmetry(state)
+            rep, table = orbit_representatives(n, generators), np.zeros(1 << n)
+            walk.add(state, generators, rep, table)
+            tables.append((table, rep))
+        walk.finish()
+    finally:
+        walk.cancel()  # of an abandoned walk, the batches that have not started
     return [_subset_table(table, rep) for table, rep in tables]
 
 
@@ -483,9 +521,14 @@ class _Walk:
     as those blocks.  Every matrix, Gram matrix and piece waits under
     (width, dtype), shared by every stack, until more than BLOCK_ENTRIES
     entries would wait.  The flush then solves each (width, dtype) in one
-    `hermitian_eigenvalues` call, and each holder gets the bits of its
-    matrices' eigenvalues (`_piece_bits`), one float per state.  A root
-    takes the spectrum the positivity check kept, if any.  A node's
+    `hermitian_eigenvalues` call (`_solve_batch`), and each holder gets the
+    bits of its matrices' eigenvalues (`_piece_bits`), one float per state.
+    A stack of BLOCK_ENTRIES entries or more would be alone in its batch:
+    it is handed to a worker thread as it is queued (`solve`), at most
+    `_worker_count` of them in flight, and the visit of a node whose whole
+    matrix was handed off waits for it before it returns.  A root takes
+    the spectrum the positivity check kept, if any.  Once every batch is
+    solved, `finish` writes the tables.  A node's
     entropy is its pieces' bits added in spectrum order (`_node_bits`): the
     1 x 1 blocks, then blocks 1, m - 1, 2, m - 2, ... (each split block's
     pieces in the order of its recipe, each root block's momentum blocks in
@@ -497,7 +540,8 @@ class _Walk:
         self.waiting_entries = 0
         self.stacks: dict[tuple, _Stack] = {}
         self.stacked_entries = 0
-        self.queued: list[_Stack] = []  # walked; their last eigensolves wait
+        self.queued: list[_Stack] = []  # walked; their entropies are written by `finish`
+        self.running: set = set()  # the futures of the stacks handed off, until seen done
 
     def add(self, state: DensityOperator, generators: tuple, rep: np.ndarray, table: np.ndarray) -> None:
         n, v = state.num_qubits, state.factor
@@ -609,8 +653,27 @@ class _Walk:
         stack.pieces[tuple(masks)] = self.block_pieces(data, m, stack.flip, reflections)
 
     def finish(self) -> None:
+        """Walk the waiting stacks and solve the last batch in this thread
+        while the stacks handed off finish, then write the entropies of
+        every stack: each node's is `_node_bits` of its pieces'.  The
+        exception of a stack that failed in a worker is raised from the
+        walk, here or where it waited for that stack."""
         self.walk_stacks()
         self.flush()
+        self.settle(every=True)
+        for stack in self.queued:
+            masks = np.fromiter((mask for key in stack.pieces for mask in key), dtype=np.intp)
+            bits = np.empty((masks.size, len(stack.tables)))
+            j = 0
+            for key, pieces in stack.pieces.items():
+                bits[j:j + len(key)] = _node_bits(pieces).reshape(len(key), -1)
+                j += len(key)
+            for table, row in zip(stack.tables, bits.T):
+                table[masks] = row
+                if stack.copies is not None:
+                    to, source = stack.copies
+                    table[to] = table[source]
+        self.queued.clear()
 
     def visit(self, stack: _Stack, data: np.ndarray, mask: int, m: int, low: int,
               known: np.ndarray | None = None, descend: bool = True) -> None:
@@ -624,12 +687,17 @@ class _Walk:
         else:
             d = 1 << m
             stack.pieces[mask,] = [self.solve(data.reshape(-1, d, d))]
-        if not descend or m == 1:
-            return
-        for q in range(low):  # leg q of the data is qubit q: qubits 0..low-1 are all in `mask`
-            child = mask & ~(1 << q)
-            if stack.rep[child] == child:
-                self.visit(stack, _reduced(data, m, q, stack.charged), child, m - 1, q)
+        if descend and m > 1:
+            for q in range(low):  # leg q of the data is qubit q: qubits 0..low-1 are all in `mask`
+                child = mask & ~(1 << q)
+                if stack.rep[child] == child:
+                    self.visit(stack, _reduced(data, m, q, stack.charged), child, m - 1, q)
+        if not stack.charged:
+            # A whole matrix handed off is `data` itself, dropped on return:
+            # no data the walk has left stays alive for an eigensolve.
+            (holder,) = stack.pieces[mask,]
+            if len(holder) > 1:
+                holder[1].result()
 
     def block_pieces(self, data: np.ndarray, m: int, flip: bool, reflections: tuple) -> list[list]:
         """The holders of the spectrum pieces of each state of `data`, blocks
@@ -718,45 +786,102 @@ class _Walk:
     def solve(self, matrices: np.ndarray) -> list:
         """A holder whose item is, or becomes when the waiting matrices are
         solved, the bits (`_piece_bits`) of the eigenvalues of each of
-        `matrices` (s, c, c)."""
+        `matrices` (s, c, c).
+
+        A stack of BLOCK_ENTRIES entries or more, which shares its batch
+        with no other matrix, is handed to the pool of `_worker_count`
+        threads as it arrives, after waiting, if that many stacks are in
+        flight, for the first of them to finish; its holder then also holds
+        the batch's future.  With one worker it waits as the others do."""
         if matrices.shape[-1] == 1:
             return [_piece_bits(matrices[:, 0].real)]
         if self.waiting_entries + matrices.size > BLOCK_ENTRIES:
             self.flush()
-        holder = [None]
-        self.waiting.setdefault((matrices.shape[-1], matrices.dtype), []).append((matrices, holder))
+        holder, key = [None], (matrices.shape[-1], matrices.dtype)
+        workers = _worker_count()
+        if matrices.size >= BLOCK_ENTRIES and workers > 1:
+            if len(self.running) >= workers:
+                self.settle(every=False)
+            holder.append(_hand_off({key: [(matrices, holder)]}))
+            self.running.add(holder[1])
+            return holder
+        self.waiting.setdefault(key, []).append((matrices, holder))
         self.waiting_entries += matrices.size
         return holder
 
     def flush(self) -> None:
-        """Solve every waiting matrix and give each holder its matrices'
-        bits, then write the entropies of every stack that has been walked,
-        whose holders are now all filled: each node's is `_node_bits` of
-        its pieces'."""
-        # Each (width, dtype) takes one eigensolve, whose eigenvalues make
-        # the bits of all its matrices at once; its matrices are dropped
-        # once solved.
-        waiting, self.waiting, self.waiting_entries = self.waiting, {}, 0
-        while waiting:
-            _, items = waiting.popitem()
-            together = items[0][0] if len(items) == 1 else np.concatenate([a for a, _ in items])
-            solved, start = _piece_bits(hermitian_eigenvalues(together)), 0
-            for a, holder in items:
-                holder[0] = solved[start:start + len(a)]
-                start += len(a)
-        for stack in self.queued:
-            masks = np.fromiter((mask for key in stack.pieces for mask in key), dtype=np.intp)
-            bits = np.empty((masks.size, len(stack.tables)))
-            j = 0
-            for key, pieces in stack.pieces.items():
-                bits[j:j + len(key)] = _node_bits(pieces).reshape(len(key), -1)
-                j += len(key)
-            for table, row in zip(stack.tables, bits.T):
-                table[masks] = row
-                if stack.copies is not None:
-                    to, source = stack.copies
-                    table[to] = table[source]
-        self.queued.clear()
+        """Solve the waiting batch in this thread."""
+        batch, self.waiting, self.waiting_entries = self.waiting, {}, 0
+        _solve_batch(batch)
+
+    def settle(self, every: bool) -> None:
+        """Wait for every batch in flight, or for the first to finish, and
+        raise the exception of any that failed."""
+        if not self.running:
+            return
+        from concurrent.futures import ALL_COMPLETED, FIRST_COMPLETED, wait
+
+        done, self.running = wait(self.running, return_when=ALL_COMPLETED if every else FIRST_COMPLETED)
+        for future in done:
+            future.result()
+
+    def cancel(self) -> None:
+        """Cancel the batches handed off that have not started."""
+        for future in self.running:
+            future.cancel()
+
+
+def _solve_batch(batch: dict) -> None:
+    """Solve a batch of the walk: each (width, dtype) in one
+    `hermitian_eigenvalues` call, whose eigenvalues make the bits of all
+    its matrices at once, and each holder gets its matrices' bits; the
+    matrices of each are dropped once solved."""
+    while batch:
+        _, items = batch.popitem()
+        together = items[0][0] if len(items) == 1 else np.concatenate([a for a, _ in items])
+        solved, start = _piece_bits(hermitian_eigenvalues(together)), 0
+        for a, holder in items:
+            holder[0] = solved[start:start + len(a)]
+            start += len(a)
+
+
+@functools.lru_cache(maxsize=None)
+def _worker_count() -> int:
+    """The stacks that may be solved at once besides the walk: the CPUs
+    this process may use over the threads of each BLAS call, at least 1.
+    The BLAS's threads are the first positive integer among
+    OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS, else the CPU
+    count, which is what OpenBLAS takes when none is set."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return max(1, cpus // int(value))
+    return 1
+
+
+_pool = None  # the threads that solve the stacks handed off, made on the first hand-off
+
+
+def _hand_off(batch: dict):
+    """The future of `_solve_batch(batch)` on the module's pool."""
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(_worker_count(), thread_name_prefix="qcorr-eig")
+    return _pool.submit(_solve_batch, batch)
+
+
+def _forget_pool() -> None:
+    """In a forked child the pool's threads are gone: the next hand-off
+    makes a new pool."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _node_bits(pieces: list) -> np.ndarray:

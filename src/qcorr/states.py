@@ -143,7 +143,7 @@ class DensityOperator:
     """
 
     __slots__ = ("_matrix", "_blocks", "_charged", "num_qubits", "factor", "spectrum", "_qubit_symmetry",
-                 "__weakref__")
+                 "_spin_flip", "__weakref__")
 
     def __init__(self, matrix: np.ndarray, *, check_psd: bool = False):
         m = real_or_complex(matrix)
@@ -165,6 +165,7 @@ class DensityOperator:
         self.factor = None
         self.spectrum = None
         self._qubit_symmetry = None  # found by `entropy.qubit_symmetry`, or given by a channel
+        self._spin_flip = None  # found by `entropy._flips_by_at_most_cutoff`, or given by a channel
         if check_psd:
             self.factor = _certified_factor(m)
             if self.factor is not None:
@@ -212,6 +213,7 @@ class DensityOperator:
         self.factor = None
         self.spectrum = None
         self._qubit_symmetry = None
+        self._spin_flip = None
         return self
 
     @property

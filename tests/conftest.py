@@ -1,9 +1,11 @@
+import contextlib
 import os
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import qcorr.entropy
 
 from qcorr import (
     DensityOperator,
@@ -21,6 +23,20 @@ from qcorr.sampling import random_density, random_product_density, random_pure_s
 settings.register_profile("ci", derandomize=True, deadline=None)
 if os.environ.get("CI"):
     settings.load_profile("ci")
+
+
+@contextlib.contextmanager
+def eigensolve_workers(count):
+    """The entropy walk with `count` eigensolve workers and a pool of its
+    own, which is shut down on exit; yields the MonkeyPatch that set them."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qcorr.entropy, "_worker_count", lambda: count)
+        mp.setattr(qcorr.entropy, "_pool", None)
+        try:
+            yield mp
+        finally:
+            if qcorr.entropy._pool is not None:
+                qcorr.entropy._pool.shutdown(wait=True, cancel_futures=True)
 
 
 @pytest.fixture

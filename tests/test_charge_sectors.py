@@ -12,6 +12,7 @@ mixed state files, are the one-block case.
 
 import math
 import re
+import threading
 from collections import Counter
 
 import numpy as np
@@ -40,6 +41,7 @@ from qcorr.entropy import qubit_symmetry, subset_entropies
 from qcorr.errors import ParseError
 from qcorr.sampling import random_density
 
+from conftest import eigensolve_workers
 from dense_reference import block_state, dihedral, holds_popcount, model_solves, one_block
 
 TABLE_TOL = 1e-12
@@ -271,27 +273,30 @@ def phase_damped_grid():
     pytest.param(lambda: list(phase_damped_grid()), id="phase-grid-8"),
     pytest.param(lambda: [ground_state(chain_terms(xxz_ring(10, 0.5)))], id="xxz-mixture-10"),
 ])
-def test_one_eigensolve_per_width_and_dtype_in_each_flush(states, monkeypatch):
+def test_one_eigensolve_per_width_and_dtype_in_each_flush(states):
     # Whole blocks, Gram matrices, momentum blocks and the pieces of split
-    # blocks wait in one queue, so each flush solves every (width, dtype)
-    # in one stacked call.
-    calls, flushes = [], []
-    solve, flush = qcorr.entropy.hermitian_eigenvalues, qcorr.entropy._Walk.flush
+    # blocks wait in one queue, so each flush's batch, whichever thread
+    # solves it, solves every (width, dtype) in one stacked call.
+    calls, batches, current = [], [], threading.local()
+    solve, solve_batch = qcorr.entropy.hermitian_eigenvalues, qcorr.entropy._solve_batch
 
     def record_solve(matrices):
-        calls.append((matrices.shape[-1], matrices.dtype))
+        call = (matrices.shape[-1], matrices.dtype)
+        calls.append(call)
+        current.batch.append(call)
         return solve(matrices)
 
-    def record_flush(self):
-        start = len(calls)
-        flush(self)
-        flushes.append(calls[start:])
+    def record_batch(batch):
+        current.batch = []
+        solve_batch(batch)
+        batches.append(current.batch)
 
-    monkeypatch.setattr(qcorr.entropy, "hermitian_eigenvalues", record_solve)
-    monkeypatch.setattr(qcorr.entropy._Walk, "flush", record_flush)
-    ccm_many(states())
-    assert sum(map(len, flushes)) == len(calls) > 0
-    for solved in flushes:
+    with eigensolve_workers(3) as mp:
+        mp.setattr(qcorr.entropy, "hermitian_eigenvalues", record_solve)
+        mp.setattr(qcorr.entropy, "_solve_batch", record_batch)
+        ccm_many(states())
+    assert sum(map(len, batches)) == len(calls) > 0
+    for solved in batches:
         assert len(set(solved)) == len(solved)
 
 

@@ -10,7 +10,9 @@ must agree with the split ones within the Fannes-Audenaert bound of the
 budget, and its trees must be the same.  A coherence that breaks either
 symmetry by more than the budget sends the walk down the unsplit path.  A
 channel applied to every qubit passes the input's qubit generators to its
-output, but the flip is tested on each output: amplitude damping breaks it.
+output; phase damping, which commutes with the flip, passes the input's
+flip test too, while the output of amplitude damping, which breaks the
+flip, is tested on its own.
 """
 
 import math
@@ -34,8 +36,9 @@ from qcorr import (
     phase_damping_channel,
     xxz_ring,
 )
-from qcorr.entropy import _flips_by_at_most_cutoff, _tested_symmetry, qubit_symmetry, subset_entropies
+from qcorr.entropy import _flips_by_at_most_cutoff, _tested_flip, _tested_symmetry, qubit_symmetry, subset_entropies
 from qcorr.states import SUPPORT_CUTOFF, block_layout
+from qcorr.sweeps import ParamRange, SweepConfig, noise_sweep_rows
 
 from dense_reference import dihedral, model_solves, one_block
 
@@ -277,3 +280,34 @@ def test_inherited_generators_are_the_tested_ones_on_the_noise_grid(channel):
         for p in NOISE_PS:
             out = apply_channel_local(ground, channel(p), full_mask(n))
             assert qubit_symmetry(out) == _tested_symmetry(out) == qubit_symmetry(ground)
+
+
+@pytest.mark.parametrize("channel", [phase_damping_channel, amplitude_damping_channel])
+def test_phase_damping_hands_on_the_spin_flip(channel):
+    # The handed-on result is the output's own test, and the tables are
+    # those of the output tested afresh, bit for bit.
+    rings = [(xxz_ring(n, delta),) for n in (6, 9, 10) for delta in (-0.7, 0.5)]
+    rings.append((xxz_ring(4, -1.2), xxz_ring(4, 0.3)))
+    for ring in rings:
+        ground = ground_state(chain_terms(*ring))
+        n = ground.num_qubits
+        for p in (0.2, 0.6):
+            out = apply_channel_local(ground, channel(p), full_mask(n))
+            assert (out._spin_flip is not None) == (channel is phase_damping_channel)
+            assert _flips_by_at_most_cutoff(out) == _tested_flip(out)
+            fresh = DensityOperator._trusted(n, blocks=out.blocks)
+            fresh._qubit_symmetry = qubit_symmetry(out)
+            assert list(subset_entropies(out)) == list(subset_entropies(fresh))
+            assert fresh._spin_flip == out._spin_flip  # tested by the walk
+
+
+@pytest.mark.parametrize("channel, tests", [("paper", 7), ("standard", 7 + 28)])
+def test_noise_grid_tests_the_flip_of_its_ground_states(channel, tests, monkeypatch):
+    # The benchmark's grid: 7 ground states and 28 damped ones.  Under phase
+    # damping the damped states take their ground state's test.
+    tested, test = [], qcorr.entropy._tested_flip
+    monkeypatch.setattr(qcorr.entropy, "_tested_flip", lambda state: tested.append(state) or test(state))
+    config = SweepConfig(model="xxz", spins=8, param=ParamRange(-1.5, 0.5, 7), noise=ParamRange(0.0, 0.8, 5),
+                         channel=channel)
+    noise_sweep_rows(config)
+    assert len(tested) == tests

@@ -13,10 +13,20 @@ in every row.  Each table must be the one the state gets alone, bit for
 bit, whatever the list mixes and however the stack budget splits it; `ccm_many` must give each state the
 report `ccm` gives it, tree included, and `ccm_naive` checks the values for
 n <= 6.  The noise sweep streams its whole grid through one `ccm_many`
-call, and its output is recorded from the one-state walk.
+call, and its output is recorded from the one-state walk.  A stack of
+BLOCK_ENTRIES entries or more is solved by a worker thread while the walk
+goes on: the tables must not depend on the number of workers, a failure in
+a worker must surface from the walk, and a walk that is abandoned must leave
+no stack waiting to start.
 """
 
+import concurrent.futures
+import itertools
+import os
 import pathlib
+import signal
+import threading
+import time
 import tracemalloc
 import weakref
 
@@ -42,11 +52,14 @@ from qcorr import (
     phase_damping_channel,
     xxz_ring,
 )
+from qcorr.ccm import MAX_QUBITS_DP
 from qcorr.cli import main
 from qcorr.entropy import orbit_representatives, subset_entropies, subset_entropies_many
+from qcorr.errors import ConvergenceFailure, TooLarge
 from qcorr.sampling import random_density, random_pure_state
 from qcorr.sweeps import ParamRange, SweepConfig, noise_sweep_rows
 
+from conftest import eigensolve_workers
 from dense_reference import block_state, one_block
 
 NAIVE_TOL = 1e-9
@@ -341,3 +354,146 @@ def test_noise_sweep_n10_is_unchanged(channel, tmp_path, capsys):
                  "--p-steps", "5", "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"xxz_n10_{channel}.csv").read_bytes()
     assert capsys.readouterr().out == (DATA / f"xxz_n10_{channel}.stdout").read_text()
+
+
+# --- stacks solved by worker threads -------------------------------------------
+
+
+def full_rank(n, seed):
+    """A full-rank mixed state with no symmetry; an odd seed keeps its
+    spectrum, as a mixed state file's is kept."""
+    state = random_density(n, np.random.default_rng(seed))
+    return one_block(state.matrix, check_psd=True) if seed % 2 else state
+
+
+@st.composite
+def handed_off_lists(draw):
+    """`state_lists` of up to 7 qubits, with full-rank mixed states."""
+    n = draw(st.integers(2, 5))
+    kinds = st.sampled_from(KINDS + ("full-rank",) * 3)
+    specs = st.tuples(kinds, st.sampled_from([n, n, n + 1, n + 2, 1]), st.integers(0, 2**16))
+    return [full_rank(size, seed) if kind == "full-rank" else make_state(kind, size, seed)
+            for kind, size, seed in draw(st.lists(specs, min_size=1, max_size=5))]
+
+
+@given(states=handed_off_lists(), entries=st.sampled_from([16, 64, 256]))
+@settings(deadline=None, max_examples=30)
+def test_tables_do_not_depend_on_the_worker_count(states, entries):
+    # With batches of a few entries, most stacks are handed off, and several
+    # are in flight at once.
+    want = [list(table) for table in subset_entropies_many(states)]
+    for workers in (1, 3):
+        with eigensolve_workers(workers) as mp:
+            mp.setattr(qcorr.entropy, "BLOCK_ENTRIES", entries)
+            assert [list(table) for table in subset_entropies_many(states)] == want  # bit for bit
+
+
+def recorded_hand_offs(mp):
+    """The futures of the stacks handed off, in order."""
+    futures, hand_off = [], qcorr.entropy._hand_off
+
+    def record(batch):
+        futures.append(hand_off(batch))
+        return futures[-1]
+
+    mp.setattr(qcorr.entropy, "_hand_off", record)
+    return futures
+
+
+def assert_none_waits_to_start(futures):
+    """Every stack handed off has started or is done (run or cancelled);
+    then wait for those still running."""
+    assert all(future.running() or future.done() for future in futures)
+    concurrent.futures.wait(futures, timeout=60)
+    assert all(future.done() for future in futures)
+
+
+def test_a_failed_eigensolve_surfaces_from_the_walk():
+    # Each state is walked as it arrives: the factor's Gram matrices are in
+    # flight together, and the dense state's matrices along its path.
+    states = [random_pure_state(8, np.random.default_rng(0)), full_rank(7, 1), make_state("phase", 7, 2)]
+    solve, solved = qcorr.entropy.hermitian_eigenvalues, itertools.count()
+
+    def failing(matrices):
+        if threading.current_thread() is not threading.main_thread() and next(solved) == 1:
+            raise ConvergenceFailure("eigenvalues did not converge")
+        return solve(matrices)
+
+    with eigensolve_workers(3) as mp:
+        mp.setattr(qcorr.entropy, "_pool", concurrent.futures.ThreadPoolExecutor(1))  # the others wait
+        mp.setattr(qcorr.entropy, "BLOCK_ENTRIES", 64)
+        mp.setattr(qcorr.entropy, "STACK_ENTRIES", 1)
+        mp.setattr(qcorr.entropy, "hermitian_eigenvalues", failing)
+        futures = recorded_hand_offs(mp)
+        with pytest.raises(ConvergenceFailure):
+            subset_entropies_many(states)
+        assert len(futures) > 2
+        assert_none_waits_to_start(futures)
+
+
+def test_a_state_too_large_for_ccm_many_abandons_the_walk():
+    # The factor is walked as it arrives, and its Gram matrices wait in
+    # flight for the one thread of the pool, slowed down, when the next
+    # state is refused: those that have not started are cancelled.
+    solve = qcorr.entropy.hermitian_eigenvalues
+
+    def slow(matrices):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.05)
+        return solve(matrices)
+
+    def states():
+        yield random_pure_state(8, np.random.default_rng(0))
+        yield qcorr.make_ghz(MAX_QUBITS_DP + 1)
+
+    with eigensolve_workers(3) as mp:
+        mp.setattr(qcorr.entropy, "_pool", concurrent.futures.ThreadPoolExecutor(1))
+        mp.setattr(qcorr.entropy, "BLOCK_ENTRIES", 1024)
+        mp.setattr(qcorr.entropy, "STACK_ENTRIES", 1)
+        mp.setattr(qcorr.entropy, "hermitian_eigenvalues", slow)
+        futures = recorded_hand_offs(mp)
+        with pytest.raises(TooLarge):
+            ccm_many(states())
+        assert len(futures) > 3 and any(future.cancelled() for future in futures)
+        assert_none_waits_to_start(futures)
+
+
+def test_handed_off_matrices_keep_the_depth_first_bound():
+    # A whole matrix handed off is the data of a node on the walk's path, so
+    # the walk of test_state_past_the_budget_is_walked_depth_first keeps its
+    # bound with any number of workers.
+    state = random_density(9, np.random.default_rng(0))
+    with eigensolve_workers(4):
+        want = list(subset_entropies(state))  # the pool is made before the count
+        tracemalloc.start()
+        try:
+            table = subset_entropies(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= state.matrix.nbytes
+    assert list(table) == want
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_walks_with_a_pool_of_its_own():
+    state = full_rank(7, 0)
+    with eigensolve_workers(2) as mp:
+        mp.setattr(qcorr.entropy, "BLOCK_ENTRIES", 64)
+        want = list(subset_entropies(state))
+        assert qcorr.entropy._pool is not None  # the walk used the pool
+        pid = os.fork()
+        if pid == 0:  # the child: the parent's pool threads do not exist here
+            code = 1
+            try:
+                code = 0 if list(subset_entropies(state)) == want else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's walk did not finish")
+            time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status[1]) == 0
