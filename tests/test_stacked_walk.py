@@ -25,6 +25,7 @@ import itertools
 import os
 import pathlib
 import signal
+import sys
 import threading
 import time
 import tracemalloc
@@ -388,6 +389,23 @@ def test_tables_do_not_depend_on_the_worker_count(states, entries):
             assert [list(table) for table in subset_entropies_many(states)] == want  # bit for bit
 
 
+def test_many_workers_switching_often():
+    # More workers than CPUs, and threads switched every few microseconds:
+    # each stack's bits must still reach its own holder.
+    states = [full_rank(7, 0), random_pure_state(8, np.random.default_rng(1)), make_state("phase", 7, 2),
+              make_state("double-amplitude", 8, 3)]
+    want = [list(table) for table in subset_entropies_many(states)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with eigensolve_workers(8) as mp:
+            mp.setattr(qcorr.entropy, "BLOCK_ENTRIES", 16)
+            for _ in range(3):
+                assert [list(table) for table in subset_entropies_many(states)] == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def recorded_hand_offs(mp):
     """The futures of the stacks handed off, in order."""
     futures, hand_off = [], qcorr.entropy._hand_off
@@ -432,29 +450,32 @@ def test_a_failed_eigensolve_surfaces_from_the_walk():
 
 
 def test_a_state_too_large_for_ccm_many_abandons_the_walk():
-    # The factor is walked as it arrives, and its Gram matrices wait in
-    # flight for the one thread of the pool, slowed down, when the next
-    # state is refused: those that have not started are cancelled.
-    solve = qcorr.entropy.hermitian_eigenvalues
+    # The factor is walked as it arrives: the first of its Gram matrices
+    # holds the one thread of the pool until the next state is refused, and
+    # the others, waiting to start, are cancelled.
+    solve, release = qcorr.entropy.hermitian_eigenvalues, threading.Event()
 
-    def slow(matrices):
+    def held(matrices):
         if threading.current_thread() is not threading.main_thread():
-            time.sleep(0.05)
+            release.wait(timeout=60)
         return solve(matrices)
 
     def states():
         yield random_pure_state(8, np.random.default_rng(0))
         yield qcorr.make_ghz(MAX_QUBITS_DP + 1)
 
-    with eigensolve_workers(3) as mp:
+    with eigensolve_workers(64) as mp:  # never waits for a stack before handing off the next
         mp.setattr(qcorr.entropy, "_pool", concurrent.futures.ThreadPoolExecutor(1))
         mp.setattr(qcorr.entropy, "BLOCK_ENTRIES", 1024)
         mp.setattr(qcorr.entropy, "STACK_ENTRIES", 1)
-        mp.setattr(qcorr.entropy, "hermitian_eigenvalues", slow)
+        mp.setattr(qcorr.entropy, "hermitian_eigenvalues", held)
         futures = recorded_hand_offs(mp)
-        with pytest.raises(TooLarge):
-            ccm_many(states())
-        assert len(futures) > 3 and any(future.cancelled() for future in futures)
+        try:
+            with pytest.raises(TooLarge):
+                ccm_many(states())
+            assert len(futures) > 3 and sum(future.cancelled() for future in futures) >= len(futures) - 1
+        finally:
+            release.set()
         assert_none_waits_to_start(futures)
 
 
