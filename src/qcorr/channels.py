@@ -138,8 +138,8 @@ def apply_channel_local(rho: DensityOperator, channel: KrausChannel, qubits: int
         # The same holds for the spin flip X^n when S equals P S P, P the
         # swap (0, 0) <-> (1, 1), (0, 1) <-> (1, 0) of a qubit's (row,
         # column) pairs that X makes, up to the unit round-off eps of S's
-        # entries (phase damping's S[3, 3] = (1 - p) + p rounds to 1 - eps
-        # at some p): the channel is then within 8 eps per qubit, in the
+        # entries (phase damping's S[3, 3] = (1 - p) + p misses 1 by up to
+        # eps at some p): the channel is then within 8 eps per qubit, in the
         # trace norm, of one that commutes with X^n, so the flip moves the
         # output by at most what it moves `rho` plus 16 n eps, under
         # 1e-13 at n = 14.  Amplitude damping moves |1> to |0> and keeps

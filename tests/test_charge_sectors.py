@@ -275,8 +275,8 @@ def phase_damped_grid():
 ])
 def test_one_eigensolve_per_width_and_dtype_in_each_flush(states):
     # Whole blocks, Gram matrices, momentum blocks and the pieces of split
-    # blocks wait in one queue, so each flush's batch, whichever thread
-    # solves it, solves every (width, dtype) in one stacked call.
+    # blocks wait in one queue, so each batch, whichever thread solves it,
+    # solves every (width, dtype) in one stacked call.
     calls, batches, current = [], [], threading.local()
     solve, solve_batch = qcorr.entropy.hermitian_eigenvalues, qcorr.entropy._solve_batch
 

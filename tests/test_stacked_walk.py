@@ -497,6 +497,7 @@ def test_handed_off_matrices_keep_the_depth_first_bound():
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")  # Python 3.12+
 def test_a_forked_child_walks_with_a_pool_of_its_own():
     state = full_rank(7, 0)
     with eigensolve_workers(2) as mp:
