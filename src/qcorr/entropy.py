@@ -798,9 +798,8 @@ class _Walk:
         if self.waiting_entries + matrices.size > BLOCK_ENTRIES:
             self.flush()
         holder, key = [None], (matrices.shape[-1], matrices.dtype)
-        workers = _worker_count()
-        if matrices.size >= BLOCK_ENTRIES and workers > 1:
-            if len(self.running) >= workers:
+        if matrices.size >= BLOCK_ENTRIES and _worker_count() > 1:
+            if len(self.running) >= _worker_count():
                 self.settle(every=False)
             holder.append(_hand_off({key: [(matrices, holder)]}))
             self.running.add(holder[1])
